@@ -32,20 +32,14 @@ from .mixing import (
     power_iteration_mu,
     contraction_bound_check,
 )
-from .protocol import RunConfig, AgentState, RunTrace, run
+from .protocol import RunConfig, RunTrace, epsilon, psi_min, run
 from .baseline import (
     GreedyResult,
     centralized_greedy,
     perturbed_greedy,
     brute_force_optimum,
 )
-from .analysis import (
-    epsilon,
-    psi_min,
-    audit_trace,
-    bounds_report,
-    tradeoff_sweep,
-)
+from .analysis import audit_trace, bounds_report, tradeoff_sweep
 
 __all__ = [
     "GroundSet", "SetFunction", "StructureReport", "LocalFamily",
@@ -55,7 +49,7 @@ __all__ = [
     "MixingMatrix", "metropolis_weights", "lazy_max_degree_weights",
     "uniform_complete_weights", "lazy", "validate_mixing", "spectral_mu",
     "power_iteration_mu", "contraction_bound_check",
-    "RunConfig", "AgentState", "RunTrace", "run",
+    "RunConfig", "RunTrace", "run",
     "GreedyResult", "centralized_greedy", "perturbed_greedy",
     "brute_force_optimum",
     "epsilon", "psi_min", "audit_trace", "bounds_report", "tradeoff_sweep",

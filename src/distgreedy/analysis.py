@@ -1,18 +1,8 @@
-"""Bound computations and post-hoc audits of recorded runs.
+"""Post-hoc audits of recorded runs and tradeoff sweeps.
 
-The closed-form consensus error after T averaging steps is
-
-    epsilon(T) = sqrt(n) * mu^T * value_cap,
-
-and the smallest threshold width that provably keeps every agent's
-argmax alive through thresholding and intersection is 4 * epsilon(T).
-A run that uses a feasible psi earns the additive guarantee
-
-    achieved >= (1 - 1/e) * optimum - K * (psi + 2 * epsilon(T)),
-
-with 1 - 1/e replaced by 1 - exp(-gamma_min) when the locals are only
-approximately submodular with ratio at least gamma_min > 0. Everything
-here is computed from trace data alone, never from re-simulation.
+The closed-form bounds (epsilon, psi_min and the additive gap) live with
+the run state in the protocol module and are re-exported here. Every
+audit is computed from trace data alone, never from re-simulation.
 """
 
 import math
@@ -21,29 +11,11 @@ import numpy as np
 
 from .baseline import brute_force_optimum, max_marginal
 from .errors import CapExceededError
-from .protocol import RunConfig, run
+# epsilon and psi_min stay importable from here, next to the audits
+from .protocol import RunConfig, epsilon, psi_min, run
 
 AUDIT_SLACK = 1e-9
 CONSERVATION_TOL = 1e-12
-
-
-def epsilon(n, mu, T, value_cap):
-    """Worst-case distance to the true average after T averaging steps."""
-    if n < 1:
-        raise ValueError("need at least one agent")
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"contraction rate mu={mu} outside [0, 1); "
-                         "averaging would not converge")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if value_cap < 0:
-        raise ValueError("value cap must be nonnegative")
-    return math.sqrt(n) * mu ** T * value_cap
-
-
-def psi_min(n, mu, T, value_cap):
-    """Smallest threshold width that keeps every agent's argmax alive."""
-    return 4.0 * epsilon(n, mu, T, value_cap)
 
 
 class CheckResult:
@@ -97,7 +69,7 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
     available gain.
     """
     n, T, mu, cap, psi = trace.n, trace.T, trace.mu, trace.value_cap, trace.psi
-    eps_T = epsilon(n, mu, T, cap) if n >= 1 else 0.0
+    eps_T, floor = trace.epsilon_T, trace.psi_floor
     avg = family.average()
 
     drift = 0.0
@@ -114,7 +86,7 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
     dev_margin = np.inf
     for rec in trace.rounds:
         for t in range(1, T + 1):
-            bound = math.sqrt(n) * mu ** t * cap
+            bound = epsilon(n, mu, t, cap)
             dev_margin = min(dev_margin, bound - float(rec.deviations[t]))
     consensus_error = CheckResult(
         "consensus_error", dev_margin >= -slack, margin=float(dev_margin),
@@ -127,7 +99,7 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
         for i in range(n):
             own_max = float(X_T[i].max())
             worst = own_max - float(min(X_T[i, c] for c in peak_cols))
-            gap_margin = min(gap_margin, 4.0 * eps_T - worst)
+            gap_margin = min(gap_margin, floor - worst)
     argmax_gap = CheckResult(
         "argmax_gap", gap_margin >= -slack, margin=float(gap_margin),
         detail="cross-agent argmax undervaluation vs 4*epsilon(T)")
@@ -171,6 +143,15 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
                         candidate_agreement, round_gain])
 
 
+def _guarantee_check(name, trace, factor, optimum_value, slack):
+    """achieved >= factor * optimum - additive_gap, up to `slack`."""
+    rhs = factor * optimum_value - trace.additive_gap
+    result = CheckResult(name, trace.value >= rhs - slack,
+                         margin=trace.value - rhs, detail=f"rhs={rhs:.6g}")
+    result.rhs = rhs
+    return result
+
+
 def check_approx_bound(trace, optimum_value, slack=AUDIT_SLACK):
     """The headline additive guarantee against the exact optimum.
 
@@ -178,17 +159,13 @@ def check_approx_bound(trace, optimum_value, slack=AUDIT_SLACK):
     side drops at or below zero and the inequality holds trivially; the
     result is then flagged vacuous so sweeps can tell the regimes apart.
     """
-    eps_T = epsilon(trace.n, trace.mu, trace.T, trace.value_cap)
-    gap = trace.K * (trace.psi + 2.0 * eps_T)
-    rhs = (1.0 - 1.0 / math.e) * optimum_value - gap
-    vacuous = rhs <= 0.0
-    passed = trace.value >= rhs - slack
-    detail = f"rhs={rhs:.6g}" + (" (vacuous)" if vacuous else "")
-    result = CheckResult("approx_bound", passed, margin=trace.value - rhs,
-                         detail=detail)
-    result.rhs = rhs
-    result.vacuous = vacuous
+    result = _guarantee_check("approx_bound", trace, 1.0 - 1.0 / math.e,
+                              optimum_value, slack)
+    result.vacuous = result.rhs <= 0.0
+    if result.vacuous:
+        result.detail += " (vacuous)"
     return result
+
 
 def check_ratio_bound(trace, optimum_value, gammas, slack=AUDIT_SLACK):
     """Additive guarantee under approximate submodularity.
@@ -205,13 +182,9 @@ def check_ratio_bound(trace, optimum_value, gammas, slack=AUDIT_SLACK):
     if gamma_min <= 0.0:
         return CheckResult("ratio_bound", True, skipped=True,
                            detail=f"minimum ratio {gamma_min} is not positive")
-    eps_T = epsilon(trace.n, trace.mu, trace.T, trace.value_cap)
-    gap = trace.K * (trace.psi + 2.0 * eps_T)
-    rhs = (1.0 - math.exp(-gamma_min)) * optimum_value - gap
-    passed = trace.value >= rhs - slack
-    result = CheckResult("ratio_bound", passed, margin=trace.value - rhs,
-                         detail=f"gamma_min={gamma_min:.6g}, rhs={rhs:.6g}")
-    result.rhs = rhs
+    result = _guarantee_check("ratio_bound", trace, 1.0 - math.exp(-gamma_min),
+                              optimum_value, slack)
+    result.detail = f"gamma_min={gamma_min:.6g}, {result.detail}"
     result.gamma_min = gamma_min
     return result
 
@@ -225,7 +198,7 @@ class BoundsReport:
         self.epsilon_T = epsilon_T
         self.psi = psi
         self.psi_floor = psi_floor
-        self.additive_gap = additive_gap      # K * (psi + 2 * epsilon_T)
+        self.additive_gap = additive_gap      # see RunTrace.additive_gap
         self.optimum = optimum
         self.approx_rhs = approx_rhs
         self.vacuous = vacuous
@@ -264,7 +237,6 @@ def bounds_report(trace, family, optimum=None, gammas=None, slack=AUDIT_SLACK):
     guarantee checks out (for instances past the enumeration cap).
     """
     audit = audit_trace(trace, family, slack)
-    eps_T = epsilon(trace.n, trace.mu, trace.T, trace.value_cap)
     checks = list(audit)
     approx_rhs = vacuous = gamma_min = ratio_rhs = None
     if optimum is not None:
@@ -276,9 +248,8 @@ def bounds_report(trace, family, optimum=None, gammas=None, slack=AUDIT_SLACK):
             checks.append(ratio)
             if not ratio.skipped:
                 gamma_min, ratio_rhs = ratio.gamma_min, ratio.rhs
-    return BoundsReport(trace.value, eps_T, trace.psi,
-                        psi_min(trace.n, trace.mu, trace.T, trace.value_cap),
-                        trace.K * (trace.psi + 2.0 * eps_T), optimum,
+    return BoundsReport(trace.value, trace.epsilon_T, trace.psi,
+                        trace.psi_floor, trace.additive_gap, optimum,
                         approx_rhs, vacuous, gamma_min, ratio_rhs,
                         AuditReport(checks))
 
@@ -320,12 +291,11 @@ def tradeoff_sweep(config, T_values, psi="auto"):
             use_singleton_cap=config.use_singleton_cap,
             threshold_slack=config.threshold_slack, seed=config.seed)
         trace = run(point)
-        eps_T = epsilon(trace.n, trace.mu, T, trace.value_cap)
-        gap = trace.K * (trace.psi + 2.0 * eps_T)
         if optimum is None:
             rhs = vac = None
         else:
-            rhs = (1.0 - 1.0 / math.e) * optimum - gap
-            vac = rhs <= 0.0
-        rows.append(SweepRow(T, trace.psi, eps_T, gap, trace.value, rhs, vac))
+            approx = check_approx_bound(trace, optimum)
+            rhs, vac = approx.rhs, approx.vacuous
+        rows.append(SweepRow(T, trace.psi, trace.epsilon_T, trace.additive_gap,
+                             trace.value, rhs, vac))
     return rows

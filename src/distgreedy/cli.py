@@ -56,20 +56,23 @@ def _print_report(report):
         print(f"  [{state}] {check.name}{margin}{detail}")
 
 
-def cmd_run(args):
-    cfg = load_experiment(args.config)
-    run_config = build_run_config(cfg)
-    trace = run_protocol(run_config)
-
-    family = run_config.family
+def _full_report(trace, family):
+    """The audit, plus the guarantee checks when the optimum is enumerable."""
     try:
         _, optimum = brute_force_optimum(family.average(), trace.K)
     except CapExceededError:
         optimum = None
         logger.info("instance too large for the exact optimum; "
                     "guarantee checks disabled")
-    report = bounds_report(trace, family, optimum=optimum,
-                           gammas=_gammas_if_checkable(family))
+    return bounds_report(trace, family, optimum=optimum,
+                         gammas=_gammas_if_checkable(family))
+
+
+def cmd_run(args):
+    cfg = load_experiment(args.config)
+    run_config = build_run_config(cfg)
+    trace = run_protocol(run_config)
+    report = _full_report(trace, run_config.family)
 
     write_trace_csv(trace, args.trace_out)
     write_summary_json(trace, args.summary_out)
@@ -168,15 +171,8 @@ def cmd_analyze(args):
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
     trace = _load_trace_for_config(args.trace, run_config)
-    family = run_config.family
-    try:
-        _, optimum = brute_force_optimum(family.average(), trace.K)
-    except CapExceededError:
-        optimum = None
-    report = bounds_report(trace, family, optimum=optimum,
-                           gammas=_gammas_if_checkable(family))
-    with open(args.out, "w") as fh:
-        fh.write(canonical_json(report.to_jsonable()) + "\n")
+    report = _full_report(trace, run_config.family)
+    write_bounds_json(report, args.out)
     _print_report(report)
     return 0 if report.passed else 1
 

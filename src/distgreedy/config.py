@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .graph import graph_from_config, diameter
+from .graph import graph_from_config
 from .mixing import mixing_from_config
 from .protocol import RunConfig
 from .setfn import family_from_config
@@ -20,7 +20,7 @@ from .setfn import family_from_config
 TOP_LEVEL_KEYS = {
     "scenario", "graph", "mixing", "functions", "K", "T", "psi", "seed",
     "T_prime", "neighbors_only_intersection", "tight_value_cap",
-    "threshold_slack", "strict_psi", "taus", "outputs",
+    "threshold_slack", "strict_psi", "taus",
 }
 
 
@@ -75,9 +75,6 @@ class ExperimentConfig:
                 raise ConfigError("taus must be a list of nonnegative numbers",
                                   field="taus")
             self.taus = [float(t) for t in self.taus]
-        self.outputs = raw.get("outputs", {})
-        if not isinstance(self.outputs, dict):
-            raise ConfigError("outputs must be an object", field="outputs")
 
 
 def _require_int(value, field, minimum=None):
@@ -126,13 +123,6 @@ def build_run_config(cfg):
         fn_spec["seed"] = fn_ss
     family = family_from_config(fn_spec, network.n)
 
-    if cfg.t_prime_override is not None:
-        expected = cfg.T + 1 + diameter(network)
-        if cfg.t_prime_override != expected:
-            raise ConfigError(
-                f"T_prime={cfg.t_prime_override} conflicts with the derived "
-                f"value T + 1 + diameter = {expected}", field="T_prime")
-
     if cfg.psi == "auto" and network.n > 1 and not mix.mu < 1.0:
         raise ConfigError(
             f"psi 'auto' needs a contracting mixing matrix, but mu={mix.mu}",
@@ -146,9 +136,14 @@ def build_run_config(cfg):
         threshold_slack=cfg.threshold_slack,
         seed=cfg.seed)
 
+    if (cfg.t_prime_override is not None
+            and cfg.t_prime_override != run_config.t_prime):
+        raise ConfigError(
+            f"T_prime={cfg.t_prime_override} conflicts with the derived "
+            f"value T + 1 + diameter = {run_config.t_prime}", field="T_prime")
+
     if cfg.strict_psi and cfg.psi != "auto":
-        floor = RunConfig(network, mix, family, cfg.K, cfg.T, psi=None,
-                          use_singleton_cap=cfg.tight_value_cap).resolved_psi()
+        floor = run_config.psi_floor
         if cfg.psi < floor:
             raise ConfigError(
                 f"psi={cfg.psi} is below the feasible floor {floor:.6g} "

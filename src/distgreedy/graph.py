@@ -5,7 +5,6 @@ are exposed; every generated graph is checked by BFS before it is
 returned.
 """
 
-import csv
 from functools import cached_property
 
 import numpy as np
@@ -160,24 +159,3 @@ def graph_from_config(cfg):
     return generate(cfg["kind"], int(cfg["n"]), seed=cfg.get("seed", 0),
                     p=float(cfg.get("p", 0.5)))
 
-
-def write_edge_csv(G, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"])
-        for i, j in sorted(G.edges):
-            writer.writerow([i, j])
-
-
-def read_edge_csv(path, n=None):
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["i", "j"]:
-            raise ConfigError(f"unexpected edge CSV header {header}")
-        for row in reader:
-            edges.append((int(row[0]), int(row[1])))
-    if n is None:
-        n = max(max(i, j) for i, j in edges) if edges else 1
-    return make_network(n, edges)

@@ -202,11 +202,6 @@ def lazy(mix):
     return _with_mu(W, "custom")
 
 
-def single_agent_weights():
-    """Degenerate 1x1 matrix for single-agent runs; mu is 0 by convention."""
-    return MixingMatrix(np.ones((1, 1)), 0.0, "custom")
-
-
 class ContractionReport:
     """Row-deviation of matrix powers against the geometric envelope."""
 

@@ -11,12 +11,30 @@ network-wide fixed point, all agents append the same element, so the
 selected set stays identical everywhere without any further
 coordination.
 
-Each time step is a global barrier: an agent reads only its neighbors'
-previous-step state, and all per-step updates are pure, so evaluation
-order within a step cannot change the result.
+A round's state is two arrays with one row per agent and one column per
+remaining element: the gain estimates X and the candidate mask C. Each
+time step is a global barrier, so a step is one matrix operation on the
+whole network: averaging is X <- W X, and intersection keeps column j
+for agent i unless some agent in i's closed neighbourhood lacks it.
+
+The closed-form consensus error after T averaging steps is
+
+    epsilon(T) = sqrt(n) * mu^T * value_cap,
+
+and the smallest threshold width that provably keeps every agent's
+argmax alive through thresholding and intersection is 4 * epsilon(T).
+A run that uses a feasible psi earns the additive guarantee
+
+    achieved >= (1 - 1/e) * optimum - additive_gap,
+
+where RunTrace.additive_gap is K * (psi + 2 * epsilon(T)), and 1 - 1/e
+becomes 1 - exp(-gamma_min) when the locals are only approximately
+submodular with ratio at least gamma_min > 0.
 """
 
 import logging
+import math
+from itertools import compress
 
 import numpy as np
 
@@ -26,30 +44,23 @@ from .graph import diameter
 logger = logging.getLogger(__name__)
 
 
-class AgentState:
-    """One agent's view inside a round.
+def epsilon(n, mu, T, value_cap):
+    """Worst-case distance to the true average after T averaging steps."""
+    if n < 1:
+        raise ValueError("need at least one agent")
+    if not 0.0 <= mu < 1.0:
+        raise ValueError(f"contraction rate mu={mu} outside [0, 1); "
+                         "averaging would not converge")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if value_cap < 0:
+        raise ValueError("value cap must be nonnegative")
+    return math.sqrt(n) * mu ** T * value_cap
 
-    x holds the agent's running estimate of the network-average marginal
-    gain for each remaining element (aligned with `remaining`);
-    candidates is its surviving element set during the intersection
-    phase; selected is the solution built so far, in pick order.
-    """
 
-    __slots__ = ("agent", "remaining", "x", "candidates", "selected")
-
-    def __init__(self, agent, remaining, x, candidates=None, selected=()):
-        self.agent = agent
-        self.remaining = remaining
-        self.x = x
-        self.candidates = candidates
-        self.selected = selected
-
-    def gain(self, v):
-        return float(self.x[self.remaining.index(v)])
-
-    def __repr__(self):
-        return (f"AgentState(agent={self.agent}, selected={self.selected}, "
-                f"candidates={self.candidates})")
+def psi_min(n, mu, T, value_cap):
+    """Smallest threshold width that keeps every agent's argmax alive."""
+    return 4.0 * epsilon(n, mu, T, value_cap)
 
 
 class RunConfig:
@@ -58,7 +69,8 @@ class RunConfig:
     psi=None resolves to the smallest feasible threshold width
     4 * sqrt(n) * mu^T * value_cap at run time. The phase lengths are
     not independent: the intersection phase always lasts exactly the
-    graph diameter, so t_prime is derived, never set.
+    graph diameter, so t_prime is derived, never set. The network is
+    immutable, so both are computed once here.
     """
 
     def __init__(self, network, mixing, family, K, T, psi=None,
@@ -93,14 +105,8 @@ class RunConfig:
         self.use_singleton_cap = bool(use_singleton_cap)
         self.threshold_slack = float(threshold_slack)
         self.seed = int(seed)
-
-    @property
-    def diameter(self):
-        return diameter(self.network)
-
-    @property
-    def t_prime(self):
-        return self.T + 1 + self.diameter
+        self.diameter = diameter(network)
+        self.t_prime = self.T + 1 + self.diameter
 
     @property
     def value_cap(self):
@@ -112,11 +118,12 @@ class RunConfig:
         # single agent: averaging is the identity and the error bound is 0
         return 0.0 if self.network.n == 1 else self.mixing.mu
 
-    def resolved_psi(self):
-        if self.psi is not None:
-            return self.psi
-        from .analysis import psi_min
+    @property
+    def psi_floor(self):
         return psi_min(self.network.n, self.mu, self.T, self.value_cap)
+
+    def resolved_psi(self):
+        return self.psi_floor if self.psi is None else self.psi
 
 
 class RoundRecord:
@@ -136,8 +143,20 @@ class RoundRecord:
         self.selected_after = selected_after
 
 
+def step_deviations(x_steps):
+    """Worst |estimate - initial network mean| at each averaging step."""
+    deviations = np.abs(x_steps - x_steps[0].mean(axis=0)).max(axis=(1, 2))
+    deviations.flags.writeable = False
+    return deviations
+
+
 class RunTrace:
-    """Everything recorded during a run, enough to audit every guarantee."""
+    """Everything recorded during a run, enough to audit every guarantee.
+
+    The bound properties are computed on access, so a trace recorded
+    with a non-contracting mu (an explicit psi on a periodic chain) can
+    still be built, written and read; only asking for a bound raises.
+    """
 
     def __init__(self, n, K, T, t_prime, diam, psi, mu, value_cap,
                  include_self, threshold_slack, seed, rounds, selected, value):
@@ -156,6 +175,18 @@ class RunTrace:
         self.selected = selected
         self.value = value
 
+    @property
+    def epsilon_T(self):
+        return epsilon(self.n, self.mu, self.T, self.value_cap)
+
+    @property
+    def psi_floor(self):
+        return psi_min(self.n, self.mu, self.T, self.value_cap)
+
+    @property
+    def additive_gap(self):
+        return self.K * (self.psi + 2.0 * self.epsilon_T)
+
     def __repr__(self):
         return (f"RunTrace(n={self.n}, K={self.K}, T={self.T}, "
                 f"selected={self.selected}, value={self.value:.6g})")
@@ -164,100 +195,93 @@ class RunTrace:
 def init_round(family, selected):
     """Start a round: each agent computes its own marginal gains.
 
-    All agents enter with the identical selected set; the gain vector is
-    indexed by the shared ascending order of the remaining elements.
+    All agents enter with the identical selected set. Returns the
+    remaining elements, ascending, and the (n, |remaining|) gain matrix
+    whose row i is agent i+1's gains in that shared column order.
     """
     ground = family.ground
     base_mask = ground.mask(selected)
     remaining = tuple(v for v in ground.elements if not base_mask >> (v - 1) & 1)
-    states = []
-    for agent, f in enumerate(family.functions, start=1):
+    X = np.empty((family.n, len(remaining)))
+    for i, f in enumerate(family.functions):
         base = f.value_mask(base_mask)
-        x = np.empty(len(remaining))
         for j, v in enumerate(remaining):
             g = f.value_mask(base_mask | 1 << (v - 1)) - base
             if g < 0:
                 raise MonotonicityError(
-                    f"agent {agent}: negative gain {g} for element {v}; "
+                    f"agent {i + 1}: negative gain {g} for element {v}; "
                     f"local function is not monotone")
-            x[j] = g
-        states.append(AgentState(agent, remaining, x, selected=selected))
-    return states
+            X[i, j] = g
+    return remaining, X
 
 
-def consensus_step(states, mixing):
+def consensus_step(X, mixing):
     """One synchronous averaging step across all agents.
 
-    Every agent replaces its vector by the mixing-weighted combination
-    of its neighbors' (and its own) previous vectors; with a doubly
-    stochastic matrix the coordinatewise network mean is preserved.
+    Every agent replaces its row by the mixing-weighted combination of
+    its neighbors' (and its own) previous rows; with a doubly stochastic
+    matrix the column means are preserved.
     """
-    remaining = states[0].remaining
-    for st in states[1:]:
-        if st.remaining != remaining:
-            raise DesyncError(
-                f"agent {st.agent} indexes {len(st.remaining)} elements, "
-                f"agent {states[0].agent} indexes {len(remaining)}")
-    X = np.vstack([st.x for st in states])
-    X_next = mixing.W @ X
-    return [AgentState(st.agent, remaining, X_next[i], st.candidates, st.selected)
-            for i, st in enumerate(states)]
+    return mixing.W @ X
 
 
-def threshold_candidates(state, psi, slack=0.0):
-    """Elements whose averaged gain is within psi of the agent's maximum.
+def threshold_candidates(X, psi, slack=0.0):
+    """Mask of the elements whose averaged gain is within psi of the
+    agent's own maximum, one row per agent.
 
-    Always contains the agent's own argmax. `slack` widens the cut by a
+    Every row keeps its own argmax. `slack` widens the cut by a
     documented fudge (default off) so that randomized float-valued
     instances are not split by last-ulp ties.
     """
-    cut = float(state.x.max()) - psi - slack
-    return frozenset(v for j, v in enumerate(state.remaining) if state.x[j] >= cut)
+    return X >= X.max(axis=1, keepdims=True) - psi - slack
 
 
-def intersection_step(states, network, include_self=True):
-    """One synchronous candidate-set intersection with the neighbors.
+def intersection_sources(network, include_self=True):
+    """(n, n) 0/1 matrix whose row i marks the agents agent i+1 intersects with.
 
     With include_self the agent keeps its own set in the intersection,
     which is what makes the network-wide fixed point reachable in
     diameter-many steps; the neighbors-only variant is kept for
     comparison runs and generally desynchronizes on non-complete graphs.
     """
-    for st in states:
-        if st.candidates is None:
-            raise DesyncError(f"agent {st.agent} has no candidate set yet")
-    by_agent = {st.agent: st.candidates for st in states}
-    out = []
-    for st in states:
-        sources = list(network.neighbors(st.agent))
-        if include_self:
-            sources.append(st.agent)
-        new = frozenset.intersection(*(by_agent[a] for a in sources))
-        out.append(AgentState(st.agent, st.remaining, st.x, new, st.selected))
-    return out
+    n = network.n
+    S = np.eye(n, dtype=int) if include_self else np.zeros((n, n), dtype=int)
+    for i, j in network.edges:
+        S[i - 1, j - 1] = S[j - 1, i - 1] = 1
+    return S
 
 
-def select_and_append(states):
+def intersection_step(C, sources):
+    """One synchronous candidate-set intersection: agent i keeps element j
+    unless one of its sources lacks it."""
+    return (sources @ ~C) == 0
+
+
+def _members(row, remaining):
+    return frozenset(compress(remaining, row.tolist()))
+
+
+def select_and_append(C, remaining, selected):
     """Close a round: all agents must hold the same nonempty candidate set.
 
     The element with the smallest global index is appended everywhere;
     the shared labeling is what makes this a consensus pick without any
     extra messages.
     """
-    first = states[0].candidates
-    for st in states[1:]:
-        if st.candidates != first:
-            raise DesyncError(
-                f"candidate sets differ at selection time: agent "
-                f"{states[0].agent} holds {sorted(first)}, agent {st.agent} "
-                f"holds {sorted(st.candidates)}")
-    if not first:
+    differ = np.flatnonzero((C != C[0]).any(axis=1))
+    if differ.size:
+        i = int(differ[0])
+        raise DesyncError(
+            f"candidate sets differ at selection time: agent 1 holds "
+            f"{sorted(_members(C[0], remaining))}, agent {i + 1} holds "
+            f"{sorted(_members(C[i], remaining))}")
+    kept = np.flatnonzero(C[0])
+    if not kept.size:
         raise InfeasiblePsiError(
             "candidate sets intersected to nothing; the threshold width psi "
             "is below the feasible floor for this mixing rate and T")
-    chosen = min(first)
-    selected_after = states[0].selected + (chosen,)
-    return chosen, selected_after
+    chosen = remaining[kept[0]]
+    return chosen, selected + (chosen,)
 
 
 def run(config):
@@ -276,33 +300,26 @@ def run(config):
     psi = config.resolved_psi()
     slack = config.threshold_slack
     include_self = config.include_self_in_intersection
+    sources = intersection_sources(network, include_self)
 
     selected = ()
     rounds = []
     for k in range(K):
-        states = init_round(family, selected)
-        x_steps = [np.vstack([st.x for st in states])]
-        for _ in range(T):
-            states = consensus_step(states, mixing)
-            x_steps.append(np.vstack([st.x for st in states]))
-        x_steps = np.stack(x_steps)
+        remaining, X = init_round(family, selected)
+        x_steps = np.empty((T + 1,) + X.shape)
+        x_steps[0] = X
+        for t in range(T):
+            x_steps[t + 1] = consensus_step(x_steps[t], mixing)
         x_steps.flags.writeable = False
 
-        mean0 = x_steps[0].mean(axis=0)
-        deviations = np.abs(x_steps - mean0).max(axis=(1, 2))
-        deviations.flags.writeable = False
-
-        states = [AgentState(st.agent, st.remaining, st.x,
-                             threshold_candidates(st, psi, slack), st.selected)
-                  for st in states]
-        candidate_steps = [tuple(st.candidates for st in states)]
+        masks = [threshold_candidates(x_steps[T], psi, slack)]
         for _ in range(d):
-            states = intersection_step(states, network, include_self)
-            candidate_steps.append(tuple(st.candidates for st in states))
-
-        chosen, selected = select_and_append(states)
-        rounds.append(RoundRecord(k, states[0].remaining, x_steps, deviations,
-                                  tuple(candidate_steps), chosen, selected))
+            masks.append(intersection_step(masks[-1], sources))
+        chosen, selected = select_and_append(masks[-1], remaining, selected)
+        candidate_steps = tuple(tuple(_members(row, remaining) for row in C)
+                                for C in masks)
+        rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
+                                  candidate_steps, chosen, selected))
 
     value = family.average().value(selected)
     return RunTrace(network.n, K, T, config.t_prime, d, psi, config.mu,

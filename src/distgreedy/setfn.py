@@ -238,33 +238,24 @@ def check_structure(f, cap=STRUCTURE_CAP):
 # Test-function corpus
 
 
-def _coverage_raw(member_masks):
-    def raw(mask):
-        union = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            union |= member_masks[low.bit_length() - 1]
-            mm ^= low
-        return union.bit_count()
-    return raw
+def _union(member_masks, mask):
+    """Union of the member masks of the elements in `mask`."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= member_masks[low.bit_length() - 1]
+        mask ^= low
+    return union
 
 
-def _weighted_coverage_raw(member_masks, weights):
-    def raw(mask):
-        union = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            union |= member_masks[low.bit_length() - 1]
-            mm ^= low
-        total = 0.0
-        while union:
-            low = union & -union
-            total += weights[low.bit_length() - 1]
-            union ^= low
-        return total
-    return raw
+def _weight_sum(weights, mask):
+    """Sum of the weights of the set bits of `mask`, lowest bit first."""
+    total = 0.0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def _facility_raw(weight_matrix):
@@ -273,23 +264,6 @@ def _facility_raw(weight_matrix):
             return 0.0
         cols = [i for i in range(weight_matrix.shape[1]) if mask >> i & 1]
         return float(weight_matrix[:, cols].max(axis=1).sum())
-    return raw
-
-
-def _modular_raw(weights):
-    def raw(mask):
-        total = 0.0
-        while mask:
-            low = mask & -mask
-            total += weights[low.bit_length() - 1]
-            mask ^= low
-        return total
-    return raw
-
-
-def _pair_raw(pair_mask, levels):
-    def raw(mask):
-        return levels[(mask & pair_mask).bit_count()]
     return raw
 
 
@@ -308,6 +282,30 @@ def _universe_masks(sets, universe):
     return masks
 
 
+def _coverage_sets(kind, params, rng):
+    """The covering sets and the universe size of a coverage kind.
+
+    Without explicit sets, `size` sets are drawn from `rng`, each a
+    random nonempty subset of 1..universe; without a universe, it is
+    the largest covered item.
+    """
+    universe = int(params.get("universe", 0) or 0)
+    sets = params.get("sets")
+    if sets is None:
+        size = int(params.get("size", 0) or 0)
+        if size < 1 or universe < 1:
+            raise ConfigError(
+                f"random {kind} needs 'size' and 'universe'", field="functions")
+        sets = [sorted(rng.choice(universe, size=int(rng.integers(1, universe + 1)),
+                                  replace=False) + 1)
+                for _ in range(size)]
+    if not sets:
+        raise ConfigError(f"{kind} needs at least one set", field="sets")
+    if universe < 1:
+        universe = max(max(s) for s in sets if s) if any(sets) else 1
+    return sets, universe
+
+
 def build_test_function(kind, params=None, seed=0):
     """Construct one function of the named kind.
 
@@ -323,38 +321,14 @@ def build_test_function(kind, params=None, seed=0):
     rng = np.random.default_rng(seed)
 
     if kind == "coverage":
-        universe = int(params.get("universe", 0) or 0)
-        sets = params.get("sets")
-        if sets is None:
-            size = int(params.get("size", 0) or 0)
-            if size < 1 or universe < 1:
-                raise ConfigError(
-                    "random coverage needs 'size' and 'universe'", field="functions")
-            sets = [sorted(rng.choice(universe, size=int(rng.integers(1, universe + 1)),
-                                      replace=False) + 1)
-                    for _ in range(size)]
-        if not sets:
-            raise ConfigError("coverage needs at least one set", field="sets")
-        if universe < 1:
-            universe = max(max(s) for s in sets if s) if any(sets) else 1
+        sets, universe = _coverage_sets(kind, params, rng)
         masks = _universe_masks(sets, universe)
         ground = GroundSet(len(sets))
-        return SetFunction(ground, _coverage_raw(masks), label="coverage")
+        return SetFunction(ground, lambda mask: _union(masks, mask).bit_count(),
+                           label="coverage")
 
     if kind == "weighted_coverage":
-        universe = int(params.get("universe", 0) or 0)
-        sets = params.get("sets")
-        if sets is None:
-            size = int(params.get("size", 0) or 0)
-            if size < 1 or universe < 1:
-                raise ConfigError(
-                    "random weighted_coverage needs 'size' and 'universe'",
-                    field="functions")
-            sets = [sorted(rng.choice(universe, size=int(rng.integers(1, universe + 1)),
-                                      replace=False) + 1)
-                    for _ in range(size)]
-        if universe < 1:
-            universe = max(max(s) for s in sets if s) if any(sets) else 1
+        sets, universe = _coverage_sets(kind, params, rng)
         weights = params.get("weights")
         if weights is None:
             weights = [int(w) for w in rng.integers(1, 10, size=universe)]
@@ -365,8 +339,10 @@ def build_test_function(kind, params=None, seed=0):
             raise ConfigError("item weights must be nonnegative", field="weights")
         masks = _universe_masks(sets, universe)
         ground = GroundSet(len(sets))
-        return SetFunction(ground, _weighted_coverage_raw(masks, list(map(float, weights))),
-                           label="weighted_coverage")
+        item_weights = list(map(float, weights))
+        return SetFunction(
+            ground, lambda mask: _weight_sum(item_weights, _union(masks, mask)),
+            label="weighted_coverage")
 
     if kind == "facility_location":
         weights = params.get("weights")
@@ -397,7 +373,8 @@ def build_test_function(kind, params=None, seed=0):
         if any(w < 0 for w in weights):
             raise ConfigError("modular weights must be nonnegative", field="weights")
         ground = GroundSet(len(weights))
-        return SetFunction(ground, _modular_raw(list(map(float, weights))),
+        element_weights = list(map(float, weights))
+        return SetFunction(ground, lambda mask: _weight_sum(element_weights, mask),
                            label="modular")
 
     if kind == "pair_supermodular":
@@ -417,7 +394,7 @@ def build_test_function(kind, params=None, seed=0):
             raise ConfigError(f"invalid designated pair {pair}", field="pair")
         pair_mask = (1 << (pair[0] - 1)) | (1 << (pair[1] - 1))
         ground = GroundSet(size)
-        return SetFunction(ground, _pair_raw(pair_mask, levels),
+        return SetFunction(ground, lambda mask: levels[(mask & pair_mask).bit_count()],
                            label=f"pair_supermodular{pair}")
 
     raise ConfigError(f"unknown function kind {kind!r}; expected one of "

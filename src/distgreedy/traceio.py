@@ -13,9 +13,8 @@ import re
 
 import numpy as np
 
-from .analysis import epsilon, psi_min
 from .errors import ConfigError
-from .protocol import RoundRecord, RunTrace
+from .protocol import RoundRecord, RunTrace, step_deviations
 
 TRACE_MAGIC = "# distgreedy trace v1"
 
@@ -157,9 +156,6 @@ def read_trace_csv(path):
                 for j, v in enumerate(remaining):
                     x_steps[t, i - 1, j] = agent_vals[v]
         x_steps.flags.writeable = False
-        mean0 = x_steps[0].mean(axis=0)
-        deviations = np.abs(x_steps - mean0).max(axis=(1, 2))
-        deviations.flags.writeable = False
 
         step_ts = sorted(set_rows.get(k, {}))
         if step_ts != list(range(T + 1, t_prime + 1)):
@@ -168,7 +164,7 @@ def read_trace_csv(path):
             tuple(set_rows[k][t][i] for i in range(1, n + 1)) for t in step_ts)
         chosen = chosen_rows[k]
         selected = selected + (chosen,)
-        rounds.append(RoundRecord(k, remaining, x_steps, deviations,
+        rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
                                   candidate_steps, chosen, selected))
 
     declared = tuple(int(v) for v in meta["selected"].split("|") if v)
@@ -192,10 +188,9 @@ def summary_dict(trace):
                              for rec in trace.rounds],
         "bounds": {
             "psi": trace.psi,
-            "psi_floor": psi_min(trace.n, trace.mu, trace.T, trace.value_cap),
-            "epsilon_T": epsilon(trace.n, trace.mu, trace.T, trace.value_cap),
-            "additive_gap": trace.K * (trace.psi + 2.0 * epsilon(
-                trace.n, trace.mu, trace.T, trace.value_cap)),
+            "psi_floor": trace.psi_floor,
+            "epsilon_T": trace.epsilon_T,
+            "additive_gap": trace.additive_gap,
             "mu": trace.mu,
             "value_cap": trace.value_cap,
         },

@@ -5,7 +5,7 @@ import pytest
 
 from distgreedy import Network, diameter, generate
 from distgreedy.errors import ConfigError, DisconnectedGraphError, GraphGenerationError
-from distgreedy.graph import make_network, read_edge_csv, write_edge_csv
+from distgreedy.graph import make_network
 
 
 def test_complete_graph_edge_count():
@@ -101,11 +101,3 @@ def test_self_loops_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
         generate("torus", 4)
-
-
-def test_edge_csv_round_trip(tmp_path):
-    G = generate("erdos_renyi", 8, seed=4, p=0.5)
-    path = tmp_path / "edges.csv"
-    write_edge_csv(G, path)
-    H = read_edge_csv(path, n=8)
-    assert H.edges == G.edges

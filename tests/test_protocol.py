@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distgreedy import (
     GroundSet,
@@ -22,11 +24,11 @@ from distgreedy.errors import (
     InfeasiblePsiError,
     MonotonicityError,
 )
-from distgreedy.mixing import single_agent_weights
+from distgreedy.graph import diameter, make_network
 from distgreedy.protocol import (
-    AgentState,
     consensus_step,
     init_round,
+    intersection_sources,
     intersection_step,
     select_and_append,
     threshold_candidates,
@@ -50,37 +52,31 @@ def modular_family(weight_rows):
 # --- round initialization ---------------------------------------------------
 
 def test_initial_gains_round_zero():
-    states = init_round(c4_family(3), ())
-    for st in states:
-        assert st.remaining == (1, 2, 3, 4)
-        assert np.array_equal(st.x, [3.0, 2.0, 1.0, 3.0])
+    remaining, X = init_round(c4_family(3), ())
+    assert remaining == (1, 2, 3, 4)
+    assert X.shape == (3, 4)
+    assert np.all(X == [3.0, 2.0, 1.0, 3.0])
 
 
 def test_initial_gains_after_first_pick():
-    states = init_round(c4_family(2), (1,))
-    for st in states:
-        assert st.remaining == (2, 3, 4)
-        assert np.array_equal(st.x, [1.0, 1.0, 3.0])
-
-
-def test_agent_state_gain_lookup():
-    states = init_round(c4_family(2), (1,))
-    assert states[0].gain(4) == 3.0
-    assert states[1].gain(2) == 1.0
+    remaining, X = init_round(c4_family(2), (1,))
+    assert remaining == (2, 3, 4)
+    assert np.all(X == [1.0, 1.0, 3.0])
 
 
 def test_initial_gains_modular_all_ones():
     fam = local_family(2, "modular", params={"weights": [1] * 5})
     for selected in [(), (2,), (2, 5)]:
-        for st in init_round(fam, selected):
-            assert np.all(st.x == 1.0)
+        remaining, X = init_round(fam, selected)
+        assert X.shape == (2, 5 - len(selected))
+        assert np.all(X == 1.0)
 
 
 def test_non_monotone_input_is_rejected():
     from distgreedy.setfn import family_from_functions
     bad = SetFunction(GroundSet(3), lambda mask: -float(mask.bit_count()),
                       label="bad")
-    with pytest.raises(MonotonicityError):
+    with pytest.raises(MonotonicityError, match="agent 1: .* element 1;"):
         init_round(family_from_functions([bad]), ())
 
 
@@ -88,130 +84,140 @@ def test_non_monotone_input_is_rejected():
 
 def test_uniform_step_reaches_the_mean():
     fam = local_family(4, "coverage", params={"size": 5, "universe": 7}, seed=3)
-    states = init_round(fam, ())
-    X0 = np.vstack([st.x for st in states])
-    after = consensus_step(states, uniform_complete_weights(4))
-    for st in after:
-        assert np.abs(st.x - X0.mean(axis=0)).max() < 1e-12
+    _, X0 = init_round(fam, ())
+    after = consensus_step(X0, uniform_complete_weights(4))
+    assert np.abs(after - X0.mean(axis=0)).max() < 1e-12
 
 
 def test_single_agent_step_is_identity():
-    fam = c4_family(1)
-    states = init_round(fam, ())
-    after = consensus_step(states, single_agent_weights())
-    assert np.array_equal(after[0].x, states[0].x)
+    _, X = init_round(c4_family(1), ())
+    # Metropolis weights on a single node are the 1x1 identity, with mu = 0
+    identity = metropolis_weights(generate("path", 1))
+    assert np.array_equal(consensus_step(X, identity), X)
 
 
 def test_path3_step_matches_matrix_product():
     M = metropolis_weights(generate("path", 3))
-    states = [AgentState(i + 1, (1,), np.array([x0]))
-              for i, x0 in enumerate([1.0, 0.0, 0.0])]
-    after = consensus_step(states, M)
-    got = [st.x[0] for st in after]
-    assert got == pytest.approx([2 / 3, 1 / 3, 0.0], abs=1e-15)
-
-
-def test_desync_in_averaging_is_fatal():
-    fam = c4_family(2)
-    states = init_round(fam, ())
-    states[1] = AgentState(2, (2, 3, 4), states[1].x[1:])
-    with pytest.raises(DesyncError):
-        consensus_step(states, uniform_complete_weights(2))
+    after = consensus_step(np.array([[1.0], [0.0], [0.0]]), M)
+    assert after[:, 0] == pytest.approx([2 / 3, 1 / 3, 0.0], abs=1e-15)
 
 
 def test_mean_is_conserved_across_steps():
     fam = local_family(5, "facility_location",
                        params={"size": 6, "universe": 4}, seed=8)
     M = metropolis_weights(generate("cycle", 5))
-    states = init_round(fam, ())
-    mean0 = np.vstack([st.x for st in states]).mean(axis=0)
+    _, X = init_round(fam, ())
+    mean0 = X.mean(axis=0)
     for _ in range(30):
-        states = consensus_step(states, M)
-        mean_t = np.vstack([st.x for st in states]).mean(axis=0)
-        assert np.abs(mean_t - mean0).max() < 1e-12
+        X = consensus_step(X, M)
+        assert np.abs(X.mean(axis=0) - mean0).max() < 1e-12
 
 
 # --- thresholding -----------------------------------------------------------
 
 def test_zero_width_keeps_only_the_argmax():
-    st = AgentState(1, (1, 2, 3), np.array([1.0, 5.0, 2.0]))
-    assert threshold_candidates(st, 0.0) == {2}
+    C = threshold_candidates(np.array([[1.0, 5.0, 2.0]]), 0.0)
+    assert C.tolist() == [[False, True, False]]
 
 
 def test_width_covering_the_range_keeps_everything():
-    st = AgentState(1, (1, 2, 3, 4), np.array([3.0, 2.0, 1.0, 3.0]))
-    assert threshold_candidates(st, 2.0) == {1, 2, 3, 4}
+    C = threshold_candidates(np.array([[3.0, 2.0, 1.0, 3.0]]), 2.0)
+    assert C.all()
 
 
 def test_exact_tie_keeps_both():
-    st = AgentState(1, (1, 2, 3, 4), np.array([3.0, 2.0, 1.0, 3.0]))
-    assert threshold_candidates(st, 0.0) == {1, 4}
+    C = threshold_candidates(np.array([[3.0, 2.0, 1.0, 3.0]]), 0.0)
+    assert C.tolist() == [[True, False, False, True]]
+
+
+def test_each_agent_thresholds_against_its_own_maximum():
+    X = np.array([[3.0, 2.0, 1.0],
+                  [0.0, 1.0, 9.0]])
+    C = threshold_candidates(X, 1.0)
+    assert C.tolist() == [[True, True, False], [False, False, True]]
 
 
 # --- intersection phase -----------------------------------------------------
 
-def states_with(cands):
-    return [AgentState(i + 1, (1, 2, 3), np.zeros(3), frozenset(c))
-            for i, c in enumerate(cands)]
+def masks(sets, remaining=(1, 2, 3)):
+    """Candidate mask with one row per agent, columns in `remaining` order."""
+    return np.array([[v in s for v in remaining] for s in sets])
+
+
+def intersect(G, C, steps=1, include_self=True):
+    sources = intersection_sources(G, include_self)
+    for _ in range(steps):
+        C = intersection_step(C, sources)
+    return C
 
 
 def test_identical_sets_are_a_fixed_point():
-    G = generate("path", 3)
-    states = states_with([{1, 2}, {1, 2}, {1, 2}])
-    after = intersection_step(states, G)
-    assert all(st.candidates == {1, 2} for st in after)
+    C = masks([{1, 2}, {1, 2}, {1, 2}])
+    assert np.array_equal(intersect(generate("path", 3), C), C)
 
 
 def test_path3_reaches_global_intersection_in_diameter_steps():
     G = generate("path", 3)
-    states = states_with([{1, 2}, {2, 3}, {2}])
-    for _ in range(2):
-        states = intersection_step(states, G)
-    assert all(st.candidates == {2} for st in states)
+    after = intersect(G, masks([{1, 2}, {2, 3}, {2}]), steps=diameter(G))
+    assert np.array_equal(after, masks([{2}, {2}, {2}]))
 
 
 def test_complete_graph_stabilizes_in_one_step():
-    G = generate("complete", 4)
-    states = [AgentState(i + 1, (1, 2, 3), np.zeros(3), frozenset(c))
-              for i, c in enumerate([{1, 2}, {1, 3}, {1, 2, 3}, {1}])]
-    states = intersection_step(states, G)
-    assert all(st.candidates == {1} for st in states)
+    C = masks([{1, 2}, {1, 3}, {1, 2, 3}, {1}])
+    after = intersect(generate("complete", 4), C)
+    assert np.array_equal(after, masks([{1}] * 4))
 
 
 def test_neighbors_only_variant_can_drop_own_set():
     G = generate("path", 3)
-    states = states_with([{1, 2}, {2, 3}, {2}])
-    after = intersection_step(states, G, include_self=False)
+    after = intersect(G, masks([{1, 2}, {2, 3}, {2}]), include_self=False)
     # the center keeps only what its ends agree on, losing its own {2}
-    assert after[0].candidates == {2, 3}
-    assert after[1].candidates == {2}
-    assert after[2].candidates == {2, 3}
+    assert np.array_equal(after, masks([{2, 3}, {2}, {2, 3}]))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1..n plus random extra edges."""
+    n = draw(st.integers(1, 9))
+    edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=2 * n))
+    return make_network(n, edges + [(i, j) for i, j in extra if i != j])
+
+
+@settings(max_examples=80, deadline=None)
+@given(G=connected_graphs(), data=st.data())
+def test_intersection_reaches_columnwise_and_in_diameter_steps(G, data):
+    r = data.draw(st.integers(1, 6))
+    C0 = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=r, max_size=r),
+        min_size=G.n, max_size=G.n)))
+    after = intersect(G, C0, steps=diameter(G))
+    assert np.array_equal(after, np.broadcast_to(C0.all(axis=0), C0.shape))
 
 
 # --- selection --------------------------------------------------------------
 
 def test_lowest_index_wins():
-    states = states_with([{2, 4}, {2, 4}, {2, 4}])
-    chosen, after = select_and_append(states)
+    chosen, after = select_and_append(masks([{2, 3}] * 3), (1, 2, 3), ())
     assert chosen == 2
     assert after == (2,)
 
 
 def test_singleton_set_is_chosen():
-    states = states_with([{3}, {3}, {3}])
-    assert select_and_append(states)[0] == 3
+    chosen, after = select_and_append(masks([{3}] * 3), (1, 2, 3), (5,))
+    assert chosen == 3
+    assert after == (5, 3)
 
 
 def test_differing_sets_raise_desync():
-    states = states_with([{2}, {3}, {2}])
-    with pytest.raises(DesyncError):
-        select_and_append(states)
+    with pytest.raises(DesyncError, match=r"agent 1 holds \[2\], agent 2 holds \[3\]"):
+        select_and_append(masks([{2}, {3}, {2}]), (1, 2, 3), ())
 
 
 def test_empty_agreement_raises_infeasible_psi():
-    states = states_with([set(), set(), set()])
     with pytest.raises(InfeasiblePsiError):
-        select_and_append(states)
+        select_and_append(masks([set(), set(), set()]), (1, 2, 3), ())
 
 
 # --- full runs --------------------------------------------------------------
@@ -249,7 +255,8 @@ def test_budget_is_clamped_with_a_warning(caplog):
 
 def test_single_agent_reduces_to_centralized_greedy():
     fam = c4_family(1)
-    cfg = RunConfig(generate("path", 1), single_agent_weights(), fam, K=3, T=1)
+    G = generate("path", 1)
+    cfg = RunConfig(G, metropolis_weights(G), fam, K=3, T=1)
     trace = run(cfg)
     greedy = centralized_greedy(fam.functions[0], 3)
     assert trace.selected == greedy.selected
