@@ -66,43 +66,19 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
     the same nonempty set, equal to the network-wide intersection and
     containing every agent's argmax; and each round's realized gain in
     the average objective is within psi + 2*epsilon(T) of the best
-    available gain.
+    available gain. With a non-contracting mu >= 1 there is no epsilon,
+    and the three checks built on it are skipped.
     """
-    n, T, mu, cap, psi = trace.n, trace.T, trace.mu, trace.value_cap, trace.psi
-    eps_T, floor = trace.epsilon_T, trace.psi_floor
-    avg = family.average()
-
     drift = 0.0
     for rec in trace.rounds:
         mean0 = rec.x_steps[0].mean(axis=0)
-        for t in range(1, T + 1):
+        for t in range(1, trace.T + 1):
             step_drift = float(np.abs(rec.x_steps[t].mean(axis=0) - mean0).max())
             drift = max(drift, step_drift)
     conservation = CheckResult(
         "mean_conservation", drift <= CONSERVATION_TOL,
         margin=CONSERVATION_TOL - drift,
         detail=f"max drift {drift:.3g}")
-
-    dev_margin = np.inf
-    for rec in trace.rounds:
-        for t in range(1, T + 1):
-            bound = epsilon(n, mu, t, cap)
-            dev_margin = min(dev_margin, bound - float(rec.deviations[t]))
-    consensus_error = CheckResult(
-        "consensus_error", dev_margin >= -slack, margin=float(dev_margin),
-        detail="deviation vs sqrt(n)*mu^t*cap envelope")
-
-    gap_margin = np.inf
-    for rec in trace.rounds:
-        X_T = rec.x_steps[-1]
-        peak_cols = [int(np.argmax(row)) for row in X_T]
-        for i in range(n):
-            own_max = float(X_T[i].max())
-            worst = own_max - float(min(X_T[i, c] for c in peak_cols))
-            gap_margin = min(gap_margin, floor - worst)
-    argmax_gap = CheckResult(
-        "argmax_gap", gap_margin >= -slack, margin=float(gap_margin),
-        detail="cross-agent argmax undervaluation vs 4*epsilon(T)")
 
     agreement_ok = True
     agreement_detail = ""
@@ -128,6 +104,50 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
     candidate_agreement = CheckResult(
         "candidate_agreement", agreement_ok, detail=agreement_detail)
 
+    if trace.contracting:
+        consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family, slack)
+    else:
+        consensus_error, argmax_gap, round_gain = (
+            _skip_non_contracting(name, trace)
+            for name in ("consensus_error", "argmax_gap", "round_gain"))
+    return AuditReport([conservation, consensus_error, argmax_gap,
+                        candidate_agreement, round_gain])
+
+
+def _skip_non_contracting(name, trace):
+    return CheckResult(name, True, skipped=True,
+                       detail=f"mu={trace.mu} >= 1: averaging does not contract, "
+                              "so epsilon(T) is undefined")
+
+
+def _epsilon_checks(trace, family, slack):
+    """The consensus_error, argmax_gap and round_gain checks, which
+    measure the recorded run against epsilon(t)."""
+    n, T, mu, cap, psi = trace.n, trace.T, trace.mu, trace.value_cap, trace.psi
+    eps_T, floor = trace.epsilon_T, trace.psi_floor
+    avg = family.average()
+
+    dev_margin = np.inf
+    for rec in trace.rounds:
+        for t in range(1, T + 1):
+            bound = epsilon(n, mu, t, cap)
+            dev_margin = min(dev_margin, bound - float(rec.deviations[t]))
+    consensus_error = CheckResult(
+        "consensus_error", dev_margin >= -slack, margin=float(dev_margin),
+        detail="deviation vs sqrt(n)*mu^t*cap envelope")
+
+    gap_margin = np.inf
+    for rec in trace.rounds:
+        X_T = rec.x_steps[-1]
+        peak_cols = [int(np.argmax(row)) for row in X_T]
+        for i in range(n):
+            own_max = float(X_T[i].max())
+            worst = own_max - float(min(X_T[i, c] for c in peak_cols))
+            gap_margin = min(gap_margin, floor - worst)
+    argmax_gap = CheckResult(
+        "argmax_gap", gap_margin >= -slack, margin=float(gap_margin),
+        detail="cross-agent argmax undervaluation vs 4*epsilon(T)")
+
     gain_margin = np.inf
     before = ()
     for rec in trace.rounds:
@@ -139,12 +159,15 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
         "round_gain", gain_margin >= -slack, margin=float(gain_margin),
         detail="realized gain vs best gain - psi - 2*epsilon(T)")
 
-    return AuditReport([conservation, consensus_error, argmax_gap,
-                        candidate_agreement, round_gain])
+    return consensus_error, argmax_gap, round_gain
 
 
 def _guarantee_check(name, trace, factor, optimum_value, slack):
     """achieved >= factor * optimum - additive_gap, up to `slack`."""
+    if not trace.contracting:
+        result = _skip_non_contracting(name, trace)
+        result.rhs = None
+        return result
     rhs = factor * optimum_value - trace.additive_gap
     result = CheckResult(name, trace.value >= rhs - slack,
                          margin=trace.value - rhs, detail=f"rhs={rhs:.6g}")
@@ -161,7 +184,7 @@ def check_approx_bound(trace, optimum_value, slack=AUDIT_SLACK):
     """
     result = _guarantee_check("approx_bound", trace, 1.0 - 1.0 / math.e,
                               optimum_value, slack)
-    result.vacuous = result.rhs <= 0.0
+    result.vacuous = None if result.skipped else result.rhs <= 0.0
     if result.vacuous:
         result.detail += " (vacuous)"
     return result
@@ -184,6 +207,8 @@ def check_ratio_bound(trace, optimum_value, gammas, slack=AUDIT_SLACK):
                            detail=f"minimum ratio {gamma_min} is not positive")
     result = _guarantee_check("ratio_bound", trace, 1.0 - math.exp(-gamma_min),
                               optimum_value, slack)
+    if result.skipped:
+        return result
     result.detail = f"gamma_min={gamma_min:.6g}, {result.detail}"
     result.gamma_min = gamma_min
     return result

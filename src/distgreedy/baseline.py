@@ -7,13 +7,16 @@ tight and the associated tests vacuous.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import CapExceededError
 
 OPTIMUM_CAP = 10 ** 6
+# Size of the (C, K) element array of one brute-force chunk; the set
+# function bounds its own working memory per call.
+CHUNK_BYTES = 1 << 21
 
 
 class GreedyResult:
@@ -34,14 +37,11 @@ class GreedyResult:
 
 
 def _step_gains(f, selected_mask, m):
-    gains = []
-    base = f.value_mask(selected_mask)
-    for v in range(1, m + 1):
-        bit = 1 << (v - 1)
-        if selected_mask & bit:
-            continue
-        gains.append((v, f.value_mask(selected_mask | bit) - base))
-    return gains
+    """The unselected elements, ascending, and their marginal gains."""
+    free = np.array([v for v in range(1, m + 1) if not selected_mask >> (v - 1) & 1],
+                    dtype=np.intp)
+    gains = f.extend_values(selected_mask, free[:, None]) - f.value_mask(selected_mask)
+    return free, gains
 
 
 def centralized_greedy(f, K):
@@ -51,11 +51,9 @@ def centralized_greedy(f, K):
     mask = 0
     selected, values, gains, best_gains = [], [], [], []
     for _ in range(K):
-        step = _step_gains(f, mask, m)
-        best_v, best_g = step[0]
-        for v, g in step[1:]:
-            if g > best_g:
-                best_v, best_g = v, g
+        free, step = _step_gains(f, mask, m)
+        j = int(np.argmax(step))  # the first maximum: ties go to the lowest index
+        best_v, best_g = int(free[j]), float(step[j])
         selected.append(best_v)
         gains.append(best_g)
         best_gains.append(best_g)
@@ -84,10 +82,11 @@ def perturbed_greedy(f, K, taus, seed=0):
     mask = 0
     selected, values, gains, best_gains = [], [], [], []
     for tau in taus:
-        step = _step_gains(f, mask, m)
-        best_g = max(g for _, g in step)
-        eligible = [(v, g) for v, g in step if g >= best_g - tau]
-        v, g = eligible[int(rng.integers(len(eligible)))]
+        free, step = _step_gains(f, mask, m)
+        best_g = float(step.max())
+        eligible = np.flatnonzero(step >= best_g - tau)  # ascending
+        j = eligible[int(rng.integers(len(eligible)))]
+        v, g = int(free[j]), float(step[j])
         selected.append(v)
         gains.append(g)
         best_gains.append(best_g)
@@ -102,7 +101,9 @@ def brute_force_optimum(f, K):
 
     For a monotone function the maximum is attained at full size, so
     only size-K subsets are enumerated, in lexicographic order; ties
-    keep the first (lexicographically smallest) maximizer.
+    keep the first (lexicographically smallest) maximizer. The subsets
+    are evaluated in chunks of consecutive combinations, one batched
+    call per chunk.
     """
     m = f.ground.size
     K = min(K, m)
@@ -111,21 +112,24 @@ def brute_force_optimum(f, K):
         raise CapExceededError(
             f"C({m},{K}) = {count} subsets exceeds the enumeration cap "
             f"{OPTIMUM_CAP}")
+    combos = combinations(range(1, m + 1), K)
+    chunk = max(1, CHUNK_BYTES // (8 * max(K, 1)))
     best_set = None
     best_val = -np.inf
-    for combo in combinations(range(1, m + 1), K):
-        val = f.value(combo)
-        if val > best_val:
-            best_val = val
-            best_set = combo
+    while batch := list(islice(combos, chunk)):
+        rows = np.array(batch, dtype=np.intp).reshape(len(batch), K)
+        values = f.extend_values(0, rows)
+        j = int(np.argmax(values))
+        if values[j] > best_val:  # strict: an earlier chunk keeps a tie
+            best_val = float(values[j])
+            best_set = batch[j]
     return best_set, float(best_val)
 
 
 def max_marginal(f, selected):
     """Largest available gain given the current selection."""
-    m = f.ground.size
-    mask = f.ground.mask(selected)
-    return max(g for _, g in _step_gains(f, mask, m))
+    _, gains = _step_gains(f, f.ground.mask(selected), f.ground.size)
+    return float(gains.max())
 
 
 def gap_recurrence_margins(result, optimum_value, gamma):

@@ -143,6 +143,10 @@ def build_run_config(cfg):
             f"value T + 1 + diameter = {run_config.t_prime}", field="T_prime")
 
     if cfg.strict_psi and cfg.psi != "auto":
+        if not run_config.mu < 1.0:
+            raise ConfigError(
+                f"strict_psi needs a contracting mixing matrix, but "
+                f"mu={run_config.mu}", field="strict_psi")
         floor = run_config.psi_floor
         if cfg.psi < floor:
             raise ConfigError(

@@ -153,9 +153,10 @@ def step_deviations(x_steps):
 class RunTrace:
     """Everything recorded during a run, enough to audit every guarantee.
 
-    The bound properties are computed on access, so a trace recorded
-    with a non-contracting mu (an explicit psi on a periodic chain) can
-    still be built, written and read; only asking for a bound raises.
+    A trace may be recorded with a non-contracting mu >= 1 (an explicit
+    psi on a periodic chain). Averaging then carries no error bound, so
+    the bound properties read None and the audits that need them are
+    skipped.
     """
 
     def __init__(self, n, K, T, t_prime, diam, psi, mu, value_cap,
@@ -176,15 +177,25 @@ class RunTrace:
         self.value = value
 
     @property
+    def contracting(self):
+        return self.mu < 1.0
+
+    @property
     def epsilon_T(self):
+        if not self.contracting:
+            return None
         return epsilon(self.n, self.mu, self.T, self.value_cap)
 
     @property
     def psi_floor(self):
+        if not self.contracting:
+            return None
         return psi_min(self.n, self.mu, self.T, self.value_cap)
 
     @property
     def additive_gap(self):
+        if not self.contracting:
+            return None
         return self.K * (self.psi + 2.0 * self.epsilon_T)
 
     def __repr__(self):
@@ -197,21 +208,22 @@ def init_round(family, selected):
 
     All agents enter with the identical selected set. Returns the
     remaining elements, ascending, and the (n, |remaining|) gain matrix
-    whose row i is agent i+1's gains in that shared column order.
+    whose row i is agent i+1's gains in that shared column order, from
+    one batched oracle call per agent.
     """
     ground = family.ground
     base_mask = ground.mask(selected)
     remaining = tuple(v for v in ground.elements if not base_mask >> (v - 1) & 1)
+    rows = np.array(remaining, dtype=np.intp)[:, None]
     X = np.empty((family.n, len(remaining)))
     for i, f in enumerate(family.functions):
-        base = f.value_mask(base_mask)
-        for j, v in enumerate(remaining):
-            g = f.value_mask(base_mask | 1 << (v - 1)) - base
-            if g < 0:
-                raise MonotonicityError(
-                    f"agent {i + 1}: negative gain {g} for element {v}; "
-                    f"local function is not monotone")
-            X[i, j] = g
+        X[i] = f.extend_values(base_mask, rows) - f.value_mask(base_mask)
+    negative = np.argwhere(X < 0)
+    if negative.size:
+        i, j = negative[0]
+        raise MonotonicityError(
+            f"agent {i + 1}: negative gain {float(X[i, j])} for element "
+            f"{remaining[j]}; local function is not monotone")
     return remaining, X
 
 

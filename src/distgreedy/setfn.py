@@ -10,6 +10,16 @@ The module also houses the exact structure checkers: monotonicity and
 diminishing returns by full enumeration, and the diminishing-returns
 ratio (1 exactly for submodular functions, smaller otherwise) by
 minimizing the defining quotient over all subset pairs.
+
+Two oracles evaluate a SetFunction. `value_mask` is the scalar
+reference: one bitmask, one memoized Python evaluation.
+`extend_values(base, rows)` is the batched primitive: f(base | row) for
+every row of a (C, j) array of elements, one numpy pass per block of
+rows for the corpus kinds and a loop over `value_mask` otherwise. Its
+contract is bit-identity: every value it returns equals `value_mask` on
+the same mask exactly, not up to rounding, so the protocol, the greedy
+baselines and the brute-force optimum pick the same elements whichever
+oracle computed their gains.
 """
 
 import numpy as np
@@ -17,6 +27,9 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 
 STRUCTURE_CAP = 10
+# Working memory of one batched evaluator call; extend_values splits
+# larger row blocks.
+BATCH_BYTES = 1 << 22
 
 FUNCTION_KINDS = (
     "coverage",
@@ -68,16 +81,24 @@ class SetFunction:
     """Nonnegative set function with memoized bitmask evaluation.
 
     `raw` maps a bitmask to a value; results are cached per mask, so the
-    exhaustive checkers and greedy loops pay for each subset once.
-    Evaluation is pure; the cache is a plain dict, whose item writes are
-    atomic, so concurrent readers at worst recompute a value.
+    exhaustive checkers pay for each subset once. Evaluation is pure;
+    the cache is a plain dict, whose item writes are atomic, so
+    concurrent readers at worst recompute a value.
+
+    `batch`, when given, is a vectorized evaluator batch(base, rows) ->
+    (C,) values with the same bits as `raw` on each mask, needing about
+    `row_bytes` of working memory per row; without it, extend_values
+    loops over value_mask.
     """
 
-    def __init__(self, ground, raw, label=""):
+    def __init__(self, ground, raw, label="", batch=None, row_bytes=8):
         self.ground = ground
         self.label = label
         self._raw = raw
         self._memo = {}
+        self._scans = {}
+        self._batch = batch
+        self._rows_per_block = max(1, BATCH_BYTES // row_bytes)
 
     def value_mask(self, mask):
         v = self._memo.get(mask)
@@ -85,6 +106,39 @@ class SetFunction:
             v = float(self._raw(mask))
             self._memo[mask] = v
         return v
+
+    def extend_values(self, base, rows):
+        """f(base | row) for each row of a (C, j) int array of elements.
+
+        `base` is a bitmask; a row may repeat elements or hold members of
+        base. Returns a read-only (C,) float64 array, bit-identical to
+        value_mask on each mask. A scan of at most m elements (a round's
+        gains, say) is cached per (base, rows), as value_mask caches per
+        mask; larger requests are evaluated afresh each time.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 2:
+            raise ValueError(f"rows must be a (C, j) array, got shape {rows.shape}")
+        key = None
+        if rows.size <= self.ground.size:
+            key = (base, rows.shape, rows.tobytes())
+            values = self._scans.get(key)
+            if values is not None:
+                return values
+        if rows.size and (rows.min() < 1 or rows.max() > self.ground.size):
+            raise ValueError(f"row element outside ground set 1..{self.ground.size}")
+        if self._batch is None:
+            values = np.array([self.value_mask(base | self.ground.mask(row))
+                               for row in rows.tolist()], dtype=float)
+        else:
+            values = np.empty(len(rows))
+            step = self._rows_per_block
+            for s in range(0, len(rows), step):
+                values[s:s + step] = self._batch(base, rows[s:s + step])
+        values.flags.writeable = False
+        if key is not None:
+            self._scans[key] = values
+        return values
 
     def value(self, subset):
         return self.value_mask(self.ground.mask(subset))
@@ -258,6 +312,49 @@ def _weight_sum(weights, mask):
     return total
 
 
+def _bits(mask):
+    """Indices of the set bits of `mask`, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _selection(size, base, rows):
+    """(C, size) bool matrix: row c marks the elements of base | rows[c]."""
+    sel = np.zeros((len(rows), size), dtype=bool)
+    sel[:, _bits(base)] = True
+    sel[np.arange(len(rows))[:, None], rows - 1] = True
+    return sel
+
+
+def _fold(table, op, base, rows):
+    """op-reduction of the table rows of the elements of base | rows[c],
+    one result row per c.
+
+    `table` has one row per element and nonnegative entries, so a zero
+    start is neutral for np.bitwise_or and np.maximum. The rows are
+    folded in one column of `rows` at a time, so the working set stays
+    two (C, ...) arrays whatever the row width.
+    """
+    acc = np.zeros((len(rows),) + table.shape[1:], dtype=table.dtype)
+    bits = _bits(base)
+    if bits:
+        acc[:] = op.reduce(table[bits], axis=0)
+    for col in rows.T:
+        op(acc, table[col - 1], out=acc)
+    return acc
+
+
+def _covered(packed, universe, base, rows):
+    """(C, universe) bool matrix: the items covered by base | rows[c]."""
+    return np.unpackbits(_fold(packed, np.bitwise_or, base, rows), axis=1,
+                         count=universe, bitorder="little").view(bool)
+
+
+def _masked_sum(weights, mask):
+    """Sum of the weights where `mask` holds, lowest index first in each
+    row, as _weight_sum adds them (adding 0.0 leaves a float unchanged)."""
+    return np.where(mask, weights, 0.0).cumsum(axis=1)[:, -1]
+
+
 def _facility_raw(weight_matrix):
     def raw(mask):
         if mask == 0:
@@ -280,6 +377,14 @@ def _universe_masks(sets, universe):
             m |= 1 << (u - 1)
         masks.append(m)
     return masks
+
+
+def _packed_rows(masks, universe):
+    """The item bitmasks as a (len(masks), bytes) uint8 matrix, each row
+    the mask's little-endian bytes."""
+    width = (universe + 7) // 8
+    data = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
 
 def _coverage_sets(kind, params, rng):
@@ -323,9 +428,13 @@ def build_test_function(kind, params=None, seed=0):
     if kind == "coverage":
         sets, universe = _coverage_sets(kind, params, rng)
         masks = _universe_masks(sets, universe)
+        packed = _packed_rows(masks, universe)
         ground = GroundSet(len(sets))
-        return SetFunction(ground, lambda mask: _union(masks, mask).bit_count(),
-                           label="coverage")
+        return SetFunction(
+            ground, lambda mask: _union(masks, mask).bit_count(), label="coverage",
+            batch=lambda base, rows: _covered(packed, universe, base, rows).sum(
+                axis=1).astype(float),
+            row_bytes=universe + 2 * packed.shape[1] + 16)
 
     if kind == "weighted_coverage":
         sets, universe = _coverage_sets(kind, params, rng)
@@ -338,11 +447,16 @@ def build_test_function(kind, params=None, seed=0):
         if any(w < 0 for w in weights):
             raise ConfigError("item weights must be nonnegative", field="weights")
         masks = _universe_masks(sets, universe)
+        packed = _packed_rows(masks, universe)
         ground = GroundSet(len(sets))
         item_weights = list(map(float, weights))
+        w = np.array(item_weights)
         return SetFunction(
             ground, lambda mask: _weight_sum(item_weights, _union(masks, mask)),
-            label="weighted_coverage")
+            label="weighted_coverage",
+            batch=lambda base, rows: _masked_sum(
+                w, _covered(packed, universe, base, rows)),
+            row_bytes=17 * universe + 2 * packed.shape[1])
 
     if kind == "facility_location":
         weights = params.get("weights")
@@ -361,7 +475,11 @@ def build_test_function(kind, params=None, seed=0):
         if (mat < 0).any():
             raise ConfigError("facility weights must be nonnegative", field="weights")
         ground = GroundSet(mat.shape[1])
-        return SetFunction(ground, _facility_raw(mat), label="facility_location")
+        sites = np.ascontiguousarray(mat.T)  # one row per element; the only copy kept
+        return SetFunction(
+            ground, _facility_raw(sites.T), label="facility_location",
+            batch=lambda base, rows: _fold(sites, np.maximum, base, rows).sum(axis=1),
+            row_bytes=16 * mat.shape[0])
 
     if kind == "modular":
         weights = params.get("weights")
@@ -374,8 +492,11 @@ def build_test_function(kind, params=None, seed=0):
             raise ConfigError("modular weights must be nonnegative", field="weights")
         ground = GroundSet(len(weights))
         element_weights = list(map(float, weights))
-        return SetFunction(ground, lambda mask: _weight_sum(element_weights, mask),
-                           label="modular")
+        w = np.array(element_weights)
+        return SetFunction(
+            ground, lambda mask: _weight_sum(element_weights, mask), label="modular",
+            batch=lambda base, rows: _masked_sum(w, _selection(len(w), base, rows)),
+            row_bytes=17 * len(w))
 
     if kind == "pair_supermodular":
         size = int(params.get("size", 3))
@@ -393,9 +514,15 @@ def build_test_function(kind, params=None, seed=0):
         if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= size for v in pair):
             raise ConfigError(f"invalid designated pair {pair}", field="pair")
         pair_mask = (1 << (pair[0] - 1)) | (1 << (pair[1] - 1))
+        pair_cols = [pair[0] - 1, pair[1] - 1]
+        level_array = np.array(levels)
         ground = GroundSet(size)
-        return SetFunction(ground, lambda mask: levels[(mask & pair_mask).bit_count()],
-                           label=f"pair_supermodular{pair}")
+        return SetFunction(
+            ground, lambda mask: levels[(mask & pair_mask).bit_count()],
+            label=f"pair_supermodular{pair}",
+            batch=lambda base, rows: level_array[
+                _selection(size, base, rows)[:, pair_cols].sum(axis=1)],
+            row_bytes=size + 16)
 
     raise ConfigError(f"unknown function kind {kind!r}; expected one of "
                       f"{', '.join(FUNCTION_KINDS)}", field="kind")
@@ -414,10 +541,11 @@ class LocalFamily:
         self.ground = ground
         self.functions = list(functions)
         self.kind = kind
-        full = ground.full_mask
-        self.max_total = max(f.value_mask(full) for f in self.functions)
-        self.max_singleton = max(
-            f.value_mask(1 << (v - 1)) for f in self.functions for v in ground.elements)
+        everything = np.arange(1, ground.size + 1)[None, :]
+        self.max_total = max(float(f.extend_values(0, everything)[0])
+                             for f in self.functions)
+        self.max_singleton = max(float(f.extend_values(0, everything.T).max())
+                                 for f in self.functions)
 
     @property
     def n(self):
@@ -437,10 +565,21 @@ def average_function(functions):
             raise ValueError("functions live on different ground sets")
     members = list(functions)
 
+    # Both oracles add the members' values in member order from 0.0, then
+    # divide once, so their results carry the same bits.
     def raw(mask):
-        return sum(f.value_mask(mask) for f in members) / len(members)
+        total = 0.0
+        for f in members:
+            total += f.value_mask(mask)
+        return total / len(members)
 
-    return SetFunction(ground, raw, label="average")
+    def batch(base, rows):
+        total = 0.0
+        for f in members:
+            total = total + f.extend_values(base, rows)
+        return total / len(members)
+
+    return SetFunction(ground, raw, label="average", batch=batch, row_bytes=24)
 
 
 def family_from_functions(functions, kind="custom"):

@@ -28,6 +28,11 @@ def format_float(x):
     return s
 
 
+def _optional_float(x):
+    """An empty CSV cell for a value that does not exist."""
+    return "" if x is None else format_float(x)
+
+
 def canonical_json(obj, indent=2):
     """json.dumps with floats at full 17-digit precision."""
     slots = []
@@ -223,7 +228,7 @@ def write_sweep_csv(rows, path):
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([
-                row.T, format_float(row.psi), format_float(row.epsilon),
-                format_float(row.additive_gap), format_float(row.achieved),
-                "" if row.rhs is None else format_float(row.rhs),
+                row.T, format_float(row.psi), _optional_float(row.epsilon),
+                _optional_float(row.additive_gap), format_float(row.achieved),
+                _optional_float(row.rhs),
                 "" if row.vacuous is None else int(row.vacuous)])

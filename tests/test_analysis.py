@@ -130,6 +130,21 @@ def test_ratio_bound_skipped_for_zero_ratio():
     assert "not positive" in result.detail
 
 
+def test_non_contracting_trace_skips_every_epsilon_check():
+    from distgreedy.mixing import MixingMatrix
+    fam = c4_family(2)
+    periodic = MixingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+    trace = run(RunConfig(generate("path", 2), periodic, fam, 2, 3, psi=3.0))
+    assert trace.epsilon_T is trace.psi_floor is trace.additive_gap is None
+    report = bounds_report(trace, fam, optimum=6.0, gammas=[1.0, 1.0])
+    skipped = {c.name for c in report.checks if c.skipped}
+    assert skipped == {"consensus_error", "argmax_gap", "round_gain",
+                       "approx_bound", "ratio_bound"}
+    assert all("mu=1.0" in report.checks[name].detail for name in skipped)
+    assert report.passed
+    assert report.approx_rhs is report.vacuous is report.ratio_rhs is None
+
+
 # --- trace audits --------------------------------------------------------------
 
 def test_uniform_trace_has_zero_deviation():

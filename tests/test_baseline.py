@@ -13,7 +13,7 @@ from distgreedy import (
     local_family,
     perturbed_greedy,
 )
-from distgreedy.baseline import gap_recurrence_margins, max_marginal
+from distgreedy.baseline import CHUNK_BYTES, gap_recurrence_margins, max_marginal
 from distgreedy.errors import CapExceededError
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
@@ -103,6 +103,76 @@ def test_brute_force_cap():
     f = build_test_function("modular", {"weights": [1] * 45})
     with pytest.raises(CapExceededError):
         brute_force_optimum(f, 20)
+
+
+# C(20, 8) = 125970 subsets are several chunks of 8-element combinations
+M_CHUNKED, K_CHUNKED = 20, 8
+CHUNK_ROWS = CHUNK_BYTES // (8 * K_CHUNKED)
+
+
+def test_brute_force_all_tied_across_chunks():
+    assert math.comb(M_CHUNKED, K_CHUNKED) > 2 * CHUNK_ROWS
+    f = build_test_function("modular", {"weights": [1] * M_CHUNKED})
+    assert brute_force_optimum(f, K_CHUNKED) == (tuple(range(1, 9)), 8.0)
+
+
+def test_brute_force_first_maximizer_after_a_chunk_boundary():
+    # every subset without element 1 is a maximizer; the first of them,
+    # (2, ..., 9), follows the C(19, 7) subsets that hold element 1
+    assert math.comb(M_CHUNKED - 1, K_CHUNKED - 1) > CHUNK_ROWS
+    f = build_test_function("modular", {"weights": [0] + [1] * (M_CHUNKED - 1)})
+    assert brute_force_optimum(f, K_CHUNKED) == (tuple(range(2, 10)), 8.0)
+    rising = build_test_function("modular", {"weights": list(range(1, M_CHUNKED + 1))})
+    assert brute_force_optimum(rising, K_CHUNKED) == (tuple(range(13, 21)), 132.0)
+
+
+# --- batched gains against the scalar oracle ---------------------------------
+
+def reference_greedy(f, K, taus=None, seed=0):
+    """Greedy and perturbed greedy over value_mask, one element at a time:
+    ties to the lowest index, eligible elements drawn in ascending order."""
+    m = f.ground.size
+    rng = np.random.default_rng(seed)
+    mask, selected, values = 0, [], []
+    for tau in taus if taus is not None else [None] * min(K, m):
+        base = f.value_mask(mask)
+        step = [(v, f.value_mask(mask | 1 << (v - 1)) - base)
+                for v in range(1, m + 1) if not mask >> (v - 1) & 1]
+        best_v, best_g = step[0]
+        for v, g in step[1:]:
+            if g > best_g:
+                best_v, best_g = v, g
+        if tau is not None:
+            eligible = [v for v, g in step if g >= best_g - tau]
+            best_v = eligible[int(rng.integers(len(eligible)))]
+        selected.append(best_v)
+        mask |= 1 << (best_v - 1)
+        values.append(f.value_mask(mask))
+    return tuple(selected), tuple(values)
+
+
+def float_family_average(rng):
+    """The average of random local functions with non-integer values."""
+    kind = ("coverage", "weighted_coverage", "facility_location",
+            "pair_supermodular", "modular")[int(rng.integers(5))]
+    size = int(rng.integers(3, 10))
+    fam = local_family(int(rng.integers(1, 5)), kind,
+                       params={"size": size, "universe": int(rng.integers(2, 12))},
+                       seed=int(rng.integers(2 ** 31)))
+    return fam.average()
+
+
+def test_greedy_baselines_match_the_scalar_reference():
+    rng = np.random.default_rng(21)
+    for seed in range(20):
+        f = float_family_average(rng)
+        m = f.ground.size
+        K = int(rng.integers(1, m + 1))
+        result = centralized_greedy(f, K)
+        assert (result.selected, result.values) == reference_greedy(f, K)
+        taus = list(rng.uniform(0.0, 2.0, size=K))
+        result = perturbed_greedy(f, K, taus, seed=seed)
+        assert (result.selected, result.values) == reference_greedy(f, K, taus, seed)
 
 
 # --- perturbed greedy ---------------------------------------------------------

@@ -130,6 +130,45 @@ def test_auto_psi_needs_a_contracting_matrix(tmp_path):
     assert run_cli("validate-config", "--config", path) == 0
 
 
+def test_non_contracting_run_skips_the_epsilon_checks(tmp_path):
+    import numpy as np
+
+    from distgreedy.mixing import write_matrix_csv
+    wpath = tmp_path / "w.csv"
+    write_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), wpath)
+    cfg = {"graph": {"kind": "path", "n": 2},
+           "mixing": {"custom_csv": str(wpath)},
+           "functions": {"kind": "modular", "weights": [1, 2]},
+           "K": 1, "T": 1, "psi": 3.0}
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(cfg))
+    summary, bounds = tmp_path / "s.json", tmp_path / "b.json"
+    assert run_cli("run", "--config", path, "--trace-out", tmp_path / "t.csv",
+                   "--summary-out", summary, "--bounds-out", bounds) == 0
+    assert (tmp_path / "t.csv").exists()
+    for key in ("psi_floor", "epsilon_T", "additive_gap"):
+        assert json.loads(summary.read_text())["bounds"][key] is None
+    report = json.loads(bounds.read_text())
+    assert report["epsilon_T"] is None and report["approx_rhs"] is None
+    skipped = {"consensus_error", "argmax_gap", "round_gain", "approx_bound"}
+    for name, check in report["checks"].items():
+        assert check["skipped"] == (name in skipped), name
+        if check["skipped"]:
+            assert "mu=1.0" in check["detail"]
+
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", path, "--T", "1:3", "--out", out) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(r["epsilon"] == r["E_r"] == r["rhs"] == r["vacuous"] == ""
+               for r in rows)
+
+    cfg["strict_psi"] = True
+    path.write_text(json.dumps(cfg))
+    assert run_cli("validate-config", "--config", path) == 2
+
+
 def test_baseline_subcommands(tmp_path, capsys):
     cfg = CONFIGS / "exact_consensus.json"
     assert run_cli("baseline", "--config", cfg, "--which", "greedy") == 0

@@ -1,7 +1,11 @@
 """Set-function builders, exact checkers and the ratio oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distgreedy import (
     GroundSet,
@@ -13,7 +17,7 @@ from distgreedy import (
     marginal_gain,
 )
 from distgreedy.errors import CapExceededError, ConfigError
-from distgreedy.setfn import family_from_config
+from distgreedy.setfn import BATCH_BYTES, FUNCTION_KINDS, family_from_config
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
 
@@ -311,3 +315,114 @@ def test_average_function_requires_shared_ground():
     g = build_test_function("modular", {"weights": [1, 2, 3]})
     with pytest.raises(ValueError):
         average_function([f, g])
+
+
+# --- batched oracle ------------------------------------------------------------
+
+def scalar_extensions(f, base, rows):
+    """The reference: value_mask on base | row, one row at a time."""
+    return np.array([f.value_mask(base | f.ground.mask(row)) for row in rows.tolist()],
+                    dtype=float)
+
+
+def explicit_params(kind, m, rng):
+    """Explicit data for `kind` on m elements; weights are multiples of 0.1,
+    so sums round and the summation order shows."""
+    universe = int(rng.integers(1, 300))
+
+    def tenths(size):
+        return rng.integers(0, 100, size=size) * 0.1
+
+    if kind in ("coverage", "weighted_coverage"):
+        universe = min(universe, 80)
+        sets = [sorted(int(u) for u in rng.choice(universe, size=int(rng.integers(
+            0, universe + 1)), replace=False) + 1) for _ in range(m)]
+        params = {"universe": universe, "sets": sets}
+        if kind == "weighted_coverage":
+            params["weights"] = tenths(universe).tolist()
+        return params
+    if kind == "facility_location":
+        return {"weights": tenths((universe, m)).tolist()}
+    if kind == "modular":
+        return {"weights": tenths(m).tolist()}
+    pair = sorted(int(v) for v in rng.choice(m, size=2, replace=False) + 1)
+    return {"size": m, "pair": pair, "g": [0.0] + sorted(tenths(2).tolist())}
+
+
+@st.composite
+def corpus_functions(draw, m):
+    kind = draw(st.sampled_from(FUNCTION_KINDS))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        params = {"size": m, "universe": draw(st.integers(1, 300))}
+    else:
+        params = explicit_params(kind, m, np.random.default_rng(seed))
+    return build_test_function(kind, params, seed=seed)
+
+
+def custom_function(m):
+    """A monotone function with irrational values and no batched evaluator."""
+    return SetFunction(GroundSet(m), lambda mask: float(mask.bit_count()) ** 0.5 +
+                       float(mask & 0b101 != 0) / 3.0, label="custom")
+
+
+@st.composite
+def extensions(draw, m):
+    """A base bitmask and a (C, j) array of rows, possibly overlapping it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(0, 40)), draw(st.integers(0, 4)))
+    rows = rng.integers(1, m + 1, size=shape)
+    return draw(st.integers(0, (1 << m) - 1)), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(2, 12))
+def test_extend_values_is_bit_identical_to_value_mask(data, m):
+    f = data.draw(corpus_functions(m))
+    for _ in range(3):
+        base, rows = data.draw(extensions(m))
+        assert np.array_equal(f.extend_values(base, rows),
+                              scalar_extensions(f, base, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(2, 10))
+def test_average_and_custom_extend_values_are_bit_identical(data, m):
+    members = data.draw(st.lists(corpus_functions(m), min_size=1, max_size=4))
+    members += [custom_function(m), members[0]]  # a fallback and a repeat
+    for f in (members[-2], average_function(members)):
+        base, rows = data.draw(extensions(m))
+        assert np.array_equal(f.extend_values(base, rows),
+                              scalar_extensions(f, base, rows))
+
+
+def test_extend_values_is_exact_across_row_blocks():
+    rng = np.random.default_rng(8)
+    universe = 400
+    f = build_test_function(
+        "facility_location", {"weights": (rng.integers(0, 1000, size=(universe, 30))
+                                          * 0.1).tolist()})
+    rows = np.array(list(itertools.combinations(range(1, 31), 3)))
+    assert len(rows) * 16 * universe > 2 * BATCH_BYTES  # several blocks
+    assert np.array_equal(f.extend_values(0b1001, rows),
+                          scalar_extensions(f, 0b1001, rows))
+
+
+def test_small_scans_are_cached_read_only():
+    f = c4()
+    singletons = np.arange(1, 5)[:, None]
+    first = f.extend_values(0b10, singletons)
+    assert f.extend_values(0b10, singletons.copy()) is first
+    assert not first.flags.writeable
+    assert list(first) == [4.0, 2.0, 3.0, 4.0]
+    assert f.extend_values(0b10, singletons.T) is not first  # another shape
+
+
+def test_extend_values_rejects_foreign_elements_and_flat_rows():
+    f = c4()
+    with pytest.raises(ValueError, match="outside ground set"):
+        f.extend_values(0, [[1, 5]])
+    with pytest.raises(ValueError, match="outside ground set"):
+        f.extend_values(0, [[0]])
+    with pytest.raises(ValueError, match="shape"):
+        f.extend_values(0, [1, 2])
