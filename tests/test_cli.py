@@ -247,6 +247,69 @@ def test_doctored_trace_fails_the_audit(tmp_path):
                    "--config", cfg) == 1
 
 
+def _drop_agent_1_at_t0(lines):
+    return [line for line in lines if not line.startswith("x,0,0,1,")]
+
+
+def _truncate_to_x_0(lines):
+    x_at = [j for j, line in enumerate(lines) if line.startswith("x,")]
+    return lines[:x_at[len(x_at) // 2]] + ["x,0"]
+
+
+def _x_value(value):
+    def tamper(lines):
+        j = next(j for j, line in enumerate(lines) if line.startswith("x,1,"))
+        parts = lines[j].split(",")
+        parts[5] = value
+        return lines[:j] + [",".join(parts)] + lines[j + 1:]
+    return tamper
+
+
+def _drop_first_set_row(lines):
+    j = next(j for j, line in enumerate(lines) if line.startswith("set,"))
+    return lines[:j] + lines[j + 1:]
+
+
+def _add_agent_4_row(lines):
+    return lines + ["x,0,0,4,1,1.0,"]
+
+
+def _drop_meta_field(lines):
+    return [lines[0], lines[1].replace("n=3,", "")] + lines[2:]
+
+
+@pytest.fixture(scope="module")
+def tradeoff_trace_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tradeoff")
+    assert run_cli("run", "--config", CONFIGS / "tradeoff.json",
+                   "--trace-out", out / "t.csv",
+                   "--summary-out", out / "s.json") == 0
+    return (out / "t.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_x_value("abc"), "cannot read x row 'x,1,0,1,"),
+    (_drop_agent_1_at_t0, "round 0, t=0: missing agent 1 gain rows"),
+    (_truncate_to_x_0, "cannot read x row 'x,0'"),
+    (_x_value("nan"), "non-finite gain nan"),
+    (_x_value("inf"), "non-finite gain inf"),
+    (_x_value("-1e999"), "non-finite gain -inf"),
+    (_drop_first_set_row, "round 0, t=2: missing agent 1 candidate set"),
+    (_add_agent_4_row, "round 0, t=0: gain rows for agent 4, outside 1..3"),
+    (_drop_meta_field, "malformed trace metadata line: KeyError('n')"),
+], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
+        "no_set_row", "extra_agent", "no_n"])
+def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
+                                           tradeoff_trace_lines, tamper, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(tamper(tradeoff_trace_lines)) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(bad),
+                 "--config", str(CONFIGS / "tradeoff.json"),
+                 "--out", str(tmp_path / "b.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_trace_round_trips_exactly(tmp_path):
     import numpy as np
     run_cli("run", "--config", CONFIGS / "ring_metropolis.json",
@@ -262,6 +325,28 @@ def test_trace_round_trips_exactly(tmp_path):
         assert np.array_equal(a.x_steps, b.x_steps)
         assert a.candidate_steps == b.candidate_steps
         assert np.array_equal(a.deviations, b.deviations)
+
+
+def write_reference_trace_csv(trace, path):
+    """The v1 layout written row by row with csv.writer and format_float."""
+    import numpy as np
+
+    from distgreedy.traceio import TRACE_MAGIC, _meta_line, format_float
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{TRACE_MAGIC}\n{_meta_line(trace)}\n")
+        rows = csv.writer(fh)
+        rows.writerow(["record", "round", "t", "agent", "element", "x_value",
+                       "candidate_set"])
+        for rec in trace.rounds:
+            for (t, i, j), v in np.ndenumerate(rec.x_steps):
+                rows.writerow(["x", rec.index, t, i + 1, rec.remaining[j],
+                               format_float(float(v)), ""])
+            for t, per_agent in enumerate(rec.candidate_steps, trace.T + 1):
+                for i, cands in enumerate(per_agent, 1):
+                    rows.writerow(["set", rec.index, t, i, "", "",
+                                   "|".join(str(v) for v in sorted(cands))])
+            rows.writerow(["chosen", rec.index, trace.t_prime, "", rec.chosen,
+                           "", ""])
 
 
 def test_trace_round_trip_on_random_configs(tmp_path):
@@ -286,6 +371,8 @@ def test_trace_round_trip_on_random_configs(tmp_path):
                                        threshold_slack=1e-12))
         path = tmp_path / f"rt{i}.csv"
         write_trace_csv(trace, path)
+        write_reference_trace_csv(trace, tmp_path / "ref.csv")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         loaded = read_trace_csv(path)
         assert loaded.selected == trace.selected
         assert loaded.value == trace.value
