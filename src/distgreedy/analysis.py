@@ -12,7 +12,7 @@ import numpy as np
 from .baseline import brute_force_optimum, max_marginal
 from .errors import CapExceededError
 # epsilon and psi_min stay importable from here, next to the audits
-from .protocol import RunConfig, epsilon, psi_min, run
+from .protocol import epsilon, psi_min, sweep
 
 AUDIT_SLACK = 1e-9
 CONSERVATION_TOL = 1e-12
@@ -298,6 +298,13 @@ def tradeoff_sweep(config, T_values, psi="auto"):
     a fixed numeric psi the gap decays toward K * psi instead. The exact
     optimum (for the guarantee column) is enumerated once, since it does
     not depend on T.
+
+    The points come from one protocol.sweep walk, not one run per T: the
+    gains are evaluated once per distinct selection prefix, with at most
+    max(T) averaging steps per prefix, and the K > m clamp warning is logged
+    once per sweep. The rows equal those of a run per T bit for bit.
+    T_values must be strictly ascending, else ValueError (the CLI's
+    `sweep --T` exits 2 on such a list).
     """
     T_values = list(T_values)
     if any(b <= a for a, b in zip(T_values, T_values[1:])):
@@ -307,20 +314,16 @@ def tradeoff_sweep(config, T_values, psi="auto"):
         _, optimum = brute_force_optimum(avg, config.K)
     except CapExceededError:
         optimum = None
+    if not T_values:
+        return []
+    traces = sweep(config, T_values, None if psi == "auto" else float(psi))
     rows = []
-    for T in T_values:
-        point = RunConfig(
-            config.network, config.mixing, config.family, config.K, T,
-            psi=None if psi == "auto" else float(psi),
-            include_self_in_intersection=config.include_self_in_intersection,
-            use_singleton_cap=config.use_singleton_cap,
-            threshold_slack=config.threshold_slack, seed=config.seed)
-        trace = run(point)
+    for trace in traces:
         if optimum is None:
             rhs = vac = None
         else:
             approx = check_approx_bound(trace, optimum)
             rhs, vac = approx.rhs, approx.vacuous
-        rows.append(SweepRow(T, trace.psi, trace.epsilon_T, trace.additive_gap,
-                             trace.value, rhs, vac))
+        rows.append(SweepRow(trace.T, trace.psi, trace.epsilon_T,
+                             trace.additive_gap, trace.value, rhs, vac))
     return rows

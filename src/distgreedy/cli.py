@@ -101,6 +101,9 @@ def _parse_t_range(text):
                           "comma-separated list", field="T")
     if not values or any(v < 1 for v in values):
         raise ConfigError(f"T range {text!r} must be positive", field="T")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"T list {text!r} must be strictly ascending",
+                          field="T")
     return values
 
 

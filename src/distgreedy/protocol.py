@@ -38,7 +38,8 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ConfigError, DesyncError, InfeasiblePsiError, MonotonicityError
+from .errors import (ConfigError, DesyncError, InfeasiblePsiError,
+                     MonotonicityError, ProtocolError)
 from .graph import diameter
 
 logger = logging.getLogger(__name__)
@@ -63,6 +64,14 @@ def psi_min(n, mu, T, value_cap):
     return 4.0 * epsilon(n, mu, T, value_cap)
 
 
+def _check_averaging(T, psi):
+    """The checks on T and psi that RunConfig and sweep share."""
+    if T < 1:
+        raise ConfigError("consensus steps T must be >= 1", field="T")
+    if psi is not None and psi < 0:
+        raise ConfigError("threshold width psi must be >= 0", field="psi")
+
+
 class RunConfig:
     """Everything a run needs, with the derived quantities pinned.
 
@@ -85,10 +94,7 @@ class RunConfig:
                 field="mixing")
         if K < 1:
             raise ConfigError("cardinality budget K must be >= 1", field="K")
-        if T < 1:
-            raise ConfigError("consensus steps T must be >= 1", field="T")
-        if psi is not None and psi < 0:
-            raise ConfigError("threshold width psi must be >= 0", field="psi")
+        _check_averaging(T, psi)
         if threshold_slack < 0:
             raise ConfigError("threshold_slack must be >= 0", field="threshold_slack")
         if use_singleton_cap and family.kind == "pair_supermodular":
@@ -296,17 +302,31 @@ def select_and_append(C, remaining, selected):
     return chosen, selected + (chosen,)
 
 
+def finish_round(X_T, psi, slack, sources, d, remaining, selected):
+    """The tail of a round after averaging: threshold at psi, run d
+    intersection steps, then select. Returns the candidate mask of every
+    step, the chosen element and the extended selection."""
+    masks = [threshold_candidates(X_T, psi, slack)]
+    for _ in range(d):
+        masks.append(intersection_step(masks[-1], sources))
+    chosen, selected = select_and_append(masks[-1], remaining, selected)
+    return masks, chosen, selected
+
+
+def _budget(K, m):
+    if K > m:
+        logger.warning("budget K=%d exceeds the %d available elements; clamping",
+                       K, m)
+        return m
+    return K
+
+
 def run(config):
     """Execute all K rounds and record the full trajectory."""
     network = config.network
     mixing = config.mixing
     family = config.family
-    m = family.ground.size
-    K = config.K
-    if K > m:
-        logger.warning("budget K=%d exceeds the %d available elements; clamping",
-                       K, m)
-        K = m
+    K = _budget(config.K, family.ground.size)
     T = config.T
     d = config.diameter
     psi = config.resolved_psi()
@@ -324,10 +344,8 @@ def run(config):
             x_steps[t + 1] = consensus_step(x_steps[t], mixing)
         x_steps.flags.writeable = False
 
-        masks = [threshold_candidates(x_steps[T], psi, slack)]
-        for _ in range(d):
-            masks.append(intersection_step(masks[-1], sources))
-        chosen, selected = select_and_append(masks[-1], remaining, selected)
+        masks, chosen, selected = finish_round(x_steps[T], psi, slack, sources,
+                                               d, remaining, selected)
         candidate_steps = tuple(tuple(_members(row, remaining) for row in C)
                                 for C in masks)
         rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
@@ -337,3 +355,69 @@ def run(config):
     return RunTrace(network.n, K, T, config.t_prime, d, psi, config.mu,
                     config.value_cap, include_self, slack, config.seed,
                     rounds, selected, value)
+
+
+def sweep(config, T_values, psi=None):
+    """Run the protocol once for each T in T_values, strictly ascending,
+    computing the rounds that the runs share only once.
+
+    Runs for different T share each round until their picks differ. So
+    the walk visits each distinct selection prefix once, with the T
+    values that reach it: one init_round, averaging up to the largest of
+    those T, and finish_round at each of them; then the T values split
+    by the element they chose. The averaging sequence of each T is a
+    prefix of the longest one, so every number equals run's bit for bit.
+
+    psi=None gives each T its own floor psi_min(n, mu, T, value_cap),
+    otherwise every T uses the fixed psi; config.T and config.psi are
+    not used. Returns one RunTrace per T, with no round records. Where
+    some run fails, raises what run raises for the smallest such T.
+    """
+    T_values = list(T_values)
+    if not T_values:
+        return []
+    _check_averaging(T_values[0], psi)
+    family, mixing = config.family, config.mixing
+    K = _budget(config.K, family.ground.size)
+    n, mu, cap = config.network.n, config.mu, config.value_cap
+    psis = [psi_min(n, mu, T, cap) if psi is None else float(psi)
+            for T in T_values]
+    slack = config.threshold_slack
+    d = config.diameter
+    include_self = config.include_self_in_intersection
+    sources = intersection_sources(config.network, include_self)
+
+    finals, failures = {}, {}  # index into T_values -> selection / exception
+    stack = [((), list(range(len(T_values))))]
+    while stack:
+        selected, group = stack.pop()
+        if len(selected) == K:
+            finals.update(dict.fromkeys(group, selected))
+            continue
+        try:
+            remaining, X = init_round(family, selected)
+        except MonotonicityError as exc:  # raised below for the smallest T
+            failures.update(dict.fromkeys(group, exc))
+            continue
+        branches = {}
+        t = 0
+        for j in group:
+            while t < T_values[j]:
+                X = consensus_step(X, mixing)
+                t += 1
+            try:
+                _, chosen, _ = finish_round(X, psis[j], slack, sources, d,
+                                            remaining, selected)
+            except ProtocolError as exc:
+                failures[j] = exc
+                continue
+            branches.setdefault(chosen, []).append(j)
+        stack.extend((selected + (chosen,), group)
+                     for chosen, group in branches.items())
+    if failures:
+        raise failures[min(failures)]
+
+    avg = family.average()
+    return [RunTrace(n, K, T, T + 1 + d, d, psis[j], mu, cap, include_self,
+                     slack, config.seed, (), finals[j], avg.value(finals[j]))
+            for j, T in enumerate(T_values)]

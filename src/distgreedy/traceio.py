@@ -250,14 +250,16 @@ def read_trace_csv(path):
                     f"trace line {start + chunk.index(line)}: cannot read x "
                     f"row {line.rstrip()!r} ({exc})") from None
 
+    n, K, T, t_prime = ints["n"], ints["K"], ints["T"], ints["t_prime"]
     set_rows, chosen_rows = {}, {}
     for number, text in side:
         row = next(csv.reader([text]), [])
         try:
             record, rnd, t = row[0], int(row[1]), int(row[2])
             if record == "set":
+                agent = int(row[3])
                 cands = frozenset(int(v) for v in row[6].split("|") if v)
-                set_rows.setdefault(rnd, {}).setdefault(t, {})[int(row[3])] = cands
+                set_rows.setdefault(rnd, {}).setdefault(t, {})[agent] = cands
             elif record == "chosen":
                 chosen_rows[rnd] = int(row[4])
         except (IndexError, ValueError) as exc:
@@ -266,15 +268,24 @@ def read_trace_csv(path):
         if record not in ("set", "chosen"):
             raise ConfigError(f"unknown record kind {record!r} in trace "
                               f"(line {number})")
+        if not 0 <= rnd < K:
+            raise ConfigError(f"trace line {number}: {record} row for round "
+                              f"{rnd}, outside 0..{K - 1}")
+        if record == "set" and not 1 <= agent <= n:
+            raise ConfigError(f"trace line {number}: set row for agent {agent}, "
+                              f"outside 1..{n}")
 
     rows = _ordered(rows)
+    if rows.size and not 0 <= rows["round"][0] <= rows["round"][-1] < K:
+        # sorted by round, so the first or the last row is out of range
+        rnd = rows["round"][0] if rows["round"][0] < 0 else rows["round"][-1]
+        raise ConfigError(f"round {rnd}: gain rows outside rounds 0..{K - 1}")
     infinite = np.flatnonzero(~np.isfinite(rows["x"]))
     if infinite.size:
         bad = rows[infinite[0]]
         raise ConfigError(
             f"round {bad['round']}, t={bad['t']}: agent {bad['agent']} has a "
             f"non-finite gain {bad['x']} for element {bad['element']}")
-    n, K, T, t_prime = ints["n"], ints["K"], ints["T"], ints["t_prime"]
     bounds = np.searchsorted(rows["round"], np.arange(K + 1))
     rounds = []
     selected = ()

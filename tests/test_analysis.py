@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distgreedy import (
+    GroundSet,
     RunConfig,
+    SetFunction,
     brute_force_optimum,
     check_structure,
     epsilon,
     generate,
     lazy,
+    lazy_max_degree_weights,
     local_family,
     metropolis_weights,
     psi_min,
@@ -20,11 +25,15 @@ from distgreedy import (
     uniform_complete_weights,
 )
 from distgreedy.analysis import (
+    SweepRow,
     audit_trace,
     bounds_report,
     check_approx_bound,
     check_ratio_bound,
 )
+from distgreedy.errors import CapExceededError, MonotonicityError
+from distgreedy.graph import make_network
+from distgreedy.setfn import FUNCTION_KINDS, family_from_functions
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
 
@@ -278,3 +287,93 @@ def test_sweep_requires_ascending_t():
     cfg = RunConfig(G, metropolis_weights(G), fam, K=2, T=1)
     with pytest.raises(ValueError):
         tradeoff_sweep(cfg, [3, 2])
+
+
+def reference_sweep(config, T_values, psi="auto"):
+    """tradeoff_sweep as a separate RunConfig and run per T."""
+    try:
+        _, optimum = brute_force_optimum(config.family.average(), config.K)
+    except CapExceededError:
+        optimum = None
+    rows = []
+    for T in T_values:
+        point = RunConfig(
+            config.network, config.mixing, config.family, config.K, T,
+            psi=None if psi == "auto" else float(psi),
+            include_self_in_intersection=config.include_self_in_intersection,
+            use_singleton_cap=config.use_singleton_cap,
+            threshold_slack=config.threshold_slack, seed=config.seed)
+        trace = run(point)
+        if optimum is None:
+            rhs = vac = None
+        else:
+            approx = check_approx_bound(trace, optimum)
+            rhs, vac = approx.rhs, approx.vacuous
+        rows.append(SweepRow(T, trace.psi, trace.epsilon_T, trace.additive_gap,
+                             trace.value, rhs, vac))
+    return rows
+
+
+def outcome(sweep, *args):
+    """Every field of every row, as repr (which tells -0.0 from 0.0), or
+    the type and message of the exception raised."""
+    try:
+        rows = sweep(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [tuple(repr(v) for v in (r.T, r.psi, r.epsilon, r.additive_gap,
+                                    r.achieved, r.rhs, r.vacuous))
+            for r in rows]
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=n))
+    G = make_network(n, edges + [(i, j) for i, j in extra if i != j])
+    weights = draw(st.sampled_from([metropolis_weights, lazy_max_degree_weights]))
+    m = draw(st.integers(2, 9))
+    fam = local_family(n, draw(st.sampled_from(FUNCTION_KINDS)),
+                       seed=draw(st.integers(0, 2 ** 32 - 1)),
+                       params={"size": m, "universe": draw(st.integers(1, 12))})
+    config = RunConfig(G, weights(G), fam, K=draw(st.integers(1, m + 1)), T=1,
+                       include_self_in_intersection=draw(st.booleans()))
+    T_values = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=10)))
+    # fixed widths near the gain gaps: small T may fail or pick differently
+    psi = draw(st.sampled_from(["auto", 0.0, 0.25, 1.0, 2.5]))
+    return config, T_values, psi
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=sweep_cases())
+def test_sweep_equals_a_run_per_t(case):
+    config, T_values, psi = case
+    assert outcome(tradeoff_sweep, config, T_values, psi) == \
+        outcome(reference_sweep, config, T_values, psi)
+
+
+@pytest.mark.parametrize("penalty_13, message", [
+    (0, "agent 1: negative gain -1.0 for element 3;"),
+    (3, "agent 1: negative gain -2.0 for element 3;"),
+])
+def test_sweep_raises_the_error_of_the_smallest_failing_t(penalty_13, message):
+    # Gains 1, 5, 1. Small T: psi keeps every element and element 1 is
+    # picked first; large T: element 2 is. Element 3 then loses 2 next to
+    # element 2, and penalty_13 next to element 1: without that penalty
+    # only the large T fail, with it every T does, the small ones first.
+    def value(mask):
+        e1, e2, e3 = mask & 1, mask >> 1 & 1, mask >> 2 & 1
+        return float(e1 + 5 * e2 + e3 - 2 * (e2 & e3) - penalty_13 * (e1 & e3))
+    f = SetFunction(GroundSet(3), value, label="pair_penalty")
+    G = generate("path", 3)
+    config = RunConfig(G, metropolis_weights(G), family_from_functions([f] * 3),
+                       K=2, T=1)
+    if not penalty_13:
+        assert [row.achieved for row in tradeoff_sweep(config, range(1, 6))] == \
+            [6.0] * 5
+    with pytest.raises(MonotonicityError, match=message):
+        reference_sweep(config, range(1, 9))
+    assert outcome(tradeoff_sweep, config, range(1, 9)) == \
+        outcome(reference_sweep, config, range(1, 9))

@@ -84,6 +84,16 @@ def test_sweep_writes_contracting_gap_column(tmp_path):
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
+@pytest.mark.parametrize("T", ["5,3", "3,3", "1,4,2"])
+def test_sweep_rejects_a_t_list_out_of_order(tmp_path, capsys, T):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", CONFIGS / "tradeoff.json",
+                   "--T", T, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"config error at 'T': T list '{T}' must be strictly ascending" in err
+    assert not out.exists()
+
+
 def test_t_prime_override_must_match(tmp_path):
     good = write_config(tmp_path, "good.json", T_prime=3)  # T=1, diameter 1
     assert run_cli("validate-config", "--config", good) == 0
@@ -274,6 +284,12 @@ def _add_agent_4_row(lines):
     return lines + ["x,0,0,4,1,1.0,"]
 
 
+def _append(row):
+    def tamper(lines):
+        return lines + [row]
+    return tamper
+
+
 def _drop_meta_field(lines):
     return [lines[0], lines[1].replace("n=3,", "")] + lines[2:]
 
@@ -297,8 +313,13 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_drop_first_set_row, "round 0, t=2: missing agent 1 candidate set"),
     (_add_agent_4_row, "round 0, t=0: gain rows for agent 4, outside 1..3"),
     (_drop_meta_field, "malformed trace metadata line: KeyError('n')"),
+    (_append("x,7,0,1,1,1.0,"), "round 7: gain rows outside rounds 0..1"),
+    (_append("set,0,2,9,,,1"), "trace line 66: set row for agent 9, outside 1..3"),
+    (_append("chosen,9,3,,4,,"),
+     "trace line 66: chosen row for round 9, outside 0..1"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
-        "no_set_row", "extra_agent", "no_n"])
+        "no_set_row", "extra_agent", "no_n", "x_round_7", "set_agent_9",
+        "chosen_round_9"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"
