@@ -51,9 +51,26 @@ class AuditReport:
 
 
 def _round_peaks(record):
-    """Per-agent argmax elements at the end of the averaging phase."""
-    X_T = record.x_steps[-1]
-    return tuple(record.remaining[int(np.argmax(row))] for row in X_T)
+    """Column of each agent's argmax at the end of the averaging phase."""
+    return record.x_steps[-1].argmax(axis=1)
+
+
+def _agreement_failure(rec):
+    """Why round rec's intersection phase broke its guarantee, or ''."""
+    first, final = rec.candidate_masks[0], rec.candidate_masks[-1]
+    if (final != final[0]).any():
+        return f"round {rec.index}: sets differ"
+    if not np.array_equal(final[0], first.all(axis=0)):
+        return f"round {rec.index}: not the network-wide intersection"
+    if not final[0].any():
+        return f"round {rec.index}: empty"
+    if not final[0, _round_peaks(rec)].all():
+        return f"round {rec.index}: drops an agent argmax"
+    expected = rec.remaining[int(final[0].argmax())]
+    if rec.chosen != expected:
+        return (f"round {rec.index}: chose element {rec.chosen}, but the "
+                f"lowest element of the agreed set is {expected}")
+    return ""
 
 
 def audit_trace(trace, family, slack=AUDIT_SLACK):
@@ -63,11 +80,12 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
     recorded deviations stay under the geometric envelope; at the end of
     averaging no agent undervalues another agent's argmax by more than
     4*epsilon(T); the intersection phase ends with all agents holding
-    the same nonempty set, equal to the network-wide intersection and
-    containing every agent's argmax; and each round's realized gain in
-    the average objective is within psi + 2*epsilon(T) of the best
-    available gain. With a non-contracting mu >= 1 there is no epsilon,
-    and the three checks built on it are skipped.
+    the same nonempty set, equal to the network-wide intersection,
+    containing every agent's argmax, and whose lowest element is the one
+    chosen; and each round's realized gain in the average objective is
+    within psi + 2*epsilon(T) of the best available gain. With a
+    non-contracting mu >= 1 there is no epsilon, and the three checks
+    built on it are skipped.
     """
     drift = 0.0
     for rec in trace.rounds:
@@ -80,29 +98,9 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
         margin=CONSERVATION_TOL - drift,
         detail=f"max drift {drift:.3g}")
 
-    agreement_ok = True
-    agreement_detail = ""
-    for rec in trace.rounds:
-        first_step = rec.candidate_steps[0]
-        final_step = rec.candidate_steps[-1]
-        global_intersection = frozenset.intersection(*first_step)
-        peaks = frozenset(_round_peaks(rec))
-        if any(s != final_step[0] for s in final_step[1:]):
-            agreement_ok, agreement_detail = False, f"round {rec.index}: sets differ"
-            break
-        if final_step[0] != global_intersection:
-            agreement_ok, agreement_detail = (
-                False, f"round {rec.index}: not the network-wide intersection")
-            break
-        if not final_step[0]:
-            agreement_ok, agreement_detail = False, f"round {rec.index}: empty"
-            break
-        if not peaks <= final_step[0]:
-            agreement_ok, agreement_detail = (
-                False, f"round {rec.index}: drops an agent argmax")
-            break
+    agreement_detail = next(filter(None, map(_agreement_failure, trace.rounds)), "")
     candidate_agreement = CheckResult(
-        "candidate_agreement", agreement_ok, detail=agreement_detail)
+        "candidate_agreement", not agreement_detail, detail=agreement_detail)
 
     if trace.contracting:
         consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family, slack)
@@ -139,7 +137,7 @@ def _epsilon_checks(trace, family, slack):
     gap_margin = np.inf
     for rec in trace.rounds:
         X_T = rec.x_steps[-1]
-        peak_cols = [int(np.argmax(row)) for row in X_T]
+        peak_cols = _round_peaks(rec).tolist()
         for i in range(n):
             own_max = float(X_T[i].max())
             worst = own_max - float(min(X_T[i, c] for c in peak_cols))

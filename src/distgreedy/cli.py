@@ -19,6 +19,7 @@ from .protocol import run as run_protocol
 from .setfn import check_structure
 from .traceio import (
     canonical_json,
+    format_float,
     read_trace_csv,
     write_bounds_json,
     write_summary_json,
@@ -167,6 +168,15 @@ def _load_trace_for_config(trace_path, run_config):
     if trace.K != expected_K:
         raise ConfigError(f"trace has {trace.K} rounds, config implies "
                           f"{expected_K}")
+    try:
+        value = run_config.family.average().value(trace.selected)
+    except ValueError as exc:
+        raise ConfigError(f"trace selection {trace.selected}: {exc}") from None
+    if float(value).hex() != trace.value.hex():
+        raise ConfigError(
+            f"trace header value={format_float(trace.value)}, but the config's "
+            f"average function gives {format_float(value)} for selection "
+            f"{trace.selected}")
     return trace
 
 

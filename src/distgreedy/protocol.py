@@ -136,17 +136,28 @@ class RoundRecord:
     """Full state trajectory of one selection round."""
 
     __slots__ = ("index", "remaining", "x_steps", "deviations",
-                 "candidate_steps", "chosen", "selected_after")
+                 "candidate_masks", "chosen", "selected_after")
 
-    def __init__(self, index, remaining, x_steps, deviations, candidate_steps,
+    def __init__(self, index, remaining, x_steps, deviations, candidate_masks,
                  chosen, selected_after):
         self.index = index
         self.remaining = remaining          # elements still available, ascending
         self.x_steps = x_steps              # (T+1, n, |remaining|) gain estimates
         self.deviations = deviations        # worst |estimate - initial mean| per step
-        self.candidate_steps = candidate_steps  # per intersection step, per agent
+        # read-only (diameter+1, n, |remaining|) bool: step s, agent i+1
+        # keeps remaining[j]; step 0 is the threshold cut
+        self.candidate_masks = candidate_masks
         self.chosen = chosen
         self.selected_after = selected_after
+
+    @property
+    def candidate_steps(self):
+        """candidate_masks as frozensets of elements, per step, per agent.
+
+        Built on every access; the masks are the record.
+        """
+        return tuple(tuple(_members(row, self.remaining) for row in C)
+                     for C in self.candidate_masks)
 
 
 def step_deviations(x_steps):
@@ -255,24 +266,28 @@ def threshold_candidates(X, psi, slack=0.0):
 
 
 def intersection_sources(network, include_self=True):
-    """(n, n) 0/1 matrix whose row i marks the agents agent i+1 intersects with.
+    """(n, w) index whose row i lists the agents (0-based) that agent i+1
+    intersects with.
 
-    With include_self the agent keeps its own set in the intersection,
-    which is what makes the network-wide fixed point reachable in
-    diameter-many steps; the neighbors-only variant is kept for
-    comparison runs and generally desynchronizes on non-complete graphs.
+    Rows shorter than the widest repeat their first entry, which leaves
+    an intersection unchanged. With include_self the agent keeps its own
+    set in the intersection, which is what makes the network-wide fixed
+    point reachable in diameter-many steps; the neighbors-only variant
+    is kept for comparison runs and generally desynchronizes on
+    non-complete graphs.
     """
-    n = network.n
-    S = np.eye(n, dtype=int) if include_self else np.zeros((n, n), dtype=int)
-    for i, j in network.edges:
-        S[i - 1, j - 1] = S[j - 1, i - 1] = 1
-    return S
+    adj = network.adjacency
+    rows = [((i,) if include_self else ()) + adj[i]
+            for i in range(1, network.n + 1)]
+    width = max(map(len, rows))
+    return np.array([[v - 1 for v in row + row[:1] * (width - len(row))]
+                     for row in rows], dtype=np.intp).reshape(network.n, width)
 
 
 def intersection_step(C, sources):
     """One synchronous candidate-set intersection: agent i keeps element j
     unless one of its sources lacks it."""
-    return (sources @ ~C) == 0
+    return np.logical_and.reduce(C.take(sources, axis=0), axis=1)
 
 
 def _members(row, remaining):
@@ -346,10 +361,10 @@ def run(config):
 
         masks, chosen, selected = finish_round(x_steps[T], psi, slack, sources,
                                                d, remaining, selected)
-        candidate_steps = tuple(tuple(_members(row, remaining) for row in C)
-                                for C in masks)
+        masks = np.stack(masks)
+        masks.flags.writeable = False
         rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
-                                  candidate_steps, chosen, selected))
+                                  masks, chosen, selected))
 
     value = family.average().value(selected)
     return RunTrace(network.n, K, T, config.t_prime, d, psi, config.mu,

@@ -7,10 +7,10 @@ files.
 """
 
 import csv
-import itertools
 import json
 import math
 import re
+from itertools import compress
 
 import numpy as np
 
@@ -114,11 +114,12 @@ def write_trace_csv(trace, path):
                     f"x,{k},{t},{i},"
                     + f",\r\nx,{k},{t},{i},".join(cells[(i - 1) * r:i * r])
                     + ",\r\n" for i in range(1, trace.n + 1)))
+            labels = [str(v) for v in rec.remaining]
             parts = []
-            for step, per_agent in enumerate(rec.candidate_steps):
+            for step, C in enumerate(rec.candidate_masks.tolist()):
                 t = trace.T + 1 + step
-                for i, cands in enumerate(per_agent, 1):
-                    joined = "|".join(str(v) for v in sorted(cands))
+                for i, row in enumerate(C, 1):
+                    joined = "|".join(compress(labels, row))
                     parts.append(f"set,{k},{t},{i},,,{joined}\r\n")
             parts.append(f"chosen,{k},{trace.t_prime},,{rec.chosen},,\r\n")
             fh.write("".join(parts))
@@ -139,94 +140,176 @@ def _parse_meta(line):
 
 
 READ_BLOCK = 1 << 16  # bytes of lines per read in read_trace_csv
-X_KEYS = ("round", "t", "agent", "element")
-X_ROW = np.dtype([(key, np.int64) for key in X_KEYS] + [("x", np.float64)])
+X_ROW = np.dtype([(key, np.int64) for key in ("round", "t", "agent", "element")]
+                 + [("x", np.float64)])
 
 
-def _key_steps(rows):
-    """For each pair of consecutive x rows: does the key rise, is it equal?"""
-    rises = np.zeros(len(rows) - 1, dtype=bool)
-    ties = np.ones(len(rows) - 1, dtype=bool)
-    for key in X_KEYS:
-        step = np.diff(rows[key])
-        rises |= ties & (step > 0)
-        ties &= step == 0
-    return rises, ties
+def _x_rows(lines):
+    """x lines parsed as X_ROW records."""
+    return np.loadtxt(lines, dtype=X_ROW, delimiter=",", comments=None,
+                      usecols=(1, 2, 3, 4, 5), ndmin=1)
 
 
-def _ordered(rows):
-    """x rows sorted by key, keeping the last row of equal keys.
-
-    That is what v1's dict overwrite kept. Rows already in strict order,
-    as the writer emits them, are returned without a copy.
-    """
-    if len(rows) < 2 or _key_steps(rows)[0].all():
-        return rows
-    rows = rows[np.lexsort([rows[key] for key in reversed(X_KEYS)])]
-    return rows[np.append(~_key_steps(rows)[1], True)]
+def _unreadable(lines):
+    """The first of `lines` that does not read as an x row, and why."""
+    for line in lines:
+        try:
+            _x_rows([line])
+        except ValueError as exc:
+            return line, exc
 
 
-def _round_grid(k, rows, T, n):
-    """`remaining` and `x_steps` of round k from its sorted x rows.
+class _XKeys:
+    """x-row keys packed into one int64 each, in (round, t, agent,
+    element) order: the block number (round*(T+1) + t)*n + agent-1
+    above `bits` low bits that hold the element."""
 
-    The rows must form the full (t, agent, element) grid, every agent
+    def __init__(self, K, T, n):
+        blocks = K * (T + 1) * n
+        if min(K, T + 1, n) < 1 or blocks.bit_length() > 40:
+            raise ConfigError(f"trace header sizes K={K}, T={T}, n={n} out "
+                              "of range")
+        self.K, self.T, self.n = K, T, n
+        self.bits = 63 - blocks.bit_length()
+
+    def block(self, rnd, t=0, agent=1):
+        """The smallest key of a (round, t, agent) block."""
+        return ((rnd * (self.T + 1) + t) * self.n + agent - 1) << self.bits
+
+    def pack(self, rows):
+        """Keys of parsed x rows, every field checked against its range."""
+        rnd, t, agent, element = (rows[key] for key in X_ROW.names[:4])
+        ok = ((0 <= rnd) & (rnd < self.K) & (0 <= t) & (t <= self.T)
+              & (1 <= agent) & (agent <= self.n)
+              & (1 <= element) & (element >> self.bits == 0))
+        if not ok.all():
+            self._out_of_range(*rows[ok.argmin()].tolist()[:4])
+        return self.block(rnd, t, agent) | element
+
+    def unpack(self, key):
+        block, element = divmod(int(key), 1 << self.bits)
+        block, agent = divmod(block, self.n)
+        return (*divmod(block, self.T + 1), agent + 1, element)
+
+    def _out_of_range(self, rnd, t, agent, element):
+        if not 0 <= rnd < self.K:
+            raise ConfigError(f"round {rnd}: gain rows outside rounds "
+                              f"0..{self.K - 1}")
+        if not 0 <= t <= self.T:
+            raise ConfigError(f"round {rnd}: gain rows for t={t}, outside "
+                              f"0..{self.T}")
+        if not 1 <= agent <= self.n:
+            raise ConfigError(f"round {rnd}, t={t}: gain rows for agent "
+                              f"{agent}, outside 1..{self.n}")
+        raise ConfigError(f"round {rnd}, t={t}: agent {agent} has a gain row "
+                          f"for element {element}, outside 1..2**{self.bits}-1")
+
+
+def _round_grid(k, keys, values, layout):
+    """`remaining` and `x_steps` of round k from its sorted, distinct
+    keys and their values; `x_steps` is a view of `values`.
+
+    The keys must form the full (t, agent, element) grid, every agent
     at every step carrying the elements of agent 1 at t=0.
     """
-    ts, agents, elements = rows["t"], rows["agent"], rows["element"]
-    if not np.array_equal(np.unique(ts), np.arange(T + 1)):
-        raise ConfigError(f"round {k}: averaging steps are incomplete")
-    remaining = elements[(ts == 0) & (agents == 1)]
-    if not remaining.size:
+    T, n = layout.T, layout.n
+    r = int(np.searchsorted(keys, layout.block(k, 0, 2)))
+    if not r:
         raise ConfigError(f"round {k}, t=0: missing agent 1 gain rows")
-    grid_t, grid_agent, column = np.indices((T + 1, n, remaining.size)).reshape(3, -1)
-    grid_agent += 1
-    size = min(len(rows), column.size)
-    wrong = np.zeros(size, dtype=bool)
-    for have, want in ((ts, grid_t), (agents, grid_agent),
-                       (elements, remaining[column])):
-        wrong |= have[:size] != want[:size]
-    if wrong.any() or len(rows) != column.size:
-        # The first row off the grid lies in the earlier of the block
-        # it sits in and the block the grid expects there.
-        at = int(wrong.argmax()) if wrong.any() else size
-        blocks = [(int(ts[at]), int(agents[at]))] if at < len(rows) else []
-        if at < column.size:
-            blocks.append((int(grid_t[at]), int(grid_agent[at])))
-        t, i = min(blocks)
-        if not 1 <= i <= n:
-            raise ConfigError(f"round {k}, t={t}: gain rows for agent {i}, "
-                              f"outside 1..{n}")
-        raise ConfigError(f"round {k}, t={t}: missing agent {i} gain rows")
-    x_steps = rows["x"].reshape(T + 1, n, remaining.size).copy()
-    x_steps.flags.writeable = False
-    return tuple(remaining.tolist()), x_steps
+    remaining = keys[:r] & ((1 << layout.bits) - 1)
+    grid = (layout.block(k, np.arange(T + 1)[:, None, None],
+                         np.arange(1, n + 1)[:, None]) | remaining).ravel()
+    size = min(keys.size, grid.size)
+    wrong = keys[:size] != grid[:size]
+    if not wrong.any() and keys.size == grid.size:
+        return tuple(remaining.tolist()), values.reshape(T + 1, n, r)
+    # The first row off the grid lies in the earlier of the block it
+    # sits in and the block the grid expects there.
+    at = int(wrong.argmax()) if wrong.any() else size
+    blocks = [layout.unpack(keys[at])[1:3]] if at < keys.size else []
+    if at < grid.size:
+        blocks.append(layout.unpack(grid[at])[1:3])
+    t, i = min(blocks)
+    raise ConfigError(f"round {k}, t={t}: missing agent {i} gain rows")
+
+
+def _round_masks(k, steps, remaining, T, t_prime, n):
+    """candidate_masks of round k from its set rows: `steps` maps t to
+    {agent: (line number, candidate_set cell)}."""
+    if sorted(steps) != list(range(T + 1, t_prime + 1)):
+        raise ConfigError(f"round {k}: intersection steps are incomplete")
+    remaining = np.array(remaining)
+    masks = np.zeros((t_prime - T, n, remaining.size), dtype=bool)
+    for t in range(T + 1, t_prime + 1):
+        by_agent = steps[t]
+        for i in range(1, n + 1):
+            if i not in by_agent:
+                raise ConfigError(
+                    f"round {k}, t={t}: missing agent {i} candidate set")
+            number, cell = by_agent[i]
+            try:
+                elements = np.array([int(v) for v in cell.split("|") if v],
+                                    dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"trace line {number}: cannot read candidate "
+                                  f"set {cell!r} ({exc})") from None
+            columns = np.searchsorted(remaining, elements)
+            foreign = remaining[np.minimum(columns, remaining.size - 1)] != elements
+            if foreign.any():
+                raise ConfigError(
+                    f"trace line {number}: set row names element "
+                    f"{elements[foreign.argmax()]}, not one of round {k}'s "
+                    "remaining elements")
+            masks[t - T - 1, i - 1, columns] = True
+    masks.flags.writeable = False
+    return masks
+
+
+def _side_row(number, text, layout, sets, chosen):
+    """File a `set` row's cell in sets[round][t][agent], or a `chosen`
+    row's element in chosen[round]; the later row of a key wins."""
+    row = next(csv.reader([text]), [])
+    try:
+        record, rnd, t = row[0], int(row[1]), int(row[2])
+        if record == "set":
+            agent = int(row[3])
+            cell = row[6]
+        elif record == "chosen":
+            element = int(row[4])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"trace line {number}: cannot read row "
+                          f"{text.rstrip()!r} ({exc})") from None
+    if record not in ("set", "chosen"):
+        raise ConfigError(f"unknown record kind {record!r} in trace "
+                          f"(line {number})")
+    if not 0 <= rnd < layout.K:
+        raise ConfigError(f"trace line {number}: {record} row for round "
+                          f"{rnd}, outside 0..{layout.K - 1}")
+    if record == "chosen":
+        chosen[rnd] = element
+    elif not 1 <= agent <= layout.n:
+        raise ConfigError(f"trace line {number}: set row for agent {agent}, "
+                          f"outside 1..{layout.n}")
+    else:
+        sets.setdefault(rnd, {}).setdefault(t, {})[agent] = (number, cell)
 
 
 def read_trace_csv(path):
     """Rebuild a RunTrace from its CSV form.
 
     Rows may come in any order and with either line end; of two `x` or
-    `set` rows with the same key the later one counts. The `x` rows
-    stream into numpy's C parser; the few `set` and `chosen` rows go
-    through `csv`. Deviations are recomputed from the x rows; since
-    floats round-trip exactly, the rebuilt trace audits identically to
-    the original.
+    `set` rows with the same key the later one counts. Each block of
+    `x` lines goes through numpy's C parser and a range check; the
+    reader then holds one packed int64 key and one float64 gain per x
+    row, and every round's x_steps is a read-only view of the gains.
+    The few `set` and `chosen` rows go through `csv`, and each set row
+    becomes a row of the round's candidate_masks. Deviations are
+    recomputed from the x rows; since floats round-trip exactly, the
+    rebuilt trace audits identically to the original.
     """
-    side = []  # (line number, text) of every row that is not an x row
-    start, chunk, line = 4, [], ""
-
-    def x_lines(fh):
-        """The x rows, read a block of lines at a time; others go to side."""
-        nonlocal start, chunk, line
-        while chunk := fh.readlines(READ_BLOCK):
-            xs = [text for text in chunk if text.startswith("x,")]
-            if len(xs) < len(chunk):
-                side.extend((start + j, text) for j, text in enumerate(chunk)
-                            if not text.startswith("x,"))
-            for line in xs:
-                yield line
-            start += len(chunk)
-
+    keys, values = np.empty(0, np.int64), np.empty(0)
+    count = 0  # x rows read; keys and values grow in place ahead of it
+    sets, chosen = {}, {}  # see _side_row
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != TRACE_MAGIC:
@@ -235,80 +318,63 @@ def read_trace_csv(path):
         header = next(csv.reader([fh.readline()]), [])
         if header[:3] != ["record", "round", "t"]:
             raise ConfigError(f"unexpected trace columns {header}")
-        lines = x_lines(fh)
-        first = next(lines, None)  # loadtxt warns on no input
-        rows = np.empty(0, dtype=X_ROW)
-        if first is not None:
-            try:
-                rows = np.loadtxt(itertools.chain([first], lines), dtype=X_ROW,
-                                  delimiter=",", comments=None,
-                                  usecols=(1, 2, 3, 4, 5), ndmin=1)
-            except ValueError as exc:
-                # numpy pulls one line at a time, so the last line handed
-                # over is the one it failed on.
-                raise ConfigError(
-                    f"trace line {start + chunk.index(line)}: cannot read x "
-                    f"row {line.rstrip()!r} ({exc})") from None
+        n, K, T, t_prime = ints["n"], ints["K"], ints["T"], ints["t_prime"]
+        layout = _XKeys(K, T, n)
+        start = 4
+        while chunk := fh.readlines(READ_BLOCK):
+            xs = [text for text in chunk if text.startswith("x,")]
+            if len(xs) < len(chunk):
+                for j, text in enumerate(chunk):
+                    if not text.startswith("x,"):
+                        _side_row(start + j, text, layout, sets, chosen)
+            if xs:
+                try:
+                    rows = _x_rows(xs)
+                except ValueError:
+                    line, exc = _unreadable(xs)
+                    raise ConfigError(
+                        f"trace line {start + chunk.index(line)}: cannot read "
+                        f"x row {line.rstrip()!r} ({exc})") from None
+                end = count + rows.size
+                if end > keys.size:
+                    size = max(end, keys.size * 5 // 4)
+                    for column in (keys, values):
+                        column.resize(size, refcheck=False)
+                keys[count:end] = layout.pack(rows)
+                values[count:end] = rows["x"]
+                count = end
+            start += len(chunk)
 
-    n, K, T, t_prime = ints["n"], ints["K"], ints["T"], ints["t_prime"]
-    set_rows, chosen_rows = {}, {}
-    for number, text in side:
-        row = next(csv.reader([text]), [])
-        try:
-            record, rnd, t = row[0], int(row[1]), int(row[2])
-            if record == "set":
-                agent = int(row[3])
-                cands = frozenset(int(v) for v in row[6].split("|") if v)
-                set_rows.setdefault(rnd, {}).setdefault(t, {})[agent] = cands
-            elif record == "chosen":
-                chosen_rows[rnd] = int(row[4])
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"trace line {number}: cannot read row "
-                              f"{text.rstrip()!r} ({exc})") from None
-        if record not in ("set", "chosen"):
-            raise ConfigError(f"unknown record kind {record!r} in trace "
-                              f"(line {number})")
-        if not 0 <= rnd < K:
-            raise ConfigError(f"trace line {number}: {record} row for round "
-                              f"{rnd}, outside 0..{K - 1}")
-        if record == "set" and not 1 <= agent <= n:
-            raise ConfigError(f"trace line {number}: set row for agent {agent}, "
-                              f"outside 1..{n}")
-
-    rows = _ordered(rows)
-    if rows.size and not 0 <= rows["round"][0] <= rows["round"][-1] < K:
-        # sorted by round, so the first or the last row is out of range
-        rnd = rows["round"][0] if rows["round"][0] < 0 else rows["round"][-1]
-        raise ConfigError(f"round {rnd}: gain rows outside rounds 0..{K - 1}")
-    infinite = np.flatnonzero(~np.isfinite(rows["x"]))
+    for column in (keys, values):
+        column.resize(count, refcheck=False)
+    if not (keys[1:] > keys[:-1]).all():
+        # sort, keeping the last row of equal keys, as v1's dict did
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        values = values[order]
+        del order
+        last = np.append(keys[1:] != keys[:-1], True)
+        keys = keys[last]
+        values = values[last]
+    values.flags.writeable = False
+    infinite = np.flatnonzero(~np.isfinite(values))
     if infinite.size:
-        bad = rows[infinite[0]]
+        rnd, t, agent, element = layout.unpack(keys[infinite[0]])
         raise ConfigError(
-            f"round {bad['round']}, t={bad['t']}: agent {bad['agent']} has a "
-            f"non-finite gain {bad['x']} for element {bad['element']}")
-    bounds = np.searchsorted(rows["round"], np.arange(K + 1))
+            f"round {rnd}, t={t}: agent {agent} has a non-finite gain "
+            f"{values[infinite[0]]} for element {element}")
+    bounds = np.searchsorted(keys, layout.block(np.arange(K + 1))).tolist()
     rounds = []
     selected = ()
     for k in range(K):
-        if bounds[k] == bounds[k + 1] or k not in chosen_rows:
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi or k not in chosen:
             raise ConfigError(f"trace is missing round {k}")
-        remaining, x_steps = _round_grid(k, rows[bounds[k]:bounds[k + 1]], T, n)
-
-        step_ts = sorted(set_rows.get(k, {}))
-        if step_ts != list(range(T + 1, t_prime + 1)):
-            raise ConfigError(f"round {k}: intersection steps are incomplete")
-        candidate_steps = []
-        for t in step_ts:
-            by_agent = set_rows[k][t]
-            missing = [i for i in range(1, n + 1) if i not in by_agent]
-            if missing:
-                raise ConfigError(
-                    f"round {k}, t={t}: missing agent {missing[0]} candidate set")
-            candidate_steps.append(tuple(by_agent[i] for i in range(1, n + 1)))
-        chosen = chosen_rows[k]
-        selected = selected + (chosen,)
+        remaining, x_steps = _round_grid(k, keys[lo:hi], values[lo:hi], layout)
+        masks = _round_masks(k, sets.pop(k, {}), remaining, T, t_prime, n)
+        selected = selected + (chosen[k],)
         rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
-                                  tuple(candidate_steps), chosen, selected))
+                                  masks, chosen[k], selected))
 
     if declared != selected:
         raise ConfigError(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from distgreedy import centralized_greedy
 from distgreedy.cli import main
 from distgreedy.config import build_run_config, load_experiment
-from distgreedy.traceio import read_trace_csv
+from distgreedy.traceio import format_float, read_trace_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -257,6 +258,26 @@ def test_doctored_trace_fails_the_audit(tmp_path):
                    "--config", cfg) == 1
 
 
+def test_audit_fails_a_chosen_element_off_the_agreed_set(tmp_path, capsys):
+    # Round 2 agrees on 3..8 and the record claims 8; the header carries
+    # the value of the claimed selection, so only the audit can object.
+    cfg = CONFIGS / "ring_metropolis.json"
+    run_cli("run", "--config", cfg, "--trace-out", tmp_path / "t.csv",
+            "--summary-out", tmp_path / "s.json")
+    value = build_run_config(load_experiment(cfg)).family.average().value((1, 2, 8))
+    text = (tmp_path / "t.csv").read_text()
+    assert "chosen,2,10,,3,," in text and ",selected=1|2|3," in text
+    text = re.sub(r",selected=1\|2\|3,value=[^\n]*",
+                  f",selected=1|2|8,value={format_float(value)}",
+                  text.replace("chosen,2,10,,3,,", "chosen,2,10,,8,,"))
+    (tmp_path / "bad.csv").write_text(text)
+    capsys.readouterr()
+    assert run_cli("analyze", "--trace", tmp_path / "bad.csv", "--config", cfg,
+                   "--out", tmp_path / "b.json") == 1
+    assert ("[FAIL] candidate_agreement (round 2: chose element 8, but the "
+            "lowest element of the agreed set is 3)") in capsys.readouterr().out
+
+
 def _drop_agent_1_at_t0(lines):
     return [line for line in lines if not line.startswith("x,0,0,1,")]
 
@@ -294,6 +315,15 @@ def _drop_meta_field(lines):
     return [lines[0], lines[1].replace("n=3,", "")] + lines[2:]
 
 
+def _meta_value_50(lines):
+    return [lines[0], re.sub(r",value=.*", ",value=50.0", lines[1])] + lines[2:]
+
+
+def _round_0_sets_add_99(lines):
+    return [line + "|99" if line.startswith("set,0,") else line
+            for line in lines]
+
+
 @pytest.fixture(scope="module")
 def tradeoff_trace_lines(tmp_path_factory):
     out = tmp_path_factory.mktemp("tradeoff")
@@ -317,9 +347,13 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_append("set,0,2,9,,,1"), "trace line 66: set row for agent 9, outside 1..3"),
     (_append("chosen,9,3,,4,,"),
      "trace line 66: chosen row for round 9, outside 0..1"),
+    (_meta_value_50, "trace header value=50.0, but the config's average "
+                     "function gives 4.0 for selection (1, 2)"),
+    (_round_0_sets_add_99, "trace line 28: set row names element 99, not one "
+                           "of round 0's remaining elements"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
         "no_set_row", "extra_agent", "no_n", "x_round_7", "set_agent_9",
-        "chosen_round_9"])
+        "chosen_round_9", "header_value", "set_element_99"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"

@@ -196,6 +196,18 @@ def test_intersection_reaches_columnwise_and_in_diameter_steps(G, data):
     assert np.array_equal(after, np.broadcast_to(C0.all(axis=0), C0.shape))
 
 
+@settings(max_examples=80, deadline=None)
+@given(G=connected_graphs(), include_self=st.booleans(), data=st.data())
+def test_intersection_step_keeps_what_every_source_holds(G, include_self, data):
+    r = data.draw(st.integers(1, 6))
+    C = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=r, max_size=r),
+        min_size=G.n, max_size=G.n))).reshape(G.n, r)
+    expected = [[all(C[j - 1, col] for j in G.neighbors(i) + ((i,) * include_self))
+                 for col in range(r)] for i in range(1, G.n + 1)]
+    assert intersect(G, C, include_self=include_self).tolist() == expected
+
+
 # --- selection --------------------------------------------------------------
 
 def test_lowest_index_wins():

@@ -1,6 +1,7 @@
 """Trace CSV formatting and parsing: exact text, exact round trip, v1 input."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distgreedy import RunConfig, generate, local_family, metropolis_weights
 from distgreedy.config import build_run_config, load_experiment
+from distgreedy.errors import ProtocolError
+from distgreedy.graph import make_network
 from distgreedy.protocol import RoundRecord, RunTrace, step_deviations
 from distgreedy.protocol import run as run_protocol
 from distgreedy.traceio import (
@@ -30,7 +34,7 @@ def bundled_trace(name="ring_metropolis"):
 def with_x_steps(trace, x_steps):
     """`trace` with its rounds' gain estimates replaced."""
     rounds = [RoundRecord(rec.index, rec.remaining, x, step_deviations(x),
-                          rec.candidate_steps, rec.chosen, rec.selected_after)
+                          rec.candidate_masks, rec.chosen, rec.selected_after)
               for rec, x in zip(trace.rounds, x_steps)]
     return RunTrace(trace.n, trace.K, trace.T, trace.t_prime, trace.diameter,
                     trace.psi, trace.mu, trace.value_cap, trace.include_self,
@@ -125,3 +129,64 @@ def test_reader_accepts_lf_line_ends(tmp_path):
         "".join(line.replace("\r\n", "\n") for line in lines), newline="")
     assert b"\r" not in (tmp_path / "lf.csv").read_bytes()
     assert_same_trace(read_trace_csv(tmp_path / "lf.csv"), trace)
+
+
+def assert_masks_are_the_record(trace):
+    for rec in trace.rounds:
+        masks = rec.candidate_masks
+        assert masks.dtype == bool and not masks.flags.writeable
+        assert masks.shape == (trace.diameter + 1, trace.n, len(rec.remaining))
+        assert rec.candidate_steps == tuple(
+            tuple(frozenset(v for v, keep in zip(rec.remaining, row) if keep)
+                  for row in C) for C in masks.tolist())
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=n))
+    G = make_network(n, edges + [(i, j) for i, j in extra if i != j])
+    m = draw(st.integers(1, 7))
+    fam = local_family(n, draw(st.sampled_from(["coverage", "facility_location"])),
+                       seed=draw(st.integers(0, 2 ** 32 - 1)),
+                       params={"size": m, "universe": draw(st.integers(1, 9))})
+    return RunConfig(G, metropolis_weights(G), fam, K=draw(st.integers(1, m)),
+                     T=draw(st.integers(1, 5)),
+                     psi=draw(st.sampled_from([None, 0.5, 5.0])),
+                     include_self_in_intersection=draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs())
+def test_candidate_masks_survive_run_and_round_trip(tmp_path_factory, config):
+    try:
+        trace = run_protocol(config)
+    except ProtocolError:  # a tight psi, or neighbors-only desynchronized
+        return
+    assert_masks_are_the_record(trace)
+    path = tmp_path_factory.mktemp("masks") / "t.csv"
+    write_trace_csv(trace, path)
+    loaded = read_trace_csv(path)
+    assert_masks_are_the_record(loaded)
+    for a, b in zip(loaded.rounds, trace.rounds):
+        assert np.array_equal(a.candidate_masks, b.candidate_masks)
+
+
+def test_reader_memory_scales_with_the_gains(tmp_path):
+    # n=20, m=50, K=6, T=24: about 143k x rows, 1.1 MB of gains
+    G = generate("erdos_renyi", 20, seed=3, p=0.3)
+    fam = local_family(20, "facility_location",
+                       params={"size": 50, "universe": 100}, seed=3)
+    write_trace_csv(run_protocol(RunConfig(G, metropolis_weights(G), fam,
+                                           K=6, T=24)), tmp_path / "t.csv")
+    tracemalloc.start()
+    try:
+        trace = read_trace_csv(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gains = sum(rec.x_steps.nbytes for rec in trace.rounds)
+    assert gains >= 1e6
+    assert peak <= 4 * gains
