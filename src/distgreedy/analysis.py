@@ -50,11 +50,6 @@ class AuditReport:
         return f"AuditReport(passed={self.passed}, checks={list(self.checks)})"
 
 
-def _round_peaks(record):
-    """Column of each agent's argmax at the end of the averaging phase."""
-    return record.x_steps[-1].argmax(axis=1)
-
-
 def _agreement_failure(rec):
     """Why round rec's intersection phase broke its guarantee, or ''."""
     first, final = rec.candidate_masks[0], rec.candidate_masks[-1]
@@ -64,7 +59,7 @@ def _agreement_failure(rec):
         return f"round {rec.index}: not the network-wide intersection"
     if not final[0].any():
         return f"round {rec.index}: empty"
-    if not final[0, _round_peaks(rec)].all():
+    if not final[0, rec.x_steps[-1].argmax(axis=1)].all():
         return f"round {rec.index}: drops an agent argmax"
     expected = rec.remaining[int(final[0].argmax())]
     if rec.chosen != expected:
@@ -87,12 +82,9 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
     non-contracting mu >= 1 there is no epsilon, and the three checks
     built on it are skipped.
     """
-    drift = 0.0
-    for rec in trace.rounds:
-        mean0 = rec.x_steps[0].mean(axis=0)
-        for t in range(1, trace.T + 1):
-            step_drift = float(np.abs(rec.x_steps[t].mean(axis=0) - mean0).max())
-            drift = max(drift, step_drift)
+    drift = max(float(np.abs(rec.x_steps[1:].mean(axis=1)
+                             - rec.x_steps[0].mean(axis=0)).max())
+                for rec in trace.rounds)
     conservation = CheckResult(
         "mean_conservation", drift <= CONSERVATION_TOL,
         margin=CONSERVATION_TOL - drift,
@@ -125,23 +117,16 @@ def _epsilon_checks(trace, family, slack):
     eps_T, floor = trace.epsilon_T, trace.psi_floor
     avg = family.average()
 
-    dev_margin = np.inf
-    for rec in trace.rounds:
-        for t in range(1, T + 1):
-            bound = epsilon(n, mu, t, cap)
-            dev_margin = min(dev_margin, bound - float(rec.deviations[t]))
+    envelope = np.array([epsilon(n, mu, t, cap) for t in range(1, T + 1)])
+    dev_margin = min(float((envelope - rec.deviations[1:]).min())
+                     for rec in trace.rounds)
     consensus_error = CheckResult(
         "consensus_error", dev_margin >= -slack, margin=float(dev_margin),
         detail="deviation vs sqrt(n)*mu^t*cap envelope")
 
-    gap_margin = np.inf
-    for rec in trace.rounds:
-        X_T = rec.x_steps[-1]
-        peak_cols = _round_peaks(rec).tolist()
-        for i in range(n):
-            own_max = float(X_T[i].max())
-            worst = own_max - float(min(X_T[i, c] for c in peak_cols))
-            gap_margin = min(gap_margin, floor - worst)
+    worst = (X.max(axis=1) - X[:, X.argmax(axis=1)].min(axis=1)
+             for X in (rec.x_steps[-1] for rec in trace.rounds))
+    gap_margin = min(float((floor - w).min()) for w in worst)
     argmax_gap = CheckResult(
         "argmax_gap", gap_margin >= -slack, margin=float(gap_margin),
         detail="cross-agent argmax undervaluation vs 4*epsilon(T)")
@@ -299,8 +284,8 @@ def tradeoff_sweep(config, T_values, psi="auto"):
 
     The points come from one protocol.sweep walk, not one run per T: the
     gains are evaluated once per distinct selection prefix, with at most
-    max(T) averaging steps per prefix, and the K > m clamp warning is logged
-    once per sweep. The rows equal those of a run per T bit for bit.
+    max(T) averaging steps per prefix. The rows equal those of a run per
+    T bit for bit.
     T_values must be strictly ascending, else ValueError (the CLI's
     `sweep --T` exits 2 on such a list).
     """

@@ -15,11 +15,13 @@ from .analysis import bounds_report, tradeoff_sweep
 from .baseline import brute_force_optimum, centralized_greedy, perturbed_greedy
 from .config import adversary_stream, build_run_config, load_experiment
 from .errors import CapExceededError, ConfigError, ProtocolError
+from .protocol import TRACE_PARAMETERS
 from .protocol import run as run_protocol
 from .setfn import check_structure
 from .traceio import (
     canonical_json,
     format_float,
+    meta_text,
     read_trace_csv,
     write_bounds_json,
     write_summary_json,
@@ -112,8 +114,7 @@ def cmd_sweep(args):
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
     T_values = _parse_t_range(args.T)
-    psi = "auto" if cfg.psi == "auto" else cfg.psi
-    rows = tradeoff_sweep(run_config, T_values, psi=psi)
+    rows = tradeoff_sweep(run_config, T_values, psi=cfg.psi)
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep points to {args.out}")
     return 0
@@ -123,7 +124,7 @@ def cmd_baseline(args):
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
     avg = run_config.family.average()
-    K = min(cfg.K, run_config.family.ground.size)
+    K = run_config.K
 
     if args.which == "greedy":
         result = centralized_greedy(avg, K)
@@ -154,20 +155,16 @@ def cmd_baseline(args):
 
 
 def _load_trace_for_config(trace_path, run_config):
+    """Read the trace; each header parameter but include_self (replay only
+    notes that one) must equal the config's, bit for bit as header text."""
     trace = read_trace_csv(trace_path)
-    n = run_config.network.n
-    if trace.n != n:
-        raise ConfigError(f"trace has {trace.n} agents, config builds {n}")
-    if trace.T != run_config.T:
-        raise ConfigError(f"trace ran T={trace.T}, config says T={run_config.T}")
-    if trace.t_prime != run_config.t_prime:
-        raise ConfigError(
-            f"trace phase length t_prime={trace.t_prime} does not match the "
-            f"config graph ({run_config.t_prime})")
-    expected_K = min(run_config.K, run_config.family.ground.size)
-    if trace.K != expected_K:
-        raise ConfigError(f"trace has {trace.K} rounds, config implies "
-                          f"{expected_K}")
+    config_gives = run_config.trace_parameters(run_config.T, run_config.psi)
+    for name, kind in TRACE_PARAMETERS:
+        got = meta_text(kind, getattr(trace, name))
+        want = meta_text(kind, config_gives[name])
+        if got != want and name != "include_self":
+            raise ConfigError(f"trace header {name}={got}, but the config "
+                              f"gives {want}")
     try:
         value = run_config.family.average().value(trace.selected)
     except ValueError as exc:
@@ -208,7 +205,7 @@ def cmd_validate_config(args):
     run_config = build_run_config(cfg)
     print(f"config ok: scenario={cfg.scenario or '(unnamed)'} "
           f"n={run_config.network.n} |V|={run_config.family.ground.size} "
-          f"K={cfg.K} T={cfg.T} psi={cfg.psi} mu={run_config.mu:.6g}")
+          f"K={run_config.K} T={cfg.T} psi={cfg.psi} mu={run_config.mu:.6g}")
     return 0
 
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GraphGenerationError
 from .graph import graph_from_config
 from .mixing import mixing_from_config
 from .protocol import RunConfig
@@ -19,7 +19,7 @@ from .setfn import family_from_config
 
 TOP_LEVEL_KEYS = {
     "scenario", "graph", "mixing", "functions", "K", "T", "psi", "seed",
-    "T_prime", "neighbors_only_intersection", "tight_value_cap",
+    "neighbors_only_intersection", "tight_value_cap",
     "threshold_slack", "strict_psi", "taus",
 }
 
@@ -51,9 +51,6 @@ class ExperimentConfig:
                 raise ConfigError("psi must be nonnegative", field="psi")
             self.psi = float(self.psi)
         self.seed = _require_int(raw.get("seed", 0), "seed")
-        self.t_prime_override = (
-            None if "T_prime" not in raw
-            else _require_int(raw["T_prime"], "T_prime", minimum=2))
         self.neighbors_only_intersection = _require_bool(
             raw.get("neighbors_only_intersection", False),
             "neighbors_only_intersection")
@@ -107,6 +104,18 @@ def derived_streams(master_seed):
     return np.random.SeedSequence(master_seed).spawn(3)
 
 
+def _from_spec(field, build, *args):
+    """build(*args), with a value of the `field` spec that the builder
+    cannot use raised as a ConfigError naming the spec, not a traceback."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, GraphGenerationError) as exc:
+        raise ConfigError(f"cannot build the {field} spec: {exc}",
+                          field=field) from None
+
+
 def build_run_config(cfg):
     """Materialize graph, weights and functions; enforce cross-field rules."""
     graph_ss, fn_ss, _ = derived_streams(cfg.seed)
@@ -114,14 +123,14 @@ def build_run_config(cfg):
     graph_spec = dict(cfg.graph) if isinstance(cfg.graph, dict) else cfg.graph
     if isinstance(graph_spec, dict) and "seed" not in graph_spec:
         graph_spec["seed"] = graph_ss
-    network = graph_from_config(graph_spec)
+    network = _from_spec("graph", graph_from_config, graph_spec)
 
     mix = mixing_from_config(cfg.mixing, network)
 
     fn_spec = dict(cfg.functions) if isinstance(cfg.functions, dict) else cfg.functions
     if isinstance(fn_spec, dict) and "seed" not in fn_spec:
         fn_spec["seed"] = fn_ss
-    family = family_from_config(fn_spec, network.n)
+    family = _from_spec("functions", family_from_config, fn_spec, network.n)
 
     if cfg.psi == "auto" and network.n > 1 and not mix.mu < 1.0:
         raise ConfigError(
@@ -135,12 +144,6 @@ def build_run_config(cfg):
         use_singleton_cap=cfg.tight_value_cap,
         threshold_slack=cfg.threshold_slack,
         seed=cfg.seed)
-
-    if (cfg.t_prime_override is not None
-            and cfg.t_prime_override != run_config.t_prime):
-        raise ConfigError(
-            f"T_prime={cfg.t_prime_override} conflicts with the derived "
-            f"value T + 1 + diameter = {run_config.t_prime}", field="T_prime")
 
     if cfg.strict_psi and cfg.psi != "auto":
         if not run_config.mu < 1.0:

@@ -13,6 +13,7 @@ test suite.
 """
 
 import csv
+import os
 
 import numpy as np
 
@@ -241,14 +242,19 @@ def write_matrix_csv(W, path):
 
 
 def read_matrix_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(x) for x in row])
-    W = np.array(rows, dtype=float)
+    """The square matrix in a CSV file; a file that does not hold one is
+    a ConfigError at mixing.custom_csv, where configs name the file."""
+    try:
+        # fspath: an integer would open a file descriptor, not a file
+        with open(os.fspath(path), newline="") as fh:
+            W = np.array([[float(x) for x in row]
+                          for row in csv.reader(fh) if row], dtype=float)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read matrix CSV {path}: {exc}",
+                          field="mixing.custom_csv") from None
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ConfigError(f"matrix CSV is not square: shape {W.shape}")
+        raise ConfigError(f"matrix CSV is not square: shape {W.shape}",
+                          field="mixing.custom_csv")
     return W
 
 

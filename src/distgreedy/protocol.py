@@ -65,7 +65,7 @@ def psi_min(n, mu, T, value_cap):
 
 
 def _check_averaging(T, psi):
-    """The checks on T and psi that RunConfig and sweep share."""
+    """The checks on T and psi that RunConfig and trace_parameters share."""
     if T < 1:
         raise ConfigError("consensus steps T must be >= 1", field="T")
     if psi is not None and psi < 0:
@@ -76,10 +76,11 @@ class RunConfig:
     """Everything a run needs, with the derived quantities pinned.
 
     psi=None resolves to the smallest feasible threshold width
-    4 * sqrt(n) * mu^T * value_cap at run time. The phase lengths are
-    not independent: the intersection phase always lasts exactly the
-    graph diameter, so t_prime is derived, never set. The network is
-    immutable, so both are computed once here.
+    4 * sqrt(n) * mu^T * value_cap at run time. A budget K above the
+    ground-set size is clamped to it here, with one warning. The
+    network is immutable, so its diameter and the intersection sources
+    are computed once here. trace_parameters derives everything that a
+    RunTrace records from these.
     """
 
     def __init__(self, network, mixing, family, K, T, psi=None,
@@ -101,10 +102,14 @@ class RunConfig:
             raise ConfigError(
                 "the singleton gain cap is only valid for diminishing-returns "
                 "families", field="tight_value_cap")
+        m = family.ground.size
+        if K > m:
+            logger.warning("budget K=%d exceeds the %d available elements; "
+                           "clamping", K, m)
         self.network = network
         self.mixing = mixing
         self.family = family
-        self.K = int(K)
+        self.K = min(int(K), m)
         self.T = int(T)
         self.psi = None if psi is None else float(psi)
         self.include_self_in_intersection = bool(include_self_in_intersection)
@@ -112,7 +117,7 @@ class RunConfig:
         self.threshold_slack = float(threshold_slack)
         self.seed = int(seed)
         self.diameter = diameter(network)
-        self.t_prime = self.T + 1 + self.diameter
+        self.sources = intersection_sources(network, include_self_in_intersection)
 
     @property
     def value_cap(self):
@@ -130,6 +135,19 @@ class RunConfig:
 
     def resolved_psi(self):
         return self.psi_floor if self.psi is None else self.psi
+
+    def trace_parameters(self, T, psi):
+        """The TRACE_PARAMETERS of a run with T averaging steps and width
+        psi, by name; psi=None is the floor at that T. The intersection
+        phase lasts exactly the diameter, so t_prime is derived."""
+        _check_averaging(T, psi)
+        n, mu, cap = self.network.n, self.mu, self.value_cap
+        return {"n": n, "K": self.K, "T": T, "t_prime": T + 1 + self.diameter,
+                "diameter": self.diameter,
+                "psi": psi_min(n, mu, T, cap) if psi is None else float(psi),
+                "mu": mu, "value_cap": cap,
+                "include_self": self.include_self_in_intersection,
+                "threshold_slack": self.threshold_slack, "seed": self.seed}
 
 
 class RoundRecord:
@@ -167,28 +185,29 @@ def step_deviations(x_steps):
     return deviations
 
 
+# The run parameters that a RunTrace records, with their types, in the
+# order of the trace header.
+TRACE_PARAMETERS = (
+    ("n", int), ("K", int), ("T", int), ("t_prime", int), ("diameter", int),
+    ("psi", float), ("mu", float), ("value_cap", float),
+    ("include_self", bool), ("threshold_slack", float), ("seed", int),
+)
+
+
 class RunTrace:
     """Everything recorded during a run, enough to audit every guarantee.
 
-    A trace may be recorded with a non-contracting mu >= 1 (an explicit
-    psi on a periodic chain). Averaging then carries no error bound, so
-    the bound properties read None and the audits that need them are
-    skipped.
+    The run parameters come by keyword, one per TRACE_PARAMETERS name,
+    as RunConfig.trace_parameters gives them. A trace may be recorded
+    with a non-contracting mu >= 1 (an explicit psi on a periodic
+    chain). Averaging then carries no error bound, so the bound
+    properties read None and the audits that need them are skipped.
     """
 
-    def __init__(self, n, K, T, t_prime, diam, psi, mu, value_cap,
-                 include_self, threshold_slack, seed, rounds, selected, value):
-        self.n = n
-        self.K = K
-        self.T = T
-        self.t_prime = t_prime
-        self.diameter = diam
-        self.psi = psi
-        self.mu = mu
-        self.value_cap = value_cap
-        self.include_self = include_self
-        self.threshold_slack = threshold_slack
-        self.seed = seed
+    def __init__(self, rounds, selected, value, **parameters):
+        if sorted(parameters) != sorted(name for name, _ in TRACE_PARAMETERS):
+            raise TypeError(f"RunTrace parameters {sorted(parameters)}")
+        vars(self).update(parameters)
         self.rounds = rounds
         self.selected = selected
         self.value = value
@@ -328,30 +347,18 @@ def finish_round(X_T, psi, slack, sources, d, remaining, selected):
     return masks, chosen, selected
 
 
-def _budget(K, m):
-    if K > m:
-        logger.warning("budget K=%d exceeds the %d available elements; clamping",
-                       K, m)
-        return m
-    return K
-
-
 def run(config):
     """Execute all K rounds and record the full trajectory."""
-    network = config.network
     mixing = config.mixing
     family = config.family
-    K = _budget(config.K, family.ground.size)
-    T = config.T
-    d = config.diameter
-    psi = config.resolved_psi()
+    parameters = config.trace_parameters(config.T, config.psi)
+    T, psi = config.T, parameters["psi"]
     slack = config.threshold_slack
-    include_self = config.include_self_in_intersection
-    sources = intersection_sources(network, include_self)
+    d = config.diameter
 
     selected = ()
     rounds = []
-    for k in range(K):
+    for k in range(config.K):
         remaining, X = init_round(family, selected)
         x_steps = np.empty((T + 1,) + X.shape)
         x_steps[0] = X
@@ -359,17 +366,15 @@ def run(config):
             x_steps[t + 1] = consensus_step(x_steps[t], mixing)
         x_steps.flags.writeable = False
 
-        masks, chosen, selected = finish_round(x_steps[T], psi, slack, sources,
-                                               d, remaining, selected)
+        masks, chosen, selected = finish_round(
+            x_steps[T], psi, slack, config.sources, d, remaining, selected)
         masks = np.stack(masks)
         masks.flags.writeable = False
         rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
                                   masks, chosen, selected))
 
     value = family.average().value(selected)
-    return RunTrace(network.n, K, T, config.t_prime, d, psi, config.mu,
-                    config.value_cap, include_self, slack, config.seed,
-                    rounds, selected, value)
+    return RunTrace(rounds, selected, value, **parameters)
 
 
 def sweep(config, T_values, psi=None):
@@ -391,22 +396,16 @@ def sweep(config, T_values, psi=None):
     T_values = list(T_values)
     if not T_values:
         return []
-    _check_averaging(T_values[0], psi)
     family, mixing = config.family, config.mixing
-    K = _budget(config.K, family.ground.size)
-    n, mu, cap = config.network.n, config.mu, config.value_cap
-    psis = [psi_min(n, mu, T, cap) if psi is None else float(psi)
-            for T in T_values]
+    runs = [config.trace_parameters(T, psi) for T in T_values]
     slack = config.threshold_slack
     d = config.diameter
-    include_self = config.include_self_in_intersection
-    sources = intersection_sources(config.network, include_self)
 
     finals, failures = {}, {}  # index into T_values -> selection / exception
     stack = [((), list(range(len(T_values))))]
     while stack:
         selected, group = stack.pop()
-        if len(selected) == K:
+        if len(selected) == config.K:
             finals.update(dict.fromkeys(group, selected))
             continue
         try:
@@ -421,8 +420,8 @@ def sweep(config, T_values, psi=None):
                 X = consensus_step(X, mixing)
                 t += 1
             try:
-                _, chosen, _ = finish_round(X, psis[j], slack, sources, d,
-                                            remaining, selected)
+                _, chosen, _ = finish_round(X, runs[j]["psi"], slack, config.sources,
+                                            d, remaining, selected)
             except ProtocolError as exc:
                 failures[j] = exc
                 continue
@@ -433,6 +432,5 @@ def sweep(config, T_values, psi=None):
         raise failures[min(failures)]
 
     avg = family.average()
-    return [RunTrace(n, K, T, T + 1 + d, d, psis[j], mu, cap, include_self,
-                     slack, config.seed, (), finals[j], avg.value(finals[j]))
-            for j, T in enumerate(T_values)]
+    return [RunTrace((), finals[j], avg.value(finals[j]), **parameters)
+            for j, parameters in enumerate(runs)]

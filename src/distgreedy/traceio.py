@@ -15,7 +15,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import ConfigError
-from .protocol import RoundRecord, RunTrace, step_deviations
+from .protocol import TRACE_PARAMETERS, RoundRecord, RunTrace, step_deviations
 
 TRACE_MAGIC = "# distgreedy trace v1"
 
@@ -57,18 +57,17 @@ def canonical_json(obj, indent=2):
     return re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: slots[int(m.group(1))], text)
 
 
+def meta_text(kind, value):
+    """A run parameter as the trace header writes it: a float at 17
+    digits, a flag as 0 or 1, an integer as is."""
+    return format_float(value) if kind is float else str(int(value))
+
+
 def _meta_line(trace):
-    fields = [
-        f"n={trace.n}", f"K={trace.K}", f"T={trace.T}",
-        f"t_prime={trace.t_prime}", f"diameter={trace.diameter}",
-        f"psi={format_float(trace.psi)}", f"mu={format_float(trace.mu)}",
-        f"value_cap={format_float(trace.value_cap)}",
-        f"include_self={int(trace.include_self)}",
-        f"threshold_slack={format_float(trace.threshold_slack)}",
-        f"seed={trace.seed}",
-        f"selected={'|'.join(str(v) for v in trace.selected)}",
-        f"value={format_float(trace.value)}",
-    ]
+    fields = [f"{name}={meta_text(kind, getattr(trace, name))}"
+              for name, kind in TRACE_PARAMETERS]
+    fields += [f"selected={'|'.join(str(v) for v in trace.selected)}",
+               f"value={format_float(trace.value)}"]
     return "# " + ",".join(fields)
 
 
@@ -126,17 +125,20 @@ def write_trace_csv(trace, path):
 
 
 def _parse_meta(line):
-    """The `#` metadata line as (int fields, float fields, selection)."""
+    """The `#` metadata line as (run parameters by name, selection, value)."""
     meta = dict(item.partition("=")[::2] for item in line.lstrip("# ").split(","))
     try:
-        ints = {key: int(meta[key]) for key in
-                ("n", "K", "T", "t_prime", "diameter", "include_self", "seed")}
-        floats = {key: float(meta[key]) for key in
-                  ("psi", "mu", "value_cap", "threshold_slack", "value")}
+        parameters = {name: float(meta[name]) if kind is float
+                      else kind(int(meta[name]))
+                      for name, kind in TRACE_PARAMETERS}
         selected = tuple(int(v) for v in meta["selected"].split("|") if v)
+        value = float(meta["value"])
+        for name, number in [*parameters.items(), ("value", value)]:
+            if not math.isfinite(number):  # the writer never writes one
+                raise ValueError(f"{name}={number}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed trace metadata line: {exc!r}") from None
-    return ints, floats, selected
+    return parameters, selected, value
 
 
 READ_BLOCK = 1 << 16  # bytes of lines per read in read_trace_csv
@@ -314,11 +316,11 @@ def read_trace_csv(path):
         magic = fh.readline().rstrip("\n")
         if magic != TRACE_MAGIC:
             raise ConfigError(f"not a trace file (header {magic!r})")
-        ints, floats, declared = _parse_meta(fh.readline().rstrip("\n"))
+        parameters, declared, value = _parse_meta(fh.readline().rstrip("\n"))
         header = next(csv.reader([fh.readline()]), [])
         if header[:3] != ["record", "round", "t"]:
             raise ConfigError(f"unexpected trace columns {header}")
-        n, K, T, t_prime = ints["n"], ints["K"], ints["T"], ints["t_prime"]
+        n, K, T, t_prime = (parameters[key] for key in ("n", "K", "T", "t_prime"))
         layout = _XKeys(K, T, n)
         start = 4
         while chunk := fh.readlines(READ_BLOCK):
@@ -380,10 +382,7 @@ def read_trace_csv(path):
         raise ConfigError(
             f"trace header announces selection {declared} but the rounds "
             f"build {selected}")
-    return RunTrace(n, K, T, t_prime, ints["diameter"], floats["psi"],
-                    floats["mu"], floats["value_cap"], bool(ints["include_self"]),
-                    floats["threshold_slack"], ints["seed"], rounds, selected,
-                    floats["value"])
+    return RunTrace(rounds, selected, value, **parameters)
 
 
 def summary_dict(trace):
@@ -401,13 +400,10 @@ def summary_dict(trace):
             "mu": trace.mu,
             "value_cap": trace.value_cap,
         },
-        "parameters": {
-            "n": trace.n, "K": trace.K, "T": trace.T,
-            "t_prime": trace.t_prime, "diameter": trace.diameter,
-            "include_self": trace.include_self,
-            "threshold_slack": trace.threshold_slack,
-            "seed": trace.seed,
-        },
+        # psi, mu and value_cap are reported under "bounds"
+        "parameters": {name: getattr(trace, name)
+                       for name, _ in TRACE_PARAMETERS
+                       if name not in ("psi", "mu", "value_cap")},
     }
 
 

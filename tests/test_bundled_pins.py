@@ -1,10 +1,12 @@
-"""The bundled configs and the benchmark sweeps still produce
+"""The bundled configs and the benchmark workloads still produce
 byte-identical artifacts.
 
 The benchmark pins the sha256 of each bundled config's trace, summary
-and bounds files, and of the sweep CSVs of its tradeoff_sweep workload
-at the default seed, in bench/pins.json; any change to those bytes is a
-change of behaviour, so the digests are checked here as well (read only).
+and bounds files, of the sweep CSVs of its tradeoff_sweep workload, and
+of the summary and bounds files of its record_replay and exact_optimum
+workloads at the default seed, in bench/pins.json; any change to those
+bytes is a change of behaviour, so the digests are checked here as well
+(read only).
 """
 
 import hashlib
@@ -25,6 +27,21 @@ SWEEP_CONFIG = {"graph": {"kind": "erdos_renyi", "n": 12, "p": 0.5},
                 "functions": {"kind": "facility_location", "size": 36,
                               "universe": 60},
                 "K": 6, "T": 5, "psi": "auto", "scenario": "tradeoff_sweep"}
+# The single-instance workloads' configs at the default seed 0.
+RUN_CONFIGS = {
+    "record_replay": {"graph": {"kind": "erdos_renyi", "n": 50, "p": 0.2},
+                      "mixing": "metropolis",
+                      "functions": {"kind": "facility_location", "size": 35,
+                                    "universe": 400},
+                      "K": 6, "T": 20, "psi": "auto",
+                      "scenario": "record_replay", "seed": 0},
+    "exact_optimum": {"graph": {"kind": "erdos_renyi", "n": 10, "p": 0.4},
+                      "mixing": "metropolis",
+                      "functions": {"kind": "weighted_coverage", "size": 22,
+                                    "universe": 60},
+                      "K": 4, "T": 80, "psi": "auto",
+                      "scenario": "exact_optimum", "seed": 0},
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -48,3 +65,27 @@ def test_benchmark_sweeps_match_pins(instance, tmp_path):
                  "--out", str(out)]) == 0
     got = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == ALL_PINS["tradeoff_sweep"][f"i{instance}/sweep.csv"]
+
+
+@pytest.mark.parametrize("workload", sorted(RUN_CONFIGS))
+def test_benchmark_runs_match_pins(workload, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RUN_CONFIGS[workload]))
+    # record_replay exits 1: its mean_conservation check fails on round-off
+    code = main(["run", "--config", str(cfg),
+                 "--trace-out", str(tmp_path / "trace.csv"),
+                 "--summary-out", str(tmp_path / "summary.json"),
+                 "--bounds-out", str(tmp_path / "bounds.json")])
+    assert code in (0, 1)
+    pins = ALL_PINS[workload]
+    for artifact in ("summary.json", "bounds.json"):
+        got = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        assert got == pins[f"i0/{artifact}"], f"{workload}/{artifact}"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["selected"] == pins["selection"][0]
+    if workload == "record_replay":
+        assert main(["analyze", "--trace", str(tmp_path / "trace.csv"),
+                     "--config", str(cfg),
+                     "--out", str(tmp_path / "analyze.json")]) == code
+        assert ((tmp_path / "analyze.json").read_bytes()
+                == (tmp_path / "bounds.json").read_bytes())

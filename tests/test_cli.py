@@ -95,11 +95,10 @@ def test_sweep_rejects_a_t_list_out_of_order(tmp_path, capsys, T):
     assert not out.exists()
 
 
-def test_t_prime_override_must_match(tmp_path):
-    good = write_config(tmp_path, "good.json", T_prime=3)  # T=1, diameter 1
-    assert run_cli("validate-config", "--config", good) == 0
-    bad = write_config(tmp_path, "bad.json", T_prime=9)
-    assert run_cli("validate-config", "--config", bad) == 2
+def test_validate_config_echoes_the_clamped_budget(tmp_path, capsys):
+    path = write_config(tmp_path, K=9)  # exact_consensus has |V|=4
+    assert run_cli("validate-config", "--config", path) == 0
+    assert " |V|=4 K=4 " in capsys.readouterr().out
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
@@ -319,6 +318,17 @@ def _meta_value_50(lines):
     return [lines[0], re.sub(r",value=.*", ",value=50.0", lines[1])] + lines[2:]
 
 
+def _meta_field(name, text):
+    def tamper(lines):
+        line = re.sub(f",{name}=[^,]*,", f",{name}={text},", lines[1])
+        return [lines[0], line] + lines[2:]
+    return tamper
+
+
+def _meta_value_inf(lines):
+    return [lines[0], re.sub(r",value=.*", ",value=inf", lines[1])] + lines[2:]
+
+
 def _round_0_sets_add_99(lines):
     return [line + "|99" if line.startswith("set,0,") else line
             for line in lines]
@@ -351,9 +361,21 @@ def tradeoff_trace_lines(tmp_path_factory):
                      "function gives 4.0 for selection (1, 2)"),
     (_round_0_sets_add_99, "trace line 28: set row names element 99, not one "
                            "of round 0's remaining elements"),
+    (_meta_field("value_cap", "1000.0"),
+     "trace header value_cap=1000.0, but the config gives 6.0"),
+    (_meta_field("mu", "0.5"),
+     "trace header mu=0.5, but the config gives 0.66666666666666674"),
+    # one ulp above the floor
+    (_meta_field("psi", "27.712812921102046"),
+     "trace header psi=27.712812921102046, but the config gives "
+     "27.712812921102042"),
+    (_meta_field("mu", "nan"),
+     "malformed trace metadata line: ValueError('mu=nan')"),
+    (_meta_value_inf, "malformed trace metadata line: ValueError('value=inf')"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
         "no_set_row", "extra_agent", "no_n", "x_round_7", "set_agent_9",
-        "chosen_round_9", "header_value", "set_element_99"])
+        "chosen_round_9", "header_value", "set_element_99", "header_value_cap",
+        "header_mu", "header_psi", "header_mu_nan", "header_value_inf"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"
@@ -363,6 +385,66 @@ def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                  "--config", str(CONFIGS / "tradeoff.json"),
                  "--out", str(tmp_path / "b.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
+    # Moving 3.0 of round 0's final gain for element 1 from agent 2 to
+    # agent 1 breaks the consensus envelope; a header value_cap large
+    # enough to hide that is not the config's.
+    cfg = CONFIGS / "ring_metropolis.json"
+    run_cli("run", "--config", cfg, "--trace-out", tmp_path / "t.csv",
+            "--summary-out", tmp_path / "s.json")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    for j, line in enumerate(lines):
+        parts = line.split(",")
+        if parts[:3] == ["x", "0", "6"] and parts[3] in "12" and parts[4] == "1":
+            shift = 3.0 if parts[3] == "1" else -3.0
+            parts[5] = format_float(float(parts[5]) + shift)
+            lines[j] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("analyze", "--trace", bad, "--config", cfg,
+                   "--out", tmp_path / "b.json") == 1
+    assert "[FAIL] consensus_error" in capsys.readouterr().out
+    assert ",value_cap=10.0," in lines[1]
+    lines[1] = lines[1].replace(",value_cap=10.0,", ",value_cap=1000.0,")
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("analyze", "--trace", bad, "--config", cfg,
+                   "--out", tmp_path / "b.json") == 2
+    assert ("trace header value_cap=1000.0, but the config gives 10.0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("overrides, matrix, field", [
+    ({"graph": {"kind": "complete", "n": "x"}}, None, "graph"),
+    ({"graph": {"kind": "erdos_renyi", "n": 4, "p": "x"}}, None, "graph"),
+    # no connected draw: a spec the generator cannot meet
+    ({"graph": {"kind": "erdos_renyi", "n": 30, "p": 0.01}}, None, "graph"),
+    ({"functions": {"kind": "coverage", "size": "x", "universe": 6}}, None,
+     "functions"),
+    ({"functions": {"kind": "coverage", "universe": 6, "sets": [[1, "a"]]}},
+     None, "functions"),
+    ({"functions": {"kind": "modular", "weights": [1, "a"]}}, None,
+     "functions"),
+    ({"functions": {"kind": "facility_location", "weights": [[1, 2], [3]]}},
+     None, "functions"),
+    ({}, "missing", "mixing.custom_csv"),
+    ({}, "0.5,x\n0.5,0.5\n", "mixing.custom_csv"),
+    ({}, "0.5,0.5\n0.5\n", "mixing.custom_csv"),
+    ({"mixing": {"custom_csv": None}}, None, "mixing.custom_csv"),
+], ids=["graph_n", "graph_p", "graph_unconnectable", "size", "sets", "weights", "ragged_weights",
+        "csv_missing", "csv_cell", "csv_ragged", "csv_null"])
+def test_malformed_spec_value_is_a_config_error(tmp_path, capsys, overrides,
+                                                matrix, field):
+    if matrix is not None:
+        csv_path = tmp_path / "W.csv"
+        if matrix != "missing":
+            csv_path.write_text(matrix)
+        overrides = dict(overrides, mixing={"custom_csv": str(csv_path)})
+    path = write_config(tmp_path, **overrides)
+    assert run_cli("validate-config", "--config", path) == 2
+    assert f"config error at {field!r}: " in capsys.readouterr().err
 
 
 def test_trace_round_trips_exactly(tmp_path):

@@ -13,7 +13,8 @@ from distgreedy import RunConfig, generate, local_family, metropolis_weights
 from distgreedy.config import build_run_config, load_experiment
 from distgreedy.errors import ProtocolError
 from distgreedy.graph import make_network
-from distgreedy.protocol import RoundRecord, RunTrace, step_deviations
+from distgreedy.protocol import (TRACE_PARAMETERS, RoundRecord, RunTrace,
+                                 step_deviations)
 from distgreedy.protocol import run as run_protocol
 from distgreedy.traceio import (
     format_float,
@@ -36,10 +37,8 @@ def with_x_steps(trace, x_steps):
     rounds = [RoundRecord(rec.index, rec.remaining, x, step_deviations(x),
                           rec.candidate_masks, rec.chosen, rec.selected_after)
               for rec, x in zip(trace.rounds, x_steps)]
-    return RunTrace(trace.n, trace.K, trace.T, trace.t_prime, trace.diameter,
-                    trace.psi, trace.mu, trace.value_cap, trace.include_self,
-                    trace.threshold_slack, trace.seed, rounds, trace.selected,
-                    trace.value)
+    return RunTrace(rounds, trace.selected, trace.value,
+                    **{name: getattr(trace, name) for name, _ in TRACE_PARAMETERS})
 
 
 def assert_same_trace(a, b):
