@@ -26,7 +26,8 @@ config = RunConfig(G, metropolis_weights(G), family, K=K, T=T)
 
 print(f"{n} agents on a ring, |V|={family.ground.size}, budget K={K}, "
       f"T={T} averaging steps per round")
-print(f"threshold width resolved to psi={config.resolved_psi():.4f} "
+psi = config.trace_parameters(T, None)["psi"]
+print(f"threshold width resolved to psi={psi:.4f} "
       f"(mu={config.mu:.4f}, cap={config.value_cap})\n")
 
 trace = run(config)

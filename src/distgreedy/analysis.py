@@ -50,8 +50,12 @@ class AuditReport:
         return f"AuditReport(passed={self.passed}, checks={list(self.checks)})"
 
 
-def _agreement_failure(rec):
-    """Why round rec's intersection phase broke its guarantee, or ''."""
+def _agreement_failure(rec, ground):
+    """Why round rec's candidate sets broke their guarantee, or ''."""
+    earlier = set(rec.selected_after[:-1])
+    if rec.remaining != tuple(v for v in ground.elements if v not in earlier):
+        return (f"round {rec.index}: remaining elements are not the ground "
+                f"set minus the earlier picks {sorted(earlier)}")
     first, final = rec.candidate_masks[0], rec.candidate_masks[-1]
     if (final != final[0]).any():
         return f"round {rec.index}: sets differ"
@@ -68,19 +72,21 @@ def _agreement_failure(rec):
     return ""
 
 
-def audit_trace(trace, family, slack=AUDIT_SLACK):
+def audit_trace(trace, family):
     """Evaluate every per-round protocol guarantee from recorded data.
 
     Checks, in order: the averaging steps conserve the network mean; the
     recorded deviations stay under the geometric envelope; at the end of
     averaging no agent undervalues another agent's argmax by more than
-    4*epsilon(T); the intersection phase ends with all agents holding
-    the same nonempty set, equal to the network-wide intersection,
+    4*epsilon(T); each round offers the ground set minus the earlier
+    picks, and its intersection phase ends with all agents holding the
+    same nonempty set, equal to the network-wide intersection,
     containing every agent's argmax, and whose lowest element is the one
     chosen; and each round's realized gain in the average objective is
-    within psi + 2*epsilon(T) of the best available gain. With a
-    non-contracting mu >= 1 there is no epsilon, and the three checks
-    built on it are skipped.
+    within psi + 2*epsilon(T) of the best available gain. The bound
+    checks allow AUDIT_SLACK of round-off. With a non-contracting
+    mu >= 1 there is no epsilon, and the three checks built on it are
+    skipped.
     """
     drift = max(float(np.abs(rec.x_steps[1:].mean(axis=1)
                              - rec.x_steps[0].mean(axis=0)).max())
@@ -90,12 +96,13 @@ def audit_trace(trace, family, slack=AUDIT_SLACK):
         margin=CONSERVATION_TOL - drift,
         detail=f"max drift {drift:.3g}")
 
-    agreement_detail = next(filter(None, map(_agreement_failure, trace.rounds)), "")
+    agreement_detail = next(filter(None, (_agreement_failure(rec, family.ground)
+                                          for rec in trace.rounds)), "")
     candidate_agreement = CheckResult(
         "candidate_agreement", not agreement_detail, detail=agreement_detail)
 
     if trace.contracting:
-        consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family, slack)
+        consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family)
     else:
         consensus_error, argmax_gap, round_gain = (
             _skip_non_contracting(name, trace)
@@ -110,7 +117,7 @@ def _skip_non_contracting(name, trace):
                               "so epsilon(T) is undefined")
 
 
-def _epsilon_checks(trace, family, slack):
+def _epsilon_checks(trace, family):
     """The consensus_error, argmax_gap and round_gain checks, which
     measure the recorded run against epsilon(t)."""
     n, T, mu, cap, psi = trace.n, trace.T, trace.mu, trace.value_cap, trace.psi
@@ -121,14 +128,14 @@ def _epsilon_checks(trace, family, slack):
     dev_margin = min(float((envelope - rec.deviations[1:]).min())
                      for rec in trace.rounds)
     consensus_error = CheckResult(
-        "consensus_error", dev_margin >= -slack, margin=float(dev_margin),
+        "consensus_error", dev_margin >= -AUDIT_SLACK, margin=float(dev_margin),
         detail="deviation vs sqrt(n)*mu^t*cap envelope")
 
     worst = (X.max(axis=1) - X[:, X.argmax(axis=1)].min(axis=1)
              for X in (rec.x_steps[-1] for rec in trace.rounds))
     gap_margin = min(float((floor - w).min()) for w in worst)
     argmax_gap = CheckResult(
-        "argmax_gap", gap_margin >= -slack, margin=float(gap_margin),
+        "argmax_gap", gap_margin >= -AUDIT_SLACK, margin=float(gap_margin),
         detail="cross-agent argmax undervaluation vs 4*epsilon(T)")
 
     gain_margin = np.inf
@@ -139,26 +146,26 @@ def _epsilon_checks(trace, family, slack):
         gain_margin = min(gain_margin, realized - (best - psi - 2.0 * eps_T))
         before = rec.selected_after
     round_gain = CheckResult(
-        "round_gain", gain_margin >= -slack, margin=float(gain_margin),
+        "round_gain", gain_margin >= -AUDIT_SLACK, margin=float(gain_margin),
         detail="realized gain vs best gain - psi - 2*epsilon(T)")
 
     return consensus_error, argmax_gap, round_gain
 
 
-def _guarantee_check(name, trace, factor, optimum_value, slack):
-    """achieved >= factor * optimum - additive_gap, up to `slack`."""
+def _guarantee_check(name, trace, factor, optimum_value):
+    """achieved >= factor * optimum - additive_gap, up to AUDIT_SLACK."""
     if not trace.contracting:
         result = _skip_non_contracting(name, trace)
         result.rhs = None
         return result
     rhs = factor * optimum_value - trace.additive_gap
-    result = CheckResult(name, trace.value >= rhs - slack,
+    result = CheckResult(name, trace.value >= rhs - AUDIT_SLACK,
                          margin=trace.value - rhs, detail=f"rhs={rhs:.6g}")
     result.rhs = rhs
     return result
 
 
-def check_approx_bound(trace, optimum_value, slack=AUDIT_SLACK):
+def check_approx_bound(trace, optimum_value):
     """The headline additive guarantee against the exact optimum.
 
     When the additive gap exceeds the achievable value the right-hand
@@ -166,14 +173,14 @@ def check_approx_bound(trace, optimum_value, slack=AUDIT_SLACK):
     result is then flagged vacuous so sweeps can tell the regimes apart.
     """
     result = _guarantee_check("approx_bound", trace, 1.0 - 1.0 / math.e,
-                              optimum_value, slack)
+                              optimum_value)
     result.vacuous = None if result.skipped else result.rhs <= 0.0
     if result.vacuous:
         result.detail += " (vacuous)"
     return result
 
 
-def check_ratio_bound(trace, optimum_value, gammas, slack=AUDIT_SLACK):
+def check_ratio_bound(trace, optimum_value, gammas):
     """Additive guarantee under approximate submodularity.
 
     `gammas` are the exact diminishing-returns ratios of the local
@@ -189,7 +196,7 @@ def check_ratio_bound(trace, optimum_value, gammas, slack=AUDIT_SLACK):
         return CheckResult("ratio_bound", True, skipped=True,
                            detail=f"minimum ratio {gamma_min} is not positive")
     result = _guarantee_check("ratio_bound", trace, 1.0 - math.exp(-gamma_min),
-                              optimum_value, slack)
+                              optimum_value)
     if result.skipped:
         return result
     result.detail = f"gamma_min={gamma_min:.6g}, {result.detail}"
@@ -238,21 +245,21 @@ class BoundsReport:
         }
 
 
-def bounds_report(trace, family, optimum=None, gammas=None, slack=AUDIT_SLACK):
+def bounds_report(trace, family, optimum=None, gammas=None):
     """Assemble the audit plus the guarantee checks into one report.
 
     optimum may be the exact optimal value, or None to leave the
     guarantee checks out (for instances past the enumeration cap).
     """
-    audit = audit_trace(trace, family, slack)
+    audit = audit_trace(trace, family)
     checks = list(audit)
     approx_rhs = vacuous = gamma_min = ratio_rhs = None
     if optimum is not None:
-        approx = check_approx_bound(trace, optimum, slack)
+        approx = check_approx_bound(trace, optimum)
         checks.append(approx)
         approx_rhs, vacuous = approx.rhs, approx.vacuous
         if gammas is not None:
-            ratio = check_ratio_bound(trace, optimum, gammas, slack)
+            ratio = check_ratio_bound(trace, optimum, gammas)
             checks.append(ratio)
             if not ratio.skipped:
                 gamma_min, ratio_rhs = ratio.gamma_min, ratio.rhs
@@ -286,20 +293,15 @@ def tradeoff_sweep(config, T_values, psi="auto"):
     gains are evaluated once per distinct selection prefix, with at most
     max(T) averaging steps per prefix. The rows equal those of a run per
     T bit for bit.
-    T_values must be strictly ascending, else ValueError (the CLI's
-    `sweep --T` exits 2 on such a list).
+    T_values must be strictly ascending, else protocol.sweep raises
+    ConfigError, a ValueError (the CLI's `sweep --T` exits 2 on such a
+    list).
     """
-    T_values = list(T_values)
-    if any(b <= a for a, b in zip(T_values, T_values[1:])):
-        raise ValueError("T values must be strictly ascending")
-    avg = config.family.average()
+    traces = sweep(config, T_values, None if psi == "auto" else float(psi))
     try:
-        _, optimum = brute_force_optimum(avg, config.K)
+        _, optimum = brute_force_optimum(config.family.average(), config.K)
     except CapExceededError:
         optimum = None
-    if not T_values:
-        return []
-    traces = sweep(config, T_values, None if psi == "auto" else float(psi))
     rows = []
     for trace in traces:
         if optimum is None:

@@ -102,8 +102,8 @@ def _parse_t_range(text):
     except ValueError:
         raise ConfigError(f"cannot parse T range {text!r}; use A:B or a "
                           "comma-separated list", field="T")
-    if not values or any(v < 1 for v in values):
-        raise ConfigError(f"T range {text!r} must be positive", field="T")
+    if not values:
+        raise ConfigError(f"T range {text!r} is empty", field="T")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"T list {text!r} must be strictly ascending",
                           field="T")

@@ -41,14 +41,12 @@ class ExperimentConfig:
         self.graph = raw["graph"]
         self.mixing = raw["mixing"]
         self.functions = raw["functions"]
-        self.K = _require_int(raw["K"], "K", minimum=1)
-        self.T = _require_int(raw["T"], "T", minimum=1)
+        self.K = _require_int(raw["K"], "K")
+        self.T = _require_int(raw["T"], "T")
         self.psi = raw.get("psi", "auto")
         if self.psi != "auto":
             if not isinstance(self.psi, (int, float)) or isinstance(self.psi, bool):
                 raise ConfigError("psi must be 'auto' or a number", field="psi")
-            if self.psi < 0:
-                raise ConfigError("psi must be nonnegative", field="psi")
             self.psi = float(self.psi)
         self.seed = _require_int(raw.get("seed", 0), "seed")
         self.neighbors_only_intersection = _require_bool(
@@ -59,9 +57,8 @@ class ExperimentConfig:
         self.strict_psi = _require_bool(raw.get("strict_psi", False), "strict_psi")
         self.threshold_slack = raw.get("threshold_slack", 0.0)
         if (not isinstance(self.threshold_slack, (int, float))
-                or isinstance(self.threshold_slack, bool)
-                or self.threshold_slack < 0):
-            raise ConfigError("threshold_slack must be a nonnegative number",
+                or isinstance(self.threshold_slack, bool)):
+            raise ConfigError("threshold_slack must be a number",
                               field="threshold_slack")
         self.threshold_slack = float(self.threshold_slack)
         self.taus = raw.get("taus")
@@ -74,11 +71,9 @@ class ExperimentConfig:
             self.taus = [float(t) for t in self.taus]
 
 
-def _require_int(value, field, minimum=None):
+def _require_int(value, field):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{field} must be an integer", field=field)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{field} must be >= {minimum}", field=field)
     return int(value)
 
 
@@ -132,11 +127,6 @@ def build_run_config(cfg):
         fn_spec["seed"] = fn_ss
     family = _from_spec("functions", family_from_config, fn_spec, network.n)
 
-    if cfg.psi == "auto" and network.n > 1 and not mix.mu < 1.0:
-        raise ConfigError(
-            f"psi 'auto' needs a contracting mixing matrix, but mu={mix.mu}",
-            field="psi")
-
     run_config = RunConfig(
         network, mix, family, cfg.K, cfg.T,
         psi=None if cfg.psi == "auto" else cfg.psi,
@@ -150,7 +140,7 @@ def build_run_config(cfg):
             raise ConfigError(
                 f"strict_psi needs a contracting mixing matrix, but "
                 f"mu={run_config.mu}", field="strict_psi")
-        floor = run_config.psi_floor
+        floor = run_config.trace_parameters(run_config.T, None)["psi"]
         if cfg.psi < floor:
             raise ConfigError(
                 f"psi={cfg.psi} is below the feasible floor {floor:.6g} "

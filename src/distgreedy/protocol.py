@@ -76,7 +76,8 @@ class RunConfig:
     """Everything a run needs, with the derived quantities pinned.
 
     psi=None resolves to the smallest feasible threshold width
-    4 * sqrt(n) * mu^T * value_cap at run time. A budget K above the
+    4 * sqrt(n) * mu^T * value_cap at run time; on more than one agent
+    that needs a contracting mixing matrix. A budget K above the
     ground-set size is clamped to it here, with one warning. The
     network is immutable, so its diameter and the intersection sources
     are computed once here. trace_parameters derives everything that a
@@ -116,6 +117,9 @@ class RunConfig:
         self.use_singleton_cap = bool(use_singleton_cap)
         self.threshold_slack = float(threshold_slack)
         self.seed = int(seed)
+        if self.psi is None and not self.mu < 1.0:
+            raise ConfigError(f"psi 'auto' needs a contracting mixing matrix, "
+                              f"but mu={self.mu}", field="psi")
         self.diameter = diameter(network)
         self.sources = intersection_sources(network, include_self_in_intersection)
 
@@ -128,13 +132,6 @@ class RunConfig:
     def mu(self):
         # single agent: averaging is the identity and the error bound is 0
         return 0.0 if self.network.n == 1 else self.mixing.mu
-
-    @property
-    def psi_floor(self):
-        return psi_min(self.network.n, self.mu, self.T, self.value_cap)
-
-    def resolved_psi(self):
-        return self.psi_floor if self.psi is None else self.psi
 
     def trace_parameters(self, T, psi):
         """The TRACE_PARAMETERS of a run with T averaging steps and width
@@ -391,9 +388,13 @@ def sweep(config, T_values, psi=None):
     psi=None gives each T its own floor psi_min(n, mu, T, value_cap),
     otherwise every T uses the fixed psi; config.T and config.psi are
     not used. Returns one RunTrace per T, with no round records. Where
-    some run fails, raises what run raises for the smallest such T.
+    some run fails, raises what run raises for the smallest such T. A
+    T list out of order raises ConfigError at T, before any run.
     """
     T_values = list(T_values)
+    if any(b <= a for a, b in zip(T_values, T_values[1:])):
+        raise ConfigError(f"T values {T_values} must be strictly ascending",
+                          field="T")
     if not T_values:
         return []
     family, mixing = config.family, config.mixing

@@ -534,18 +534,26 @@ class LocalFamily:
     max_total is the largest full-set value across agents; every marginal
     gain of every member is bounded by it. max_singleton is the largest
     single-element value, a tighter gain bound valid for functions with
-    diminishing returns.
+    diminishing returns. Both caps must be finite.
     """
 
     def __init__(self, ground, functions, kind):
         self.ground = ground
         self.functions = list(functions)
         self.kind = kind
+        if any(f.ground != ground for f in self.functions):
+            raise ConfigError("local functions must share the ground set",
+                              field="functions")
         everything = np.arange(1, ground.size + 1)[None, :]
-        self.max_total = max(float(f.extend_values(0, everything)[0])
-                             for f in self.functions)
-        self.max_singleton = max(float(f.extend_values(0, everything.T).max())
+        with np.errstate(over="ignore"):
+            self.max_total = max(float(f.extend_values(0, everything)[0])
                                  for f in self.functions)
+            self.max_singleton = max(float(f.extend_values(0, everything.T).max())
+                                     for f in self.functions)
+        if not np.isfinite([self.max_total, self.max_singleton]).all():
+            raise ConfigError(
+                f"function values overflow: max f_i(V) = {self.max_total}, "
+                f"max f_i({{v}}) = {self.max_singleton}", field="functions")
 
     @property
     def n(self):
@@ -583,15 +591,10 @@ def average_function(functions):
 
 
 def family_from_functions(functions, kind="custom"):
-    """Wrap explicit per-agent functions (already on one ground set)."""
+    """Wrap explicit per-agent functions, which must share one ground set."""
     if not functions:
         raise ConfigError("family needs at least one function", field="functions")
-    ground = functions[0].ground
-    for f in functions[1:]:
-        if f.ground != ground:
-            raise ConfigError("local functions must share the ground set",
-                              field="functions")
-    return LocalFamily(ground, functions, kind)
+    return LocalFamily(functions[0].ground, functions, kind)
 
 
 def local_family(n, kind, seed=0, params=None, identical=False):
@@ -615,17 +618,11 @@ def local_family(n, kind, seed=0, params=None, identical=False):
         seed = np.random.SeedSequence(seed)
     streams = seed.spawn(n)
     functions = []
-    ground = None
     for i, stream in enumerate(streams):
         f = build_test_function(kind, params, stream)
-        if ground is None:
-            ground = f.ground
-        elif f.ground != ground:
-            raise ConfigError("local functions must share the ground set",
-                              field="functions")
         f.label = f"{f.label}#{i + 1}"
         functions.append(f)
-    return LocalFamily(ground, functions, kind)
+    return LocalFamily(functions[0].ground, functions, kind)
 
 
 def family_from_config(cfg, n):

@@ -95,6 +95,19 @@ def test_sweep_rejects_a_t_list_out_of_order(tmp_path, capsys, T):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T, message", [
+    ("5:3", "T range '5:3' is empty"),
+    ("0:3", "consensus steps T must be >= 1"),  # RunConfig's rule
+])
+def test_sweep_rejects_an_empty_or_nonpositive_t_range(tmp_path, capsys, T,
+                                                       message):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", CONFIGS / "tradeoff.json",
+                   "--T", T, "--out", out) == 2
+    assert f"config error at 'T': {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_config_echoes_the_clamped_budget(tmp_path, capsys):
     path = write_config(tmp_path, K=9)  # exact_consensus has |V|=4
     assert run_cli("validate-config", "--config", path) == 0
@@ -116,6 +129,18 @@ def test_strict_psi_floor_is_enforced(tmp_path):
     base.update(psi=1000.0)
     path.write_text(json.dumps(base))
     assert run_cli("validate-config", "--config", path) == 0
+
+
+@pytest.mark.parametrize("psi", ["auto", 1.0])
+def test_overflowing_function_values_are_a_config_error(tmp_path, capsys, psi):
+    # f_i(V) = 1e308 + 1e308 overflows; the run used to fail its
+    # thresholding and blame psi
+    path = write_config(tmp_path, graph={"kind": "path", "n": 3},
+                        mixing="metropolis", K=2, T=4, psi=psi,
+                        functions={"kind": "modular", "weights": [1e308, 1e308]})
+    assert run_cli("validate-config", "--config", path) == 2
+    assert ("config error at 'functions': function values overflow: "
+            "max f_i(V) = inf" in capsys.readouterr().err)
 
 
 def test_missing_config_file(tmp_path):
@@ -275,6 +300,27 @@ def test_audit_fails_a_chosen_element_off_the_agreed_set(tmp_path, capsys):
                    "--out", tmp_path / "b.json") == 1
     assert ("[FAIL] candidate_agreement (round 2: chose element 8, but the "
             "lowest element of the agreed set is 3)") in capsys.readouterr().out
+
+
+def test_audit_fails_a_round_that_offers_an_earlier_pick(tmp_path, capsys,
+                                                         tradeoff_trace_lines):
+    # Round 1 offers element 1 again, with gain 0.0 for every agent and
+    # step, keeps it everywhere and picks it; the header carries the
+    # value of the selection (1, 1), so only the audit can object.
+    lines = list(tradeoff_trace_lines)
+    assert ",selected=1|2,value=4.0" in lines[1] and "chosen,1,4,,2,," in lines
+    lines[1] = lines[1].replace(",selected=1|2,value=4.0",
+                                ",selected=1|1,value=3.0")
+    lines = [re.sub(r"^(set,1,\d+,\d+,,,).*", r"\g<1>1|2|3|4", line)
+             .replace("chosen,1,4,,2,,", "chosen,1,4,,1,,") for line in lines]
+    lines += [f"x,1,{t},{i},1,0.0," for t in (0, 1) for i in (1, 2, 3)]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("analyze", "--trace", bad, "--config", CONFIGS / "tradeoff.json",
+                   "--out", tmp_path / "b.json") == 1
+    assert ("[FAIL] candidate_agreement (round 1: remaining elements are not "
+            "the ground set minus the earlier picks [1])") in capsys.readouterr().out
 
 
 def _drop_agent_1_at_t0(lines):

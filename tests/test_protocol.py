@@ -25,12 +25,14 @@ from distgreedy.errors import (
     MonotonicityError,
 )
 from distgreedy.graph import diameter, make_network
+from distgreedy.mixing import MixingMatrix, spectral_mu
 from distgreedy.protocol import (
     consensus_step,
     init_round,
     intersection_sources,
     intersection_step,
     select_and_append,
+    sweep,
     threshold_candidates,
 )
 
@@ -354,6 +356,30 @@ def test_config_rejects_mismatched_sizes():
         RunConfig(G, metropolis_weights(G), fam, K=1, T=1, psi=-0.5)
 
 
+def test_auto_psi_rejects_a_periodic_matrix_at_construction():
+    W = np.array([[0.0, 1.0], [1.0, 0.0]])
+    fam = local_family(2, "modular", params={"weights": [1, 2]})
+    with pytest.raises(ConfigError, match="contracting") as info:
+        RunConfig(generate("path", 2), MixingMatrix(W, spectral_mu(W)), fam,
+                  K=1, T=1)
+    assert info.value.field == "psi"
+
+
+def test_sweep_rejects_a_descending_t_list():
+    # Run alone, T=1 picks (2, 6, 3); fed after T=12, it used to reuse
+    # T=12's averaged gains and pick (2, 1, 3).
+    n = int(np.random.default_rng(3).integers(3, 7))
+    G = generate("erdos_renyi", n, seed=3, p=0.6)
+    fam = local_family(n, "facility_location", seed=3,
+                       params={"size": 8, "universe": 6})
+    cfg = RunConfig(G, metropolis_weights(G), fam, K=3, T=1)
+    assert run(RunConfig(G, metropolis_weights(G), fam, K=3, T=1,
+                         psi=2.0)).selected == (2, 6, 3)
+    with pytest.raises(ConfigError, match="strictly ascending") as info:
+        sweep(cfg, [12, 1], psi=2.0)
+    assert info.value.field == "T"
+
+
 def test_singleton_cap_rejected_for_pair_families():
     fam = local_family(3, "pair_supermodular", params={"size": 4}, seed=0)
     G = generate("path", 3)
@@ -368,7 +394,7 @@ def test_auto_psi_resolves_to_the_floor():
     M = metropolis_weights(G)
     cfg = RunConfig(G, M, fam, K=2, T=3)
     expected = 4.0 * np.sqrt(3) * M.mu ** 3 * fam.max_total
-    assert cfg.resolved_psi() == expected
+    assert cfg.trace_parameters(3, None)["psi"] == expected
     trace = run(cfg)
     assert trace.psi == expected
 
@@ -377,6 +403,7 @@ def test_singleton_cap_changes_auto_psi():
     fam = c4_family(3)
     G = generate("path", 3)
     M = metropolis_weights(G)
-    loose = RunConfig(G, M, fam, K=1, T=2).resolved_psi()
-    tight = RunConfig(G, M, fam, K=1, T=2, use_singleton_cap=True).resolved_psi()
+    loose = RunConfig(G, M, fam, K=1, T=2).trace_parameters(2, None)["psi"]
+    tight = RunConfig(G, M, fam, K=1, T=2,
+                      use_singleton_cap=True).trace_parameters(2, None)["psi"]
     assert tight == loose / 2  # singleton cap 3 vs total cap 6

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from distgreedy import (
     GroundSet,
+    LocalFamily,
     SetFunction,
     average_function,
     build_test_function,
@@ -315,6 +316,17 @@ def test_average_function_requires_shared_ground():
     g = build_test_function("modular", {"weights": [1, 2, 3]})
     with pytest.raises(ValueError):
         average_function([f, g])
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_local_family_requires_shared_ground(size):
+    # checked before any member is evaluated: on 3 elements f4 would
+    # evaluate fine, on 4 elements f3 would raise a plain ValueError
+    f3 = build_test_function("modular", {"weights": [1, 2, 3]})
+    f4 = build_test_function("modular", {"weights": [1, 2, 3, 4]})
+    with pytest.raises(ConfigError, match="share the ground set") as info:
+        LocalFamily(GroundSet(size), [f3, f4], "modular")
+    assert info.value.field == "functions"
 
 
 # --- batched oracle ------------------------------------------------------------
