@@ -8,6 +8,7 @@ diagnostics.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class ExperimentConfig:
                 raise ConfigError("psi must be 'auto' or a number", field="psi")
             self.psi = float(self.psi)
         self.seed = _require_int(raw.get("seed", 0), "seed")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", field="seed")
         self.neighbors_only_intersection = _require_bool(
             raw.get("neighbors_only_intersection", False),
             "neighbors_only_intersection")
@@ -65,8 +68,8 @@ class ExperimentConfig:
         if self.taus is not None:
             if (not isinstance(self.taus, list)
                     or any(not isinstance(t, (int, float)) or isinstance(t, bool)
-                           or t < 0 for t in self.taus)):
-                raise ConfigError("taus must be a list of nonnegative numbers",
+                           or not 0 <= t < math.inf for t in self.taus)):
+                raise ConfigError("taus must be a list of finite nonnegative numbers",
                                   field="taus")
             self.taus = [float(t) for t in self.taus]
 

@@ -68,8 +68,9 @@ def _check_averaging(T, psi):
     """The checks on T and psi that RunConfig and trace_parameters share."""
     if T < 1:
         raise ConfigError("consensus steps T must be >= 1", field="T")
-    if psi is not None and psi < 0:
-        raise ConfigError("threshold width psi must be >= 0", field="psi")
+    if psi is not None and not 0 <= psi < math.inf:
+        raise ConfigError(f"threshold width psi must be finite and >= 0, not {psi}",
+                          field="psi")
 
 
 class RunConfig:
@@ -97,8 +98,9 @@ class RunConfig:
         if K < 1:
             raise ConfigError("cardinality budget K must be >= 1", field="K")
         _check_averaging(T, psi)
-        if threshold_slack < 0:
-            raise ConfigError("threshold_slack must be >= 0", field="threshold_slack")
+        if not 0 <= threshold_slack < math.inf:
+            raise ConfigError(f"threshold_slack must be finite and >= 0, not "
+                              f"{threshold_slack}", field="threshold_slack")
         if use_singleton_cap and family.kind == "pair_supermodular":
             raise ConfigError(
                 "the singleton gain cap is only valid for diminishing-returns "
@@ -122,6 +124,7 @@ class RunConfig:
                               f"but mu={self.mu}", field="psi")
         self.diameter = diameter(network)
         self.sources = intersection_sources(network, include_self_in_intersection)
+        self.trace_parameters(self.T, self.psi)  # bounds that overflow fail here
 
     @property
     def value_cap(self):
@@ -136,15 +139,26 @@ class RunConfig:
     def trace_parameters(self, T, psi):
         """The TRACE_PARAMETERS of a run with T averaging steps and width
         psi, by name; psi=None is the floor at that T. The intersection
-        phase lasts exactly the diameter, so t_prime is derived."""
+        phase lasts exactly the diameter, so t_prime is derived. The
+        bounds that a trace derives from them must be finite, or its
+        files could not be written."""
         _check_averaging(T, psi)
         n, mu, cap = self.network.n, self.mu, self.value_cap
-        return {"n": n, "K": self.K, "T": T, "t_prime": T + 1 + self.diameter,
-                "diameter": self.diameter,
-                "psi": psi_min(n, mu, T, cap) if psi is None else float(psi),
-                "mu": mu, "value_cap": cap,
-                "include_self": self.include_self_in_intersection,
-                "threshold_slack": self.threshold_slack, "seed": self.seed}
+        parameters = {
+            "n": n, "K": self.K, "T": T, "t_prime": T + 1 + self.diameter,
+            "diameter": self.diameter,
+            "psi": psi_min(n, mu, T, cap) if psi is None else float(psi),
+            "mu": mu, "value_cap": cap,
+            "include_self": self.include_self_in_intersection,
+            "threshold_slack": self.threshold_slack, "seed": self.seed}
+        bounds = RunTrace((), (), 0.0, **parameters)
+        if bounds.contracting and not math.isfinite(
+                max(bounds.psi_floor, bounds.additive_gap)):
+            raise ConfigError(
+                f"bounds overflow at T={T}, psi={parameters['psi']}: psi floor "
+                f"4*epsilon(T) = {bounds.psi_floor}, additive gap "
+                f"K*(psi + 2*epsilon(T)) = {bounds.additive_gap}", field="psi")
+        return parameters
 
 
 class RoundRecord:

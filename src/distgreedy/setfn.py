@@ -534,7 +534,8 @@ class LocalFamily:
     max_total is the largest full-set value across agents; every marginal
     gain of every member is bounded by it. max_singleton is the largest
     single-element value, a tighter gain bound valid for functions with
-    diminishing returns. Both caps must be finite.
+    diminishing returns. Both caps must be finite, and so must n times
+    max_total, which bounds the sum that the average divides.
     """
 
     def __init__(self, ground, functions, kind):
@@ -550,10 +551,12 @@ class LocalFamily:
                                  for f in self.functions)
             self.max_singleton = max(float(f.extend_values(0, everything.T).max())
                                      for f in self.functions)
-        if not np.isfinite([self.max_total, self.max_singleton]).all():
+        total = self.n * self.max_total
+        if not np.isfinite([self.max_total, self.max_singleton, total]).all():
             raise ConfigError(
                 f"function values overflow: max f_i(V) = {self.max_total}, "
-                f"max f_i({{v}}) = {self.max_singleton}", field="functions")
+                f"max f_i({{v}}) = {self.max_singleton}, n * max f_i(V) = "
+                f"{total}", field="functions")
 
     @property
     def n(self):

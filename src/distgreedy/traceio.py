@@ -10,7 +10,9 @@ import csv
 import json
 import math
 import re
-from itertools import compress
+from contextlib import suppress
+from functools import partial
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -141,177 +143,100 @@ def _parse_meta(line):
     return parameters, selected, value
 
 
-READ_BLOCK = 1 << 16  # bytes of lines per read in read_trace_csv
-X_ROW = np.dtype([(key, np.int64) for key in ("round", "t", "agent", "element")]
+X_ROW = np.dtype([("record", "U2")]
+                 + [(key, np.int64) for key in ("round", "t", "agent", "element")]
                  + [("x", np.float64)])
 
 
-def _x_rows(lines):
-    """x lines parsed as X_ROW records."""
-    return np.loadtxt(lines, dtype=X_ROW, delimiter=",", comments=None,
-                      usecols=(1, 2, 3, 4, 5), ndmin=1)
+def _found(number, text):
+    """What an error message says was read at trace line `number`."""
+    if not text:
+        return f"the trace has no line {number}"
+    return f"trace line {number} is {text.rstrip()!r}"
 
 
-def _unreadable(lines):
-    """The first of `lines` that does not read as an x row, and why."""
-    for line in lines:
-        try:
-            _x_rows([line])
-        except ValueError as exc:
-            return line, exc
-
-
-class _XKeys:
-    """x-row keys packed into one int64 each, in (round, t, agent,
-    element) order: the block number (round*(T+1) + t)*n + agent-1
-    above `bits` low bits that hold the element."""
-
-    def __init__(self, K, T, n):
-        blocks = K * (T + 1) * n
-        if min(K, T + 1, n) < 1 or blocks.bit_length() > 40:
-            raise ConfigError(f"trace header sizes K={K}, T={T}, n={n} out "
-                              "of range")
-        self.K, self.T, self.n = K, T, n
-        self.bits = 63 - blocks.bit_length()
-
-    def block(self, rnd, t=0, agent=1):
-        """The smallest key of a (round, t, agent) block."""
-        return ((rnd * (self.T + 1) + t) * self.n + agent - 1) << self.bits
-
-    def pack(self, rows):
-        """Keys of parsed x rows, every field checked against its range."""
-        rnd, t, agent, element = (rows[key] for key in X_ROW.names[:4])
-        ok = ((0 <= rnd) & (rnd < self.K) & (0 <= t) & (t <= self.T)
-              & (1 <= agent) & (agent <= self.n)
-              & (1 <= element) & (element >> self.bits == 0))
-        if not ok.all():
-            self._out_of_range(*rows[ok.argmin()].tolist()[:4])
-        return self.block(rnd, t, agent) | element
-
-    def unpack(self, key):
-        block, element = divmod(int(key), 1 << self.bits)
-        block, agent = divmod(block, self.n)
-        return (*divmod(block, self.T + 1), agent + 1, element)
-
-    def _out_of_range(self, rnd, t, agent, element):
-        if not 0 <= rnd < self.K:
-            raise ConfigError(f"round {rnd}: gain rows outside rounds "
-                              f"0..{self.K - 1}")
-        if not 0 <= t <= self.T:
-            raise ConfigError(f"round {rnd}: gain rows for t={t}, outside "
-                              f"0..{self.T}")
-        if not 1 <= agent <= self.n:
-            raise ConfigError(f"round {rnd}, t={t}: gain rows for agent "
-                              f"{agent}, outside 1..{self.n}")
-        raise ConfigError(f"round {rnd}, t={t}: agent {agent} has a gain row "
-                          f"for element {element}, outside 1..2**{self.bits}-1")
-
-
-def _round_grid(k, keys, values, layout):
-    """`remaining` and `x_steps` of round k from its sorted, distinct
-    keys and their values; `x_steps` is a view of `values`.
-
-    The keys must form the full (t, agent, element) grid, every agent
-    at every step carrying the elements of agent 1 at t=0.
-    """
-    T, n = layout.T, layout.n
-    r = int(np.searchsorted(keys, layout.block(k, 0, 2)))
-    if not r:
-        raise ConfigError(f"round {k}, t=0: missing agent 1 gain rows")
-    remaining = keys[:r] & ((1 << layout.bits) - 1)
-    grid = (layout.block(k, np.arange(T + 1)[:, None, None],
-                         np.arange(1, n + 1)[:, None]) | remaining).ravel()
-    size = min(keys.size, grid.size)
-    wrong = keys[:size] != grid[:size]
-    if not wrong.any() and keys.size == grid.size:
-        return tuple(remaining.tolist()), values.reshape(T + 1, n, r)
-    # The first row off the grid lies in the earlier of the block it
-    # sits in and the block the grid expects there.
-    at = int(wrong.argmax()) if wrong.any() else size
-    blocks = [layout.unpack(keys[at])[1:3]] if at < keys.size else []
-    if at < grid.size:
-        blocks.append(layout.unpack(grid[at])[1:3])
-    t, i = min(blocks)
-    raise ConfigError(f"round {k}, t={t}: missing agent {i} gain rows")
-
-
-def _round_masks(k, steps, remaining, T, t_prime, n):
-    """candidate_masks of round k from its set rows: `steps` maps t to
-    {agent: (line number, candidate_set cell)}."""
-    if sorted(steps) != list(range(T + 1, t_prime + 1)):
-        raise ConfigError(f"round {k}: intersection steps are incomplete")
-    remaining = np.array(remaining)
-    masks = np.zeros((t_prime - T, n, remaining.size), dtype=bool)
-    for t in range(T + 1, t_prime + 1):
-        by_agent = steps[t]
-        for i in range(1, n + 1):
-            if i not in by_agent:
-                raise ConfigError(
-                    f"round {k}, t={t}: missing agent {i} candidate set")
-            number, cell = by_agent[i]
-            try:
-                elements = np.array([int(v) for v in cell.split("|") if v],
-                                    dtype=np.int64)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"trace line {number}: cannot read candidate "
-                                  f"set {cell!r} ({exc})") from None
-            columns = np.searchsorted(remaining, elements)
-            foreign = remaining[np.minimum(columns, remaining.size - 1)] != elements
-            if foreign.any():
-                raise ConfigError(
-                    f"trace line {number}: set row names element "
-                    f"{elements[foreign.argmax()]}, not one of round {k}'s "
-                    "remaining elements")
-            masks[t - T - 1, i - 1, columns] = True
-    masks.flags.writeable = False
-    return masks
-
-
-def _side_row(number, text, layout, sets, chosen):
-    """File a `set` row's cell in sets[round][t][agent], or a `chosen`
-    row's element in chosen[round]; the later row of a key wins."""
-    row = next(csv.reader([text]), [])
+def _x_rows(lines, number):
+    """x lines, the first at trace line `number`, parsed as X_ROW records."""
+    parse = partial(np.loadtxt, dtype=X_ROW, delimiter=",", comments=None,
+                    usecols=range(6), ndmin=1)
     try:
-        record, rnd, t = row[0], int(row[1]), int(row[2])
-        if record == "set":
-            agent = int(row[3])
-            cell = row[6]
-        elif record == "chosen":
-            element = int(row[4])
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"trace line {number}: cannot read row "
-                          f"{text.rstrip()!r} ({exc})") from None
-    if record not in ("set", "chosen"):
-        raise ConfigError(f"unknown record kind {record!r} in trace "
-                          f"(line {number})")
-    if not 0 <= rnd < layout.K:
-        raise ConfigError(f"trace line {number}: {record} row for round "
-                          f"{rnd}, outside 0..{layout.K - 1}")
-    if record == "chosen":
-        chosen[rnd] = element
-    elif not 1 <= agent <= layout.n:
-        raise ConfigError(f"trace line {number}: set row for agent {agent}, "
-                          f"outside 1..{layout.n}")
-    else:
-        sets.setdefault(rnd, {}).setdefault(t, {})[agent] = (number, cell)
+        return parse(lines) if lines else np.empty(0, X_ROW)
+    except ValueError:
+        for j, line in enumerate(lines):
+            try:
+                parse([line])
+            except ValueError as exc:
+                raise ConfigError(f"trace line {number + j}: cannot read x row "
+                                  f"{line.rstrip()!r} ({exc})") from None
+
+
+def _x_step(lines, after, number, k, t, remaining, n):
+    """Round k's (n, r) gains at step t from its x lines, the first at
+    trace line `number`; `after` is the line that follows them. Each row
+    must hold the round, step, agent and element of its place in the
+    writer's order."""
+    rows = _x_rows(lines, number)
+    r = remaining.size
+    agent, column = np.divmod(np.arange(rows.size), r)
+    wrong = ((rows["record"] != "x") | (rows["round"] != k) | (rows["t"] != t)
+             | (rows["agent"] != agent + 1) | (rows["element"] != remaining[column]))
+    j = int(wrong.argmax()) if wrong.any() else rows.size
+    if j < n * r:
+        raise ConfigError(
+            f"round {k}, t={t}: missing agent {j // r + 1} gain row for element "
+            f"{remaining[j % r]} "
+            f"({_found(number + j, lines[j] if j < len(lines) else after)})")
+    infinite = np.flatnonzero(~np.isfinite(rows["x"]))
+    if infinite.size:
+        j = infinite[0]
+        raise ConfigError(
+            f"trace line {number + j}: round {k}, t={t}: agent {j // r + 1} has "
+            f"a non-finite gain {rows['x'][j]} for element {remaining[j % r]}")
+    return rows["x"].reshape(n, r).copy()
+
+
+def _candidate_mask(text, number, k, t, i, columns):
+    """Agent i's candidate mask at step t of round k, from the set row
+    `text` at trace line `number`; `columns` maps each of the round's
+    remaining elements, as text, to its column."""
+    fields = text.rstrip("\n").split(",")
+    if fields[:4] != ["set", str(k), str(t), str(i)] or len(fields) != 7:
+        raise ConfigError(f"round {k}, t={t}: missing agent {i} candidate set "
+                          f"({_found(number, text)})")
+    mask = np.zeros(len(columns), dtype=bool)
+    try:
+        mask[[columns[v] for v in fields[6].split("|") if v]] = True
+    except KeyError as exc:
+        raise ConfigError(
+            f"trace line {number}: set row names element {exc.args[0]}, not "
+            f"one of round {k}'s remaining elements") from None
+    return mask
+
+
+def _chosen(text, number, k, t_prime):
+    """The element of round k's chosen row `text`, at trace line `number`."""
+    fields = text.rstrip("\n").split(",")
+    if fields[:3] == ["chosen", str(k), str(t_prime)] and len(fields) == 7:
+        with suppress(ValueError):
+            return int(fields[4])
+    raise ConfigError(f"round {k}: missing chosen row ({_found(number, text)})")
 
 
 def read_trace_csv(path):
     """Rebuild a RunTrace from its CSV form.
 
-    Rows may come in any order and with either line end; of two `x` or
-    `set` rows with the same key the later one counts. Each block of
-    `x` lines goes through numpy's C parser and a range check; the
-    reader then holds one packed int64 key and one float64 gain per x
-    row, and every round's x_steps is a read-only view of the gains.
-    The few `set` and `chosen` rows go through `csv`, and each set row
-    becomes a row of the round's candidate_masks. Deviations are
-    recomputed from the x rows; since floats round-trip exactly, the
+    The rows must come in the writer's order, with `\\n` or `\\r\\n` line
+    ends: each line is checked against the row that the order puts
+    there. Agent 1's t=0 `x` rows of a round name its remaining
+    elements, and fix how many `x` rows each later (t, agent) block
+    holds. The `x` lines of one averaging step go through numpy's C
+    parser as one block; then come the round's `set` rows, each one row
+    of its candidate_masks, and its `chosen` row. The reader holds the
+    gains plus one step's lines, and no array is sized from a header
+    number before the rows that fill it are read. Deviations are
+    recomputed from the gains; since floats round-trip exactly, the
     rebuilt trace audits identically to the original.
     """
-    keys, values = np.empty(0, np.int64), np.empty(0)
-    count = 0  # x rows read; keys and values grow in place ahead of it
-    sets, chosen = {}, {}  # see _side_row
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != TRACE_MAGIC:
@@ -320,63 +245,63 @@ def read_trace_csv(path):
         header = next(csv.reader([fh.readline()]), [])
         if header[:3] != ["record", "round", "t"]:
             raise ConfigError(f"unexpected trace columns {header}")
-        n, K, T, t_prime = (parameters[key] for key in ("n", "K", "T", "t_prime"))
-        layout = _XKeys(K, T, n)
-        start = 4
-        while chunk := fh.readlines(READ_BLOCK):
-            xs = [text for text in chunk if text.startswith("x,")]
-            if len(xs) < len(chunk):
-                for j, text in enumerate(chunk):
-                    if not text.startswith("x,"):
-                        _side_row(start + j, text, layout, sets, chosen)
-            if xs:
-                try:
-                    rows = _x_rows(xs)
-                except ValueError:
-                    line, exc = _unreadable(xs)
-                    raise ConfigError(
-                        f"trace line {start + chunk.index(line)}: cannot read "
-                        f"x row {line.rstrip()!r} ({exc})") from None
-                end = count + rows.size
-                if end > keys.size:
-                    size = max(end, keys.size * 5 // 4)
-                    for column in (keys, values):
-                        column.resize(size, refcheck=False)
-                keys[count:end] = layout.pack(rows)
-                values[count:end] = rows["x"]
-                count = end
-            start += len(chunk)
-
-    for column in (keys, values):
-        column.resize(count, refcheck=False)
-    if not (keys[1:] > keys[:-1]).all():
-        # sort, keeping the last row of equal keys, as v1's dict did
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        values = values[order]
-        del order
-        last = np.append(keys[1:] != keys[:-1], True)
-        keys = keys[last]
-        values = values[last]
-    values.flags.writeable = False
-    infinite = np.flatnonzero(~np.isfinite(values))
-    if infinite.size:
-        rnd, t, agent, element = layout.unpack(keys[infinite[0]])
-        raise ConfigError(
-            f"round {rnd}, t={t}: agent {agent} has a non-finite gain "
-            f"{values[infinite[0]]} for element {element}")
-    bounds = np.searchsorted(keys, layout.block(np.arange(K + 1))).tolist()
-    rounds = []
-    selected = ()
-    for k in range(K):
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo == hi or k not in chosen:
-            raise ConfigError(f"trace is missing round {k}")
-        remaining, x_steps = _round_grid(k, keys[lo:hi], values[lo:hi], layout)
-        masks = _round_masks(k, sets.pop(k, {}), remaining, T, t_prime, n)
-        selected = selected + (chosen[k],)
-        rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
-                                  masks, chosen[k], selected))
+        n, K, T, t_prime, d = (parameters[key] for key in
+                               ("n", "K", "T", "t_prime", "diameter"))
+        if min(n, K, T, d + 1) < 1 or t_prime != T + 1 + d:
+            raise ConfigError(
+                f"trace header sizes n={n}, K={K}, T={T}, diameter={d}, "
+                f"t_prime={t_prime} do not fit: n, K and T must be >= 1, "
+                "diameter >= 0 and t_prime = T + 1 + diameter")
+        number = 4  # the trace line that the next read starts at
+        rounds, selected = [], ()
+        for k in range(K):
+            lines = []  # agent 1's t=0 rows name the remaining elements
+            while (text := fh.readline()).startswith(f"x,{k},0,1,"):
+                lines.append(text)
+            if not lines:
+                raise ConfigError(f"round {k}, t=0: missing agent 1 gain rows "
+                                  f"({_found(number, text)})")
+            remaining = _x_rows(lines, number)["element"]
+            ascending = np.diff(remaining, prepend=0) > 0
+            if not ascending.all():
+                j = int(ascending.argmin())
+                raise ConfigError(
+                    f"round {k}, t=0: agent 1's elements do not ascend from 1 "
+                    f"({_found(number + j, lines[j])})")
+            r = remaining.size
+            # Read by line up to its first foreign row, step 0 bounds each
+            # later step, even under a header n above the recorded one.
+            while len(lines) < n * r and text.startswith(f"x,{k},0,"):
+                lines.append(text)
+                text = fh.readline()
+            rest = chain([text] if text else [], fh)
+            steps = []
+            for t in range(T + 1):
+                if t:
+                    lines, text = list(islice(rest, n * r)), ""
+                steps.append(_x_step(lines, text, number, k, t, remaining, n))
+                number += len(lines)
+            x_steps = np.stack(steps)
+            x_steps.flags.writeable = False
+            del steps, lines  # only the stacked gains outlive the round
+            columns = {str(v): j for j, v in enumerate(remaining.tolist())}
+            masks = []
+            for t in range(T + 1, t_prime + 1):
+                for i in range(1, n + 1):
+                    masks.append(_candidate_mask(fh.readline(), number, k, t, i,
+                                                 columns))
+                    number += 1
+            masks = np.array(masks).reshape(t_prime - T, n, r)
+            masks.flags.writeable = False
+            chosen = _chosen(fh.readline(), number, k, t_prime)
+            number += 1
+            selected += (chosen,)
+            rounds.append(RoundRecord(k, tuple(remaining.tolist()), x_steps,
+                                      step_deviations(x_steps), masks, chosen,
+                                      selected))
+        if text := fh.readline():
+            raise ConfigError(f"trace line {number}: row after the last round: "
+                              f"{text.rstrip()!r}")
 
     if declared != selected:
         raise ConfigError(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -141,6 +142,49 @@ def test_overflowing_function_values_are_a_config_error(tmp_path, capsys, psi):
     assert run_cli("validate-config", "--config", path) == 2
     assert ("config error at 'functions': function values overflow: "
             "max f_i(V) = inf" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("overrides, field, message", [
+    ({"psi": math.nan}, "psi", "threshold width psi must be finite and >= 0, not nan"),
+    ({"psi": math.inf}, "psi", "threshold width psi must be finite and >= 0, not inf"),
+    ({"threshold_slack": math.nan}, "threshold_slack",
+     "threshold_slack must be finite and >= 0, not nan"),
+    ({"threshold_slack": math.inf}, "threshold_slack",
+     "threshold_slack must be finite and >= 0, not inf"),
+    ({"taus": [math.nan, 0]}, "taus",
+     "taus must be a list of finite nonnegative numbers"),
+    ({"seed": -1}, "seed", "seed must be >= 0"),
+    # each agent's f(V) is finite, but the average sums them to inf
+    ({"functions": {"kind": "modular", "weights": [1e308, 1]}}, "functions",
+     "function values overflow: max f_i(V) = 1e+308, max f_i({v}) = 1e+308, "
+     "n * max f_i(V) = inf"),
+    ({"functions": {"kind": "modular", "weights": [2e307, 2e307]}, "T": 1},
+     "psi", "bounds overflow at T=1, psi=inf: psi floor 4*epsilon(T) = inf, "
+     "additive gap K*(psi + 2*epsilon(T)) = inf"),
+    ({"psi": 1e308}, "psi",
+     "bounds overflow at T=4, psi=1e+308: psi floor 4*epsilon(T) = "
+     "4.105601914237341, additive gap K*(psi + 2*epsilon(T)) = inf"),
+    # the gap is finite, but the psi floor 4*epsilon(T) is not
+    ({"functions": {"kind": "modular", "weights": [5e307, 1]}, "K": 1, "T": 1,
+      "psi": 1e300}, "psi",
+     "bounds overflow at T=1, psi=1e+300: psi floor 4*epsilon(T) = inf, "
+     "additive gap K*(psi + 2*epsilon(T)) = 1.1547005483792517e+308"),
+], ids=["psi_nan", "psi_inf", "slack_nan", "slack_inf", "taus_nan", "seed",
+        "average_sum", "auto_psi", "additive_gap", "psi_floor"])
+def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys,
+                                                        overrides, field, message):
+    # each used to pass validate-config, then fail the run, the
+    # perturbed baseline or the trace writer with exit 1
+    path = write_config(tmp_path, **{
+        "graph": {"kind": "path", "n": 3}, "mixing": "metropolis", "K": 2,
+        "T": 4, "psi": "auto", "functions": {"kind": "modular", "weights": [1, 2]},
+        **overrides})
+    for argv in (["validate-config"], ["baseline", "--which", "perturbed"],
+                 ["run", "--trace-out", tmp_path / "t.csv",
+                  "--summary-out", tmp_path / "s.json"]):
+        assert run_cli(*argv, "--config", path) == 2
+        assert f"config error at {field!r}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -313,7 +357,9 @@ def test_audit_fails_a_round_that_offers_an_earlier_pick(tmp_path, capsys,
                                 ",selected=1|1,value=3.0")
     lines = [re.sub(r"^(set,1,\d+,\d+,,,).*", r"\g<1>1|2|3|4", line)
              .replace("chosen,1,4,,2,,", "chosen,1,4,,1,,") for line in lines]
-    lines += [f"x,1,{t},{i},1,0.0," for t in (0, 1) for i in (1, 2, 3)]
+    for j in reversed([j for j, line in enumerate(lines)
+                       if re.match(r"x,1,\d+,\d+,2,", line)]):
+        lines.insert(j, re.sub(r"^(x,1,\d+,\d+,)2,.*", r"\g<1>1,0.0,", lines[j]))
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -364,11 +410,17 @@ def _meta_value_50(lines):
     return [lines[0], re.sub(r",value=.*", ",value=50.0", lines[1])] + lines[2:]
 
 
-def _meta_field(name, text):
+def _meta_fields(**texts):
     def tamper(lines):
-        line = re.sub(f",{name}=[^,]*,", f",{name}={text},", lines[1])
+        line = lines[1]
+        for name, text in texts.items():
+            line = re.sub(f",{name}=[^,]*,", f",{name}={text},", line)
         return [lines[0], line] + lines[2:]
     return tamper
+
+
+def _meta_field(name, text):
+    return _meta_fields(**{name: text})
 
 
 def _meta_value_inf(lines):
@@ -397,12 +449,11 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_x_value("inf"), "non-finite gain inf"),
     (_x_value("-1e999"), "non-finite gain -inf"),
     (_drop_first_set_row, "round 0, t=2: missing agent 1 candidate set"),
-    (_add_agent_4_row, "round 0, t=0: gain rows for agent 4, outside 1..3"),
+    (_add_agent_4_row, "trace line 66: row after the last round: 'x,0,0,4,1,1.0,'"),
     (_drop_meta_field, "malformed trace metadata line: KeyError('n')"),
-    (_append("x,7,0,1,1,1.0,"), "round 7: gain rows outside rounds 0..1"),
-    (_append("set,0,2,9,,,1"), "trace line 66: set row for agent 9, outside 1..3"),
-    (_append("chosen,9,3,,4,,"),
-     "trace line 66: chosen row for round 9, outside 0..1"),
+    (_append("x,7,0,1,1,1.0,"), "trace line 66: row after the last round"),
+    (_append("set,0,2,9,,,1"), "trace line 66: row after the last round"),
+    (_append("chosen,9,3,,4,,"), "trace line 66: row after the last round"),
     (_meta_value_50, "trace header value=50.0, but the config's average "
                      "function gives 4.0 for selection (1, 2)"),
     (_round_0_sets_add_99, "trace line 28: set row names element 99, not one "
@@ -418,10 +469,18 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_meta_field("mu", "nan"),
      "malformed trace metadata line: ValueError('mu=nan')"),
     (_meta_value_inf, "malformed trace metadata line: ValueError('value=inf')"),
+    # no list or array may be sized from these before the rows are read
+    (_meta_field("t_prime", "1000000000000"),
+     "trace header sizes n=3, K=2, T=1, diameter=2, t_prime=1000000000000 "
+     "do not fit"),
+    (_meta_fields(diameter="999999999997", t_prime="999999999999"),
+     "round 0, t=5: missing agent 1 candidate set (trace line 37 is "
+     "'chosen,0,4,,1,,')"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
         "no_set_row", "extra_agent", "no_n", "x_round_7", "set_agent_9",
         "chosen_round_9", "header_value", "set_element_99", "header_value_cap",
-        "header_mu", "header_psi", "header_mu_nan", "header_value_inf"])
+        "header_mu", "header_psi", "header_mu_nan", "header_value_inf",
+        "header_t_prime", "header_diameter"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from distgreedy import RunConfig, generate, local_family, metropolis_weights
 from distgreedy.config import build_run_config, load_experiment
-from distgreedy.errors import ProtocolError
+from distgreedy.errors import ConfigError, ProtocolError
 from distgreedy.graph import make_network
 from distgreedy.protocol import (TRACE_PARAMETERS, RoundRecord, RunTrace,
                                  step_deviations)
@@ -97,28 +97,29 @@ def written_lines(tmp_path, trace):
         return fh.read().splitlines(keepends=True)
 
 
-def test_reader_accepts_shuffled_x_rows(tmp_path):
-    trace = bundled_trace()
-    lines = written_lines(tmp_path, trace)
-    x_at = [j for j, line in enumerate(lines) if line.startswith("x,")]
-    shuffled = list(lines)
-    for j, k in zip(x_at, np.random.default_rng(3).permutation(x_at)):
-        shuffled[j] = lines[k]
-    (tmp_path / "s.csv").write_text("".join(shuffled), newline="")
-    assert_same_trace(read_trace_csv(tmp_path / "s.csv"), trace)
+def _swap_x_rows(lines, j):
+    return lines[:j] + [lines[j + 1], lines[j]] + lines[j + 2:]
 
 
-def test_reader_keeps_the_last_duplicate_x_row(tmp_path):
-    trace = bundled_trace()
-    lines = written_lines(tmp_path, trace)
-    j = next(j for j, line in enumerate(lines) if line.startswith("x,0,2,"))
-    _, _, t, agent, element, _, _ = lines[j].split(",")
-    lines.insert(len(lines) - 1, f"x,0,{t},{agent},{element},0.25,\r\n")
-    (tmp_path / "d.csv").write_text("".join(lines), newline="")
-    x = trace.rounds[0].x_steps.copy()
-    x[int(t), int(agent) - 1, trace.rounds[0].remaining.index(int(element))] = 0.25
-    expected = with_x_steps(trace, [x] + [rec.x_steps for rec in trace.rounds[1:]])
-    assert_same_trace(read_trace_csv(tmp_path / "d.csv"), expected)
+def _repeat_x_row(lines, j):
+    return lines[:j + 1] + lines[j:]
+
+
+def _move_x_row_to_end(lines, j):
+    return lines[:j] + lines[j + 1:] + [lines[j]]
+
+
+@pytest.mark.parametrize("reorder, offset", [
+    (_swap_x_rows, 0), (_repeat_x_row, 1), (_move_x_row_to_end, 0)])
+def test_reader_rejects_rows_out_of_the_written_order(tmp_path, reorder, offset):
+    # lines[j] is trace line j + 1; the first row out of place is named
+    lines = written_lines(tmp_path, bundled_trace())
+    j = next(j for j, line in enumerate(lines) if line.startswith("x,1,2,3,"))
+    (tmp_path / "o.csv").write_text("".join(reorder(lines, j)), newline="")
+    message = (rf"^round 1, t=2: missing agent 3 gain row .*"
+               rf"\(trace line {j + 1 + offset} is 'x,")
+    with pytest.raises(ConfigError, match=message):
+        read_trace_csv(tmp_path / "o.csv")
 
 
 def test_reader_accepts_lf_line_ends(tmp_path):
@@ -173,19 +174,48 @@ def test_candidate_masks_survive_run_and_round_trip(tmp_path_factory, config):
         assert np.array_equal(a.candidate_masks, b.candidate_masks)
 
 
-def test_reader_memory_scales_with_the_gains(tmp_path):
+@pytest.fixture(scope="module")
+def facility_trace(tmp_path_factory):
     # n=20, m=50, K=6, T=24: about 143k x rows, 1.1 MB of gains
     G = generate("erdos_renyi", 20, seed=3, p=0.3)
     fam = local_family(20, "facility_location",
                        params={"size": 50, "universe": 100}, seed=3)
+    path = tmp_path_factory.mktemp("facility") / "t.csv"
     write_trace_csv(run_protocol(RunConfig(G, metropolis_weights(G), fam,
-                                           K=6, T=24)), tmp_path / "t.csv")
+                                           K=6, T=24)), path)
+    return path
+
+
+def traced_peak(read, *args):
+    """read(*args) and the peak bytes that tracemalloc saw it allocate."""
     tracemalloc.start()
     try:
-        trace = read_trace_csv(tmp_path / "t.csv")
-        peak = tracemalloc.get_traced_memory()[1]
+        result = read(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reader_memory_scales_with_the_gains(facility_trace):
+    trace, peak = traced_peak(read_trace_csv, facility_trace)
     gains = sum(rec.x_steps.nbytes for rec in trace.rounds)
     assert gains >= 1e6
-    assert peak <= 4 * gains
+    assert peak <= 2.5 * gains
+
+
+def test_a_larger_header_n_fails_within_the_first_step(tmp_path, facility_trace):
+    # The header claims 10**6 agents. Step 0 ends after the 20 recorded
+    # ones, so the reader stops there: it holds about one step of text,
+    # far below the 1.1 MB of gains, and allocates nothing by the header.
+    doctored = tmp_path / "n.csv"
+    doctored.write_text(
+        facility_trace.read_text().replace("# n=20,", "# n=1000000,", 1))
+    message = (r"^round 0, t=0: missing agent 21 gain row for element 1 "
+               r"\(trace line 1004 is 'x,0,1,1,1,")
+
+    def read():
+        with pytest.raises(ConfigError, match=message):
+            read_trace_csv(doctored)
+
+    _, peak = traced_peak(read)
+    assert peak <= 0.3e6
