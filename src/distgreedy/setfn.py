@@ -11,16 +11,17 @@ diminishing returns by full enumeration, and the diminishing-returns
 ratio (1 exactly for submodular functions, smaller otherwise) by
 minimizing the defining quotient over all subset pairs.
 
-Two oracles evaluate a SetFunction. `value_mask` is the scalar
-reference: one bitmask, one memoized Python evaluation.
-`extend_values(base, rows)` is the batched primitive: f(base | row) for
-every row of a (C, j) array of elements, one numpy pass per block of
-rows for the corpus kinds and a loop over `value_mask` otherwise. Its
-contract is bit-identity: every value it returns equals `value_mask` on
-the same mask exactly, not up to rounding, so the protocol, the greedy
-baselines and the brute-force optimum pick the same elements whichever
-oracle computed their gains.
+Each SetFunction has one evaluator, `batch(base, rows)`: f(base | row)
+for every row of a (C, j) array of elements, one numpy pass per block of
+rows for the corpus kinds. Every value goes through it, by way of
+`extend_values`: round gains, greedy scans and brute-force chunks, but
+also single masks (`value_mask`, a scan of one empty row) and full
+tables (`table`, one scan of padded rows). A custom function given as a
+scalar map from one bitmask to a value enters through
+`SetFunction.from_scalar`.
 """
+
+import operator
 
 import numpy as np
 
@@ -30,6 +31,7 @@ STRUCTURE_CAP = 10
 # Working memory of one batched evaluator call; extend_values splits
 # larger row blocks.
 BATCH_BYTES = 1 << 22
+_EMPTY_ROW = np.empty((1, 0), dtype=np.intp)  # value_mask's one row
 
 FUNCTION_KINDS = (
     "coverage",
@@ -58,7 +60,7 @@ class GroundSet:
 
     def mask(self, subset):
         m = 0
-        for v in subset:
+        for v in map(operator.index, subset):
             if not 1 <= v <= self.size:
                 raise ValueError(f"element {v} outside ground set 1..{self.size}")
             m |= 1 << (v - 1)
@@ -78,44 +80,44 @@ class GroundSet:
 
 
 class SetFunction:
-    """Nonnegative set function with memoized bitmask evaluation.
+    """Nonnegative set function over a ground set, evaluated in batches.
 
-    `raw` maps a bitmask to a value; results are cached per mask, so the
-    exhaustive checkers pay for each subset once. Evaluation is pure;
-    the cache is a plain dict, whose item writes are atomic, so
-    concurrent readers at worst recompute a value.
-
-    `batch`, when given, is a vectorized evaluator batch(base, rows) ->
-    (C,) values with the same bits as `raw` on each mask, needing about
-    `row_bytes` of working memory per row; without it, extend_values
-    loops over value_mask.
+    `batch(base, rows)` maps a bitmask and a (C, j) int array of elements
+    to the (C,) values f(base | row), needing about `row_bytes` of
+    working memory per row. It is the only evaluator: extend_values runs
+    it in blocks and caches small scans, and value_mask and table are
+    scans. Evaluation is pure; the cache is a plain dict, whose item
+    writes are atomic, so concurrent readers at worst recompute a value.
     """
 
-    def __init__(self, ground, raw, label="", batch=None, row_bytes=8):
+    def __init__(self, ground, batch, label="", row_bytes=8):
         self.ground = ground
         self.label = label
-        self._raw = raw
-        self._memo = {}
-        self._scans = {}
         self._batch = batch
+        self._scans = {}
         self._rows_per_block = max(1, BATCH_BYTES // row_bytes)
 
+    @classmethod
+    def from_scalar(cls, ground, raw, label=""):
+        """A SetFunction whose batch evaluator calls `raw`, a map from one
+        bitmask to a value, once per row."""
+        def batch(base, rows):
+            return np.fromiter((raw(base | ground.mask(row)) for row in rows.tolist()),
+                               dtype=float, count=len(rows))
+        return cls(ground, batch, label)
+
     def value_mask(self, mask):
-        v = self._memo.get(mask)
-        if v is None:
-            v = float(self._raw(mask))
-            self._memo[mask] = v
-        return v
+        return float(self.extend_values(mask, _EMPTY_ROW)[0])
 
     def extend_values(self, base, rows):
         """f(base | row) for each row of a (C, j) int array of elements.
 
         `base` is a bitmask; a row may repeat elements or hold members of
-        base. Returns a read-only (C,) float64 array, bit-identical to
-        value_mask on each mask. A scan of at most m elements (a round's
-        gains, say) is cached per (base, rows), as value_mask caches per
-        mask; larger requests are evaluated afresh each time.
+        base. Returns a read-only (C,) float64 array. A scan of at most m
+        elements (a round's gains, or one mask's value) is cached per
+        (base, rows); larger requests are evaluated afresh each time.
         """
+        base = operator.index(base)
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 2:
             raise ValueError(f"rows must be a (C, j) array, got shape {rows.shape}")
@@ -127,14 +129,10 @@ class SetFunction:
                 return values
         if rows.size and (rows.min() < 1 or rows.max() > self.ground.size):
             raise ValueError(f"row element outside ground set 1..{self.ground.size}")
-        if self._batch is None:
-            values = np.array([self.value_mask(base | self.ground.mask(row))
-                               for row in rows.tolist()], dtype=float)
-        else:
-            values = np.empty(len(rows))
-            step = self._rows_per_block
-            for s in range(0, len(rows), step):
-                values[s:s + step] = self._batch(base, rows[s:s + step])
+        values = np.empty(len(rows))
+        step = self._rows_per_block
+        for s in range(0, len(rows), step):
+            values[s:s + step] = self._batch(base, rows[s:s + step])
         values.flags.writeable = False
         if key is not None:
             self._scans[key] = values
@@ -147,8 +145,15 @@ class SetFunction:
         return self.value(subset)
 
     def table(self):
-        """All 2^m values as an array indexed by bitmask."""
-        return np.array([self.value_mask(m) for m in range(1 << self.ground.size)])
+        """All 2^m values as an array indexed by bitmask.
+
+        One scan: the row of each nonempty mask lists its elements,
+        padded by repeating its lowest element.
+        """
+        m = self.ground.size
+        bits = np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1
+        rows = np.where(bits, np.arange(1, m + 1), bits.argmax(axis=1)[:, None] + 1)
+        return np.concatenate([[self.value_mask(0)], self.extend_values(0, rows)])
 
     def __repr__(self):
         return f"SetFunction({self.label or 'anonymous'}, m={self.ground.size})"
@@ -183,6 +188,7 @@ def marginal_gain(f, v, subset):
     v must not already be in the subset. Nonnegative for monotone f.
     """
     mask = f.ground.mask(subset)
+    v = operator.index(v)
     if not 1 <= v <= f.ground.size:
         raise ValueError(f"element {v} outside ground set 1..{f.ground.size}")
     bit = 1 << (v - 1)
@@ -292,26 +298,6 @@ def check_structure(f, cap=STRUCTURE_CAP):
 # Test-function corpus
 
 
-def _union(member_masks, mask):
-    """Union of the member masks of the elements in `mask`."""
-    union = 0
-    while mask:
-        low = mask & -mask
-        union |= member_masks[low.bit_length() - 1]
-        mask ^= low
-    return union
-
-
-def _weight_sum(weights, mask):
-    """Sum of the weights of the set bits of `mask`, lowest bit first."""
-    total = 0.0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
 def _bits(mask):
     """Indices of the set bits of `mask`, ascending."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -351,17 +337,8 @@ def _covered(packed, universe, base, rows):
 
 def _masked_sum(weights, mask):
     """Sum of the weights where `mask` holds, lowest index first in each
-    row, as _weight_sum adds them (adding 0.0 leaves a float unchanged)."""
+    row, as a loop from 0.0 adds them (adding 0.0 leaves a float unchanged)."""
     return np.where(mask, weights, 0.0).cumsum(axis=1)[:, -1]
-
-
-def _facility_raw(weight_matrix):
-    def raw(mask):
-        if mask == 0:
-            return 0.0
-        cols = [i for i in range(weight_matrix.shape[1]) if mask >> i & 1]
-        return float(weight_matrix[:, cols].max(axis=1).sum())
-    return raw
 
 
 def _universe_masks(sets, universe):
@@ -431,10 +408,9 @@ def build_test_function(kind, params=None, seed=0):
         packed = _packed_rows(masks, universe)
         ground = GroundSet(len(sets))
         return SetFunction(
-            ground, lambda mask: _union(masks, mask).bit_count(), label="coverage",
-            batch=lambda base, rows: _covered(packed, universe, base, rows).sum(
+            ground, lambda base, rows: _covered(packed, universe, base, rows).sum(
                 axis=1).astype(float),
-            row_bytes=universe + 2 * packed.shape[1] + 16)
+            label="coverage", row_bytes=universe + 2 * packed.shape[1] + 16)
 
     if kind == "weighted_coverage":
         sets, universe = _coverage_sets(kind, params, rng)
@@ -449,14 +425,11 @@ def build_test_function(kind, params=None, seed=0):
         masks = _universe_masks(sets, universe)
         packed = _packed_rows(masks, universe)
         ground = GroundSet(len(sets))
-        item_weights = list(map(float, weights))
-        w = np.array(item_weights)
+        w = np.array(list(map(float, weights)))
         return SetFunction(
-            ground, lambda mask: _weight_sum(item_weights, _union(masks, mask)),
-            label="weighted_coverage",
-            batch=lambda base, rows: _masked_sum(
+            ground, lambda base, rows: _masked_sum(
                 w, _covered(packed, universe, base, rows)),
-            row_bytes=17 * universe + 2 * packed.shape[1])
+            label="weighted_coverage", row_bytes=17 * universe + 2 * packed.shape[1])
 
     if kind == "facility_location":
         weights = params.get("weights")
@@ -477,9 +450,8 @@ def build_test_function(kind, params=None, seed=0):
         ground = GroundSet(mat.shape[1])
         sites = np.ascontiguousarray(mat.T)  # one row per element; the only copy kept
         return SetFunction(
-            ground, _facility_raw(sites.T), label="facility_location",
-            batch=lambda base, rows: _fold(sites, np.maximum, base, rows).sum(axis=1),
-            row_bytes=16 * mat.shape[0])
+            ground, lambda base, rows: _fold(sites, np.maximum, base, rows).sum(axis=1),
+            label="facility_location", row_bytes=16 * mat.shape[0])
 
     if kind == "modular":
         weights = params.get("weights")
@@ -491,12 +463,10 @@ def build_test_function(kind, params=None, seed=0):
         if any(w < 0 for w in weights):
             raise ConfigError("modular weights must be nonnegative", field="weights")
         ground = GroundSet(len(weights))
-        element_weights = list(map(float, weights))
-        w = np.array(element_weights)
+        w = np.array(list(map(float, weights)))
         return SetFunction(
-            ground, lambda mask: _weight_sum(element_weights, mask), label="modular",
-            batch=lambda base, rows: _masked_sum(w, _selection(len(w), base, rows)),
-            row_bytes=17 * len(w))
+            ground, lambda base, rows: _masked_sum(w, _selection(len(w), base, rows)),
+            label="modular", row_bytes=17 * len(w))
 
     if kind == "pair_supermodular":
         size = int(params.get("size", 3))
@@ -513,16 +483,13 @@ def build_test_function(kind, params=None, seed=0):
         pair = tuple(int(v) for v in pair)
         if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= size for v in pair):
             raise ConfigError(f"invalid designated pair {pair}", field="pair")
-        pair_mask = (1 << (pair[0] - 1)) | (1 << (pair[1] - 1))
         pair_cols = [pair[0] - 1, pair[1] - 1]
         level_array = np.array(levels)
         ground = GroundSet(size)
         return SetFunction(
-            ground, lambda mask: levels[(mask & pair_mask).bit_count()],
-            label=f"pair_supermodular{pair}",
-            batch=lambda base, rows: level_array[
+            ground, lambda base, rows: level_array[
                 _selection(size, base, rows)[:, pair_cols].sum(axis=1)],
-            row_bytes=size + 16)
+            label=f"pair_supermodular{pair}", row_bytes=size + 16)
 
     raise ConfigError(f"unknown function kind {kind!r}; expected one of "
                       f"{', '.join(FUNCTION_KINDS)}", field="kind")
@@ -576,21 +543,13 @@ def average_function(functions):
             raise ValueError("functions live on different ground sets")
     members = list(functions)
 
-    # Both oracles add the members' values in member order from 0.0, then
-    # divide once, so their results carry the same bits.
-    def raw(mask):
-        total = 0.0
-        for f in members:
-            total += f.value_mask(mask)
-        return total / len(members)
-
     def batch(base, rows):
         total = 0.0
         for f in members:
             total = total + f.extend_values(base, rows)
         return total / len(members)
 
-    return SetFunction(ground, raw, label="average", batch=batch, row_bytes=24)
+    return SetFunction(ground, batch, label="average", row_bytes=24)
 
 
 def family_from_functions(functions, kind="custom"):
@@ -644,6 +603,9 @@ def family_from_config(cfg, n):
                               field=f"functions.{key}")
     if "kind" not in cfg:
         raise ConfigError("functions spec needs 'kind'", field="functions.kind")
+    identical = cfg.get("identical", False)
+    if not isinstance(identical, bool):
+        raise ConfigError("identical must be a boolean", field="functions.identical")
     params = {k: v for k, v in cfg.items() if k not in ("kind", "seed", "identical")}
     return local_family(n, cfg["kind"], seed=cfg.get("seed", 0), params=params,
-                        identical=bool(cfg.get("identical", False)))
+                        identical=identical)

@@ -12,7 +12,7 @@ import math
 import re
 from contextlib import suppress
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, takewhile
 
 import numpy as np
 
@@ -174,12 +174,13 @@ def _x_step(lines, after, number, k, t, remaining, n):
     """Round k's (n, r) gains at step t from its x lines, the first at
     trace line `number`; `after` is the line that follows them. Each row
     must hold the round, step, agent and element of its place in the
-    writer's order."""
-    rows = _x_rows(lines, number)
+    writer's order; lines from the first that is not an x row are
+    missing rows, not x rows to parse."""
+    rows = _x_rows(list(takewhile(lambda line: line.startswith("x,"), lines)), number)
     r = remaining.size
     agent, column = np.divmod(np.arange(rows.size), r)
-    wrong = ((rows["record"] != "x") | (rows["round"] != k) | (rows["t"] != t)
-             | (rows["agent"] != agent + 1) | (rows["element"] != remaining[column]))
+    wrong = ((rows["round"] != k) | (rows["t"] != t) | (rows["agent"] != agent + 1)
+             | (rows["element"] != remaining[column]))
     j = int(wrong.argmax()) if wrong.any() else rows.size
     if j < n * r:
         raise ConfigError(

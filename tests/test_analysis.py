@@ -366,7 +366,7 @@ def test_sweep_raises_the_error_of_the_smallest_failing_t(penalty_13, message):
     def value(mask):
         e1, e2, e3 = mask & 1, mask >> 1 & 1, mask >> 2 & 1
         return float(e1 + 5 * e2 + e3 - 2 * (e2 & e3) - penalty_13 * (e1 & e3))
-    f = SetFunction(GroundSet(3), value, label="pair_penalty")
+    f = SetFunction.from_scalar(GroundSet(3), value, label="pair_penalty")
     G = generate("path", 3)
     config = RunConfig(G, metropolis_weights(G), family_from_functions([f] * 3),
                        K=2, T=1)

@@ -476,11 +476,14 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_meta_fields(diameter="999999999997", t_prime="999999999999"),
      "round 0, t=5: missing agent 1 candidate set (trace line 37 is "
      "'chosen,0,4,,1,,')"),
+    (_meta_fields(T="2", t_prime="5"),
+     "round 0, t=2: missing agent 1 gain row for element 1 (trace line 28 is "
+     "'set,0,2,1,,,"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
         "no_set_row", "extra_agent", "no_n", "x_round_7", "set_agent_9",
         "chosen_round_9", "header_value", "set_element_99", "header_value_cap",
         "header_mu", "header_psi", "header_mu_nan", "header_value_inf",
-        "header_t_prime", "header_diameter"])
+        "header_t_prime", "header_diameter", "header_T"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"
@@ -534,12 +537,14 @@ def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
      "functions"),
     ({"functions": {"kind": "facility_location", "weights": [[1, 2], [3]]}},
      None, "functions"),
+    ({"functions": {"kind": "coverage", "size": 4, "universe": 6,
+                    "identical": "false"}}, None, "functions.identical"),
     ({}, "missing", "mixing.custom_csv"),
     ({}, "0.5,x\n0.5,0.5\n", "mixing.custom_csv"),
     ({}, "0.5,0.5\n0.5\n", "mixing.custom_csv"),
     ({"mixing": {"custom_csv": None}}, None, "mixing.custom_csv"),
 ], ids=["graph_n", "graph_p", "graph_unconnectable", "size", "sets", "weights", "ragged_weights",
-        "csv_missing", "csv_cell", "csv_ragged", "csv_null"])
+        "identical", "csv_missing", "csv_cell", "csv_ragged", "csv_null"])
 def test_malformed_spec_value_is_a_config_error(tmp_path, capsys, overrides,
                                                 matrix, field):
     if matrix is not None:

@@ -76,8 +76,8 @@ def test_initial_gains_modular_all_ones():
 
 def test_non_monotone_input_is_rejected():
     from distgreedy.setfn import family_from_functions
-    bad = SetFunction(GroundSet(3), lambda mask: -float(mask.bit_count()),
-                      label="bad")
+    bad = SetFunction.from_scalar(GroundSet(3), lambda mask: -float(mask.bit_count()),
+                                  label="bad")
     with pytest.raises(MonotonicityError, match="agent 1: .* element 1;"):
         init_round(family_from_functions([bad]), ())
 

@@ -63,6 +63,17 @@ def test_marginal_gain_rejects_foreign_element():
         marginal_gain(c4(), 9, [])
 
 
+def test_numpy_integer_elements_are_elements():
+    # a bit shift on an np.int64 element wraps at 64
+    f = build_test_function("coverage", {"size": 80, "universe": 100}, seed=1)
+    assert f(np.array([3, 70])) == f([3, 70]) == 87.0
+    assert f.value_mask(np.int64(1 << 2 | 1 << 59)) == f([3, 60])
+    with pytest.raises(ValueError, match="already in"):
+        marginal_gain(f, np.int64(70), [np.int64(70)])
+    with pytest.raises(TypeError):
+        marginal_gain(f, 2.0, [])
+
+
 # --- exhaustive structure checks ------------------------------------------
 
 def test_coverage_is_submodular_with_ratio_one():
@@ -84,7 +95,7 @@ def test_pair_function_ratio_two_thirds():
 
 def test_zero_function_has_vacuous_ratio():
     ground = GroundSet(4)
-    zero = SetFunction(ground, lambda mask: 0.0, label="zero")
+    zero = SetFunction.from_scalar(ground, lambda mask: 0.0, label="zero")
     rep = check_structure(zero)
     assert rep.is_monotone
     assert rep.is_submodular
@@ -210,7 +221,7 @@ def test_memoization_is_invisible():
         calls["n"] += 1
         return float(mask.bit_count())
 
-    f = SetFunction(GroundSet(4), raw)
+    f = SetFunction.from_scalar(GroundSet(4), raw)
     first = [f.value_mask(m) for m in range(16)]
     count = calls["n"]
     second = [f.value_mask(m) for m in range(16)]
@@ -331,12 +342,6 @@ def test_local_family_requires_shared_ground(size):
 
 # --- batched oracle ------------------------------------------------------------
 
-def scalar_extensions(f, base, rows):
-    """The reference: value_mask on base | row, one row at a time."""
-    return np.array([f.value_mask(base | f.ground.mask(row)) for row in rows.tolist()],
-                    dtype=float)
-
-
 def explicit_params(kind, m, rng):
     """Explicit data for `kind` on m elements; weights are multiples of 0.1,
     so sums round and the summation order shows."""
@@ -361,21 +366,49 @@ def explicit_params(kind, m, rng):
     return {"size": m, "pair": pair, "g": [0.0] + sorted(tenths(2).tolist())}
 
 
+def literal_value(kind, params, elements):
+    """The value of `kind` on the set `elements`, from the definition and
+    the explicit data; sums go from 0.0 in ascending order."""
+    chosen = sorted(set(elements))
+    if kind == "facility_location":
+        cols = [v - 1 for v in chosen]
+        return float(np.array(params["weights"])[:, cols].max(axis=1).sum()) if cols else 0.0
+    if kind == "pair_supermodular":
+        return float(params["g"][len(set(params["pair"]) & set(chosen))])
+    if kind == "modular":
+        items, weights = chosen, params["weights"]
+    else:
+        items = sorted(set().union(*(params["sets"][v - 1] for v in chosen)))
+        if kind == "coverage":
+            return float(len(items))
+        weights = params["weights"]
+    total = 0.0
+    for u in items:  # not sum(), which compensates on Python 3.12+
+        total += weights[u - 1]
+    return total
+
+
+@st.composite
+def explicit_functions(draw, m):
+    """A corpus function with explicit data, with its kind and data."""
+    kind = draw(st.sampled_from(FUNCTION_KINDS))
+    params = explicit_params(kind, m, np.random.default_rng(
+        draw(st.integers(0, 2 ** 32 - 1))))
+    return build_test_function(kind, params), kind, params
+
+
 @st.composite
 def corpus_functions(draw, m):
-    kind = draw(st.sampled_from(FUNCTION_KINDS))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
     if draw(st.booleans()):
-        params = {"size": m, "universe": draw(st.integers(1, 300))}
-    else:
-        params = explicit_params(kind, m, np.random.default_rng(seed))
-    return build_test_function(kind, params, seed=seed)
+        return draw(explicit_functions(m))[0]
+    return build_test_function(draw(st.sampled_from(FUNCTION_KINDS)),
+                               {"size": m, "universe": draw(st.integers(1, 300))},
+                               seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
-def custom_function(m):
-    """A monotone function with irrational values and no batched evaluator."""
-    return SetFunction(GroundSet(m), lambda mask: float(mask.bit_count()) ** 0.5 +
-                       float(mask & 0b101 != 0) / 3.0, label="custom")
+def custom_raw(mask):
+    """A monotone function with irrational values."""
+    return float(mask.bit_count()) ** 0.5 + float(mask & 0b101 != 0) / 3.0
 
 
 @st.composite
@@ -387,37 +420,59 @@ def extensions(draw, m):
     return draw(st.integers(0, (1 << m) - 1)), rows
 
 
+def reference_values(f, base, rows, value):
+    """value(mask) of each mask base | row, one row at a time."""
+    return np.array([value(base | f.ground.mask(row)) for row in rows.tolist()],
+                    dtype=float)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), m=st.integers(2, 12))
-def test_extend_values_is_bit_identical_to_value_mask(data, m):
-    f = data.draw(corpus_functions(m))
+def test_extend_values_matches_the_literal_definitions(data, m):
+    f, kind, params = data.draw(explicit_functions(m))
     for _ in range(3):
         base, rows = data.draw(extensions(m))
-        assert np.array_equal(f.extend_values(base, rows),
-                              scalar_extensions(f, base, rows))
+        assert np.array_equal(f.extend_values(base, rows), reference_values(
+            f, base, rows, lambda mask: literal_value(kind, params, f.ground.unmask(mask))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(2, 8))
+def test_table_matches_the_literal_definitions(data, m):
+    f, kind, params = data.draw(explicit_functions(m))
+    assert np.array_equal(f.table(), [literal_value(kind, params, s)
+                                      for s in all_subsets(m)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), m=st.integers(2, 10))
 def test_average_and_custom_extend_values_are_bit_identical(data, m):
     members = data.draw(st.lists(corpus_functions(m), min_size=1, max_size=4))
-    members += [custom_function(m), members[0]]  # a fallback and a repeat
-    for f in (members[-2], average_function(members)):
+    custom = SetFunction.from_scalar(GroundSet(m), custom_raw, label="custom")
+    members += [custom, members[0]]  # a scalar function and a repeat
+
+    def mean(mask):  # member order from 0.0, then one division
+        total = 0.0
+        for f in members:
+            total += f.value_mask(mask)
+        return total / len(members)
+
+    for f, value in ((custom, custom_raw), (average_function(members), mean)):
         base, rows = data.draw(extensions(m))
         assert np.array_equal(f.extend_values(base, rows),
-                              scalar_extensions(f, base, rows))
+                              reference_values(f, base, rows, value))
 
 
 def test_extend_values_is_exact_across_row_blocks():
     rng = np.random.default_rng(8)
     universe = 400
-    f = build_test_function(
-        "facility_location", {"weights": (rng.integers(0, 1000, size=(universe, 30))
-                                          * 0.1).tolist()})
+    params = {"weights": (rng.integers(0, 1000, size=(universe, 30)) * 0.1).tolist()}
+    f = build_test_function("facility_location", params)
     rows = np.array(list(itertools.combinations(range(1, 31), 3)))
     assert len(rows) * 16 * universe > 2 * BATCH_BYTES  # several blocks
-    assert np.array_equal(f.extend_values(0b1001, rows),
-                          scalar_extensions(f, 0b1001, rows))
+    assert np.array_equal(f.extend_values(0b1001, rows), reference_values(
+        f, 0b1001, rows,
+        lambda mask: literal_value("facility_location", params, f.ground.unmask(mask))))
 
 
 def test_small_scans_are_cached_read_only():
