@@ -7,16 +7,18 @@ tight and the associated tests vacuous.
 """
 
 import math
-from itertools import combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import CapExceededError
+from .setfn import BATCH_BYTES
 
 OPTIMUM_CAP = 10 ** 6
-# Size of the (C, K) element array of one brute-force chunk; the set
-# function bounds its own working memory per call.
-CHUNK_BYTES = 1 << 21
+# Size of the (C, K) element array of one brute-force chunk: an eighth of
+# the evaluator budget, so that the chunk, its values and their
+# evaluation stay within 2 * BATCH_BYTES.
+CHUNK_BYTES = BATCH_BYTES // 8
 
 
 class GreedyResult:
@@ -102,8 +104,8 @@ def brute_force_optimum(f, K):
     For a monotone function the maximum is attained at full size, so
     only size-K subsets are enumerated, in lexicographic order; ties
     keep the first (lexicographically smallest) maximizer. The subsets
-    are evaluated in chunks of consecutive combinations, one batched
-    call per chunk.
+    are streamed, in chunks of consecutive combinations, straight into
+    (C, K) arrays, one batched call per chunk.
     """
     m = f.ground.size
     K = min(K, m)
@@ -112,18 +114,21 @@ def brute_force_optimum(f, K):
         raise CapExceededError(
             f"C({m},{K}) = {count} subsets exceeds the enumeration cap "
             f"{OPTIMUM_CAP}")
-    combos = combinations(range(1, m + 1), K)
-    chunk = max(1, CHUNK_BYTES // (8 * max(K, 1)))
+    if K == 0:
+        return (), f.value_mask(0)
+    elements = chain.from_iterable(combinations(range(1, m + 1), K))
+    chunk = max(1, CHUNK_BYTES // (8 * K))
     best_set = None
     best_val = -np.inf
-    while batch := list(islice(combos, chunk)):
-        rows = np.array(batch, dtype=np.intp).reshape(len(batch), K)
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        rows = np.fromiter(elements, dtype=np.intp, count=size * K).reshape(size, K)
         values = f.extend_values(0, rows)
         j = int(np.argmax(values))
         if values[j] > best_val:  # strict: an earlier chunk keeps a tie
             best_val = float(values[j])
-            best_set = batch[j]
-    return best_set, float(best_val)
+            best_set = tuple(rows[j].tolist())
+    return best_set, best_val
 
 
 def max_marginal(f, selected):

@@ -28,9 +28,10 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 
 STRUCTURE_CAP = 10
-# Working memory of one batched evaluator call; extend_values splits
-# larger row blocks.
-BATCH_BYTES = 1 << 22
+# Working memory of one batched evaluator call, sized to stay in cache:
+# extend_values splits a request into blocks of BATCH_BYTES // row_bytes
+# rows, row_bytes being the function's working set per row.
+BATCH_BYTES = 1 << 18
 _EMPTY_ROW = np.empty((1, 0), dtype=np.intp)  # value_mask's one row
 
 FUNCTION_KINDS = (
@@ -83,11 +84,13 @@ class SetFunction:
     """Nonnegative set function over a ground set, evaluated in batches.
 
     `batch(base, rows)` maps a bitmask and a (C, j) int array of elements
-    to the (C,) values f(base | row), needing about `row_bytes` of
-    working memory per row. It is the only evaluator: extend_values runs
-    it in blocks and caches small scans, and value_mask and table are
-    scans. Evaluation is pure; the cache is a plain dict, whose item
-    writes are atomic, so concurrent readers at worst recompute a value.
+    to the (C,) values f(base | row). `row_bytes` is its working memory
+    per row in the dtype of its tables, temporaries and the value
+    included but not the rows, which are the caller's; extend_values
+    runs it on blocks of BATCH_BYTES // row_bytes rows, and caches small
+    scans. It is the only evaluator: value_mask and table are scans.
+    Evaluation is pure; the cache is a plain dict, whose item writes are
+    atomic, so concurrent readers at worst recompute a value.
     """
 
     def __init__(self, ground, batch, label="", row_bytes=8):
@@ -123,7 +126,7 @@ class SetFunction:
             raise ValueError(f"rows must be a (C, j) array, got shape {rows.shape}")
         key = None
         if rows.size <= self.ground.size:
-            key = (base, rows.shape, rows.tobytes())
+            key = (base, len(rows), rows.tobytes())  # the bytes fix the width
             values = self._scans.get(key)
             if values is not None:
                 return values
@@ -304,10 +307,13 @@ def _bits(mask):
 
 
 def _selection(size, base, rows):
-    """(C, size) bool matrix: row c marks the elements of base | rows[c]."""
+    """(C, size) bool matrix: row c marks the elements of base | rows[c],
+    marked a column of `rows` at a time so that the temporaries are (C,)."""
     sel = np.zeros((len(rows), size), dtype=bool)
     sel[:, _bits(base)] = True
-    sel[np.arange(len(rows))[:, None], rows - 1] = True
+    every = np.arange(len(rows))
+    for col in rows.T:
+        sel[every, col - 1] = True
     return sel
 
 
@@ -336,9 +342,30 @@ def _covered(packed, universe, base, rows):
 
 
 def _masked_sum(weights, mask):
-    """Sum of the weights where `mask` holds, lowest index first in each
-    row, as a loop from 0.0 adds them (adding 0.0 leaves a float unchanged)."""
-    return np.where(mask, weights, 0.0).cumsum(axis=1)[:, -1]
+    """Sum of the weights where the (C, U) bool `mask` holds, lowest index
+    first in each row, as a loop from 0.0 adds them (adding 0.0 leaves a
+    float unchanged). The rows go in slices whose two (rows, U) float
+    temporaries fit in BATCH_BYTES // 2, a fixed cost outside row_bytes."""
+    step = max(1, BATCH_BYTES // (32 * mask.shape[1]))
+    total = np.empty(len(mask))
+    for s in range(0, len(mask), step):
+        part = np.where(mask[s:s + step], weights, 0.0)
+        total[s:s + step] = part.cumsum(axis=1)[:, -1]
+    return total
+
+
+def _checked_weights(weights, what, shape):
+    """`weights` as a float array of the named shape, a "list" or else a
+    matrix, each entry finite and nonnegative."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != (1 if shape == "list" else 2) or not w.size:
+        raise ConfigError(f"{what} must be a nonempty {shape}", field="weights")
+    bad = np.argwhere(~(np.isfinite(w) & (w >= 0)))
+    if len(bad):
+        at = "".join(f"[{i}]" for i in bad[0])
+        raise ConfigError(f"{what} must be finite and nonnegative: weights{at} = "
+                          f"{w[tuple(bad[0])]}", field="weights")
+    return w
 
 
 def _universe_masks(sets, universe):
@@ -420,16 +447,14 @@ def build_test_function(kind, params=None, seed=0):
         if len(weights) != universe:
             raise ConfigError(
                 f"need {universe} item weights, got {len(weights)}", field="weights")
-        if any(w < 0 for w in weights):
-            raise ConfigError("item weights must be nonnegative", field="weights")
+        w = _checked_weights(weights, "item weights", "list")
         masks = _universe_masks(sets, universe)
         packed = _packed_rows(masks, universe)
         ground = GroundSet(len(sets))
-        w = np.array(list(map(float, weights)))
         return SetFunction(
             ground, lambda base, rows: _masked_sum(
                 w, _covered(packed, universe, base, rows)),
-            label="weighted_coverage", row_bytes=17 * universe + 2 * packed.shape[1])
+            label="weighted_coverage", row_bytes=universe + 2 * packed.shape[1] + 16)
 
     if kind == "facility_location":
         weights = params.get("weights")
@@ -441,17 +466,16 @@ def build_test_function(kind, params=None, seed=0):
                     "random facility_location needs 'size' and 'universe'",
                     field="functions")
             weights = rng.integers(0, 10, size=(universe, size))
-        mat = np.asarray(weights, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] < 1:
-            raise ConfigError("facility weights must be a customers x sites matrix",
-                              field="weights")
-        if (mat < 0).any():
-            raise ConfigError("facility weights must be nonnegative", field="weights")
+        mat = _checked_weights(weights, "facility weights", "customers x sites matrix")
         ground = GroundSet(mat.shape[1])
-        sites = np.ascontiguousarray(mat.T)  # one row per element; the only copy kept
+        # One row per element; the only copy kept. Integers 0..255 fit in
+        # uint8, and their float64 row sums are exact in any order.
+        small = ((mat <= 255) & (mat == np.floor(mat))).all()
+        sites = np.ascontiguousarray(mat.T, dtype=np.uint8 if small else float)
         return SetFunction(
-            ground, lambda base, rows: _fold(sites, np.maximum, base, rows).sum(axis=1),
-            label="facility_location", row_bytes=16 * mat.shape[0])
+            ground, lambda base, rows: _fold(sites, np.maximum, base, rows).sum(
+                axis=1, dtype=float),
+            label="facility_location", row_bytes=2 * sites.itemsize * mat.shape[0] + 8)
 
     if kind == "modular":
         weights = params.get("weights")
@@ -460,13 +484,11 @@ def build_test_function(kind, params=None, seed=0):
             if size < 1:
                 raise ConfigError("random modular needs 'size'", field="functions")
             weights = [int(w) for w in rng.integers(1, 10, size=size)]
-        if any(w < 0 for w in weights):
-            raise ConfigError("modular weights must be nonnegative", field="weights")
-        ground = GroundSet(len(weights))
-        w = np.array(list(map(float, weights)))
+        w = _checked_weights(weights, "modular weights", "list")
+        ground = GroundSet(len(w))
         return SetFunction(
             ground, lambda base, rows: _masked_sum(w, _selection(len(w), base, rows)),
-            label="modular", row_bytes=17 * len(w))
+            label="modular", row_bytes=len(w) + 24)
 
     if kind == "pair_supermodular":
         size = int(params.get("size", 3))
@@ -489,7 +511,7 @@ def build_test_function(kind, params=None, seed=0):
         return SetFunction(
             ground, lambda base, rows: level_array[
                 _selection(size, base, rows)[:, pair_cols].sum(axis=1)],
-            label=f"pair_supermodular{pair}", row_bytes=size + 16)
+            label=f"pair_supermodular{pair}", row_bytes=size + 24)
 
     raise ConfigError(f"unknown function kind {kind!r}; expected one of "
                       f"{', '.join(FUNCTION_KINDS)}", field="kind")

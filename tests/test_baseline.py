@@ -1,6 +1,7 @@
 """Centralized greedy, the perturbed variant, and the brute-force oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from distgreedy import (
 )
 from distgreedy.baseline import CHUNK_BYTES, gap_recurrence_margins, max_marginal
 from distgreedy.errors import CapExceededError
+from distgreedy.setfn import BATCH_BYTES
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
 ONE_MINUS_1_OVER_E = 1.0 - 1.0 / math.e
@@ -103,6 +105,24 @@ def test_brute_force_cap():
     f = build_test_function("modular", {"weights": [1] * 45})
     with pytest.raises(CapExceededError):
         brute_force_optimum(f, 20)
+
+
+def test_brute_force_empty_budget():
+    assert brute_force_optimum(c4(), 0) == ((), 0.0)
+
+
+def test_brute_force_memory_does_not_grow_with_the_subsets():
+    # the C(25, 6) = 177100 subsets are streamed in chunks, each held
+    # with its evaluation within two evaluator budgets
+    family = local_family(10, "weighted_coverage", params={"size": 25, "universe": 60})
+    average = family.average()
+    tracemalloc.start()
+    try:
+        brute_force_optimum(average, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * BATCH_BYTES
 
 
 # C(20, 8) = 125970 subsets are several chunks of 8-element combinations

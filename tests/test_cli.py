@@ -169,8 +169,18 @@ def test_overflowing_function_values_are_a_config_error(tmp_path, capsys, psi):
       "psi": 1e300}, "psi",
      "bounds overflow at T=1, psi=1e+300: psi floor 4*epsilon(T) = inf, "
      "additive gap K*(psi + 2*epsilon(T)) = 1.1547005483792517e+308"),
+    # non-finite weights used to pass as an overflow of the function values
+    ({"functions": {"kind": "modular", "weights": [1, math.nan, 2]}}, "weights",
+     "modular weights must be finite and nonnegative: weights[1] = nan"),
+    ({"functions": {"kind": "weighted_coverage", "universe": 2,
+                    "sets": [[1], [1, 2]], "weights": [math.nan, 1]}}, "weights",
+     "item weights must be finite and nonnegative: weights[0] = nan"),
+    ({"functions": {"kind": "facility_location",
+                    "weights": [[math.nan, 1], [2, math.inf]]}}, "weights",
+     "facility weights must be finite and nonnegative: weights[0][0] = nan"),
 ], ids=["psi_nan", "psi_inf", "slack_nan", "slack_inf", "taus_nan", "seed",
-        "average_sum", "auto_psi", "additive_gap", "psi_floor"])
+        "average_sum", "auto_psi", "additive_gap", "psi_floor", "modular_nan",
+        "weighted_coverage_nan", "facility_nan"])
 def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys,
                                                         overrides, field, message):
     # each used to pass validate-config, then fail the run, the

@@ -1,6 +1,8 @@
 """Set-function builders, exact checkers and the ratio oracle."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,10 +471,87 @@ def test_extend_values_is_exact_across_row_blocks():
     params = {"weights": (rng.integers(0, 1000, size=(universe, 30)) * 0.1).tolist()}
     f = build_test_function("facility_location", params)
     rows = np.array(list(itertools.combinations(range(1, 31), 3)))
-    assert len(rows) * 16 * universe > 2 * BATCH_BYTES  # several blocks
+    assert len(rows) > 2 * f._rows_per_block  # several blocks
     assert np.array_equal(f.extend_values(0b1001, rows), reference_values(
         f, 0b1001, rows,
         lambda mask: literal_value("facility_location", params, f.ground.unmask(mask))))
+
+
+def facility_weights(top):
+    """A 50 x 8 facility matrix of integers 0..255, its last entry `top`."""
+    weights = np.random.default_rng(5).integers(0, 256, size=(50, 8)).tolist()
+    weights[-1][-1] = top
+    return weights
+
+
+@pytest.mark.parametrize("weights, itemsize", [
+    (facility_weights(255), 1),
+    (facility_weights(256), 8),
+    (facility_weights(0.5), 8),
+    ((np.random.default_rng(6).integers(0, 1000, size=(50, 8)) + 1e9).tolist(), 8),
+], ids=["uint8", "256", "half", "1e9"])
+def test_facility_tables_are_exact_at_the_compact_boundary(weights, itemsize):
+    # integers 0..255 are stored as uint8, any other weight keeps float64;
+    # the block size shows which table was built
+    params = {"weights": weights}
+    f = build_test_function("facility_location", params)
+    assert f._rows_per_block == BATCH_BYTES // (2 * itemsize * 50 + 8)
+    assert np.array_equal(f.table(), [literal_value("facility_location", params, s)
+                                      for s in all_subsets(8)])
+    rows = np.random.default_rng(7).integers(1, 9, size=(3 * f._rows_per_block, 3))
+    assert np.array_equal(f.extend_values(0b100, rows), reference_values(
+        f, 0b100, rows,
+        lambda mask: literal_value("facility_location", params, f.ground.unmask(mask))))
+
+
+@pytest.mark.parametrize("kind", FUNCTION_KINDS)
+def test_extend_values_keeps_the_memory_budget(kind):
+    # each kind's row_bytes is its true working set per row: a request
+    # several blocks long peaks within two budgets plus its (C,) output
+    f = build_test_function(kind, {"size": 30, "universe": 400}, seed=2)
+    rows = np.random.default_rng(0).integers(1, 31, size=(4 * f._rows_per_block, 3))
+    tracemalloc.start()
+    try:
+        values = f.extend_values(0b1001, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * BATCH_BYTES + values.nbytes
+
+
+@pytest.mark.parametrize("kind, weights, message", [
+    ("modular", [1, math.nan, 2], r"modular weights .* weights\[1\] = nan"),
+    ("modular", [1, 2, -math.inf], r"modular weights .* weights\[2\] = -inf"),
+    ("weighted_coverage", [math.nan, 1], r"item weights .* weights\[0\] = nan"),
+    ("weighted_coverage", [1, math.inf], r"item weights .* weights\[1\] = inf"),
+    ("facility_location", [[1, 1], [-1, math.nan]],
+     r"facility weights .* weights\[1\]\[0\] = -1.0"),
+    ("facility_location", [[math.inf, 1], [2, 3]],
+     r"facility weights .* weights\[0\]\[0\] = inf"),
+], ids=["modular_nan", "modular_-inf", "weighted_nan", "weighted_inf",
+        "facility_negative", "facility_inf"])
+def test_weights_must_be_finite_and_nonnegative(kind, weights, message):
+    params = {"weights": weights, "universe": 2, "sets": [[1], [1, 2]]}
+    if kind != "weighted_coverage":
+        params = {"weights": weights}
+    with pytest.raises(ConfigError, match=message) as err:
+        build_test_function(kind, params)
+    assert err.value.field == "weights"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("modular", {"weights": [[1, 2]]}),
+    ("modular", {"weights": []}),
+    ("weighted_coverage", {"universe": 2, "sets": [[1], [1, 2]], "weights": [[1], [2]]}),
+    ("facility_location", {"weights": [1, 2]}),
+    ("facility_location", {"weights": [[]]}),
+], ids=["modular_nested", "modular_empty", "weighted_nested", "facility_flat",
+        "facility_no_sites"])
+def test_weights_must_have_the_kinds_shape(kind, params):
+    # a nested list used to fail with a TypeError from the sign check
+    with pytest.raises(ConfigError, match="weights must be a nonempty") as err:
+        build_test_function(kind, params)
+    assert err.value.field == "weights"
 
 
 def test_small_scans_are_cached_read_only():
