@@ -190,8 +190,15 @@ class RoundRecord:
 
 
 def step_deviations(x_steps):
-    """Worst |estimate - initial network mean| at each averaging step."""
-    deviations = np.abs(x_steps - x_steps[0].mean(axis=0)).max(axis=(1, 2))
+    """Worst |estimate - initial network mean| at each averaging step.
+
+    One step at a time, in one (n, r) buffer; the maximum is exact, so
+    this equals the whole-array formula bit for bit.
+    """
+    mean0 = x_steps[0].mean(axis=0)
+    buf = np.empty_like(x_steps[0])
+    deviations = np.array([np.abs(np.subtract(X, mean0, out=buf), out=buf).max()
+                           for X in x_steps])
     deviations.flags.writeable = False
     return deviations
 

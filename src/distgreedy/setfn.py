@@ -368,35 +368,14 @@ def _checked_weights(weights, what, shape):
     return w
 
 
-def _universe_masks(sets, universe):
-    masks = []
-    for i, s in enumerate(sets):
-        m = 0
-        for u in s:
-            u = int(u)
-            if not 1 <= u <= universe:
-                raise ConfigError(
-                    f"covered item {u} outside universe 1..{universe}",
-                    field=f"sets[{i}]")
-            m |= 1 << (u - 1)
-        masks.append(m)
-    return masks
-
-
-def _packed_rows(masks, universe):
-    """The item bitmasks as a (len(masks), bytes) uint8 matrix, each row
-    the mask's little-endian bytes."""
-    width = (universe + 7) // 8
-    data = b"".join(m.to_bytes(width, "little") for m in masks)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
-
-
-def _coverage_sets(kind, params, rng):
-    """The covering sets and the universe size of a coverage kind.
+def _coverage_table(kind, params, rng):
+    """The covering sets of a coverage kind as a (sets, bytes) uint8
+    table, row i the little-endian bitmask of set i's items, and the
+    universe size.
 
     Without explicit sets, `size` sets are drawn from `rng`, each a
     random nonempty subset of 1..universe; without a universe, it is
-    the largest covered item.
+    the largest covered item. Explicit items must lie in 1..universe.
     """
     universe = int(params.get("universe", 0) or 0)
     sets = params.get("sets")
@@ -405,14 +384,26 @@ def _coverage_sets(kind, params, rng):
         if size < 1 or universe < 1:
             raise ConfigError(
                 f"random {kind} needs 'size' and 'universe'", field="functions")
-        sets = [sorted(rng.choice(universe, size=int(rng.integers(1, universe + 1)),
-                                  replace=False) + 1)
-                for _ in range(size)]
-    if not sets:
-        raise ConfigError(f"{kind} needs at least one set", field="sets")
-    if universe < 1:
-        universe = max(max(s) for s in sets if s) if any(sets) else 1
-    return sets, universe
+        columns = [rng.choice(universe, size=int(rng.integers(1, universe + 1)),
+                              replace=False)
+                   for _ in range(size)]
+    else:
+        if not sets:
+            raise ConfigError(f"{kind} needs at least one set", field="sets")
+        if universe < 1:
+            universe = max(max(s) for s in sets if s) if any(sets) else 1
+        columns = []
+        for i, s in enumerate(sets):
+            items = [int(u) for u in s]
+            bad = [u for u in items if not 1 <= u <= universe]
+            if bad:
+                raise ConfigError(f"covered item {bad[0]} outside universe "
+                                  f"1..{universe}", field=f"sets[{i}]")
+            columns.append(np.array(items, dtype=np.intp) - 1)
+    covered = np.zeros((len(columns), universe), dtype=bool)
+    covered[np.repeat(np.arange(len(columns)), [len(c) for c in columns]),
+            np.concatenate(columns)] = True
+    return np.packbits(covered, axis=1, bitorder="little"), universe
 
 
 def build_test_function(kind, params=None, seed=0):
@@ -430,17 +421,15 @@ def build_test_function(kind, params=None, seed=0):
     rng = np.random.default_rng(seed)
 
     if kind == "coverage":
-        sets, universe = _coverage_sets(kind, params, rng)
-        masks = _universe_masks(sets, universe)
-        packed = _packed_rows(masks, universe)
-        ground = GroundSet(len(sets))
+        packed, universe = _coverage_table(kind, params, rng)
+        ground = GroundSet(len(packed))
         return SetFunction(
             ground, lambda base, rows: _covered(packed, universe, base, rows).sum(
                 axis=1).astype(float),
             label="coverage", row_bytes=universe + 2 * packed.shape[1] + 16)
 
     if kind == "weighted_coverage":
-        sets, universe = _coverage_sets(kind, params, rng)
+        packed, universe = _coverage_table(kind, params, rng)
         weights = params.get("weights")
         if weights is None:
             weights = [int(w) for w in rng.integers(1, 10, size=universe)]
@@ -448,9 +437,7 @@ def build_test_function(kind, params=None, seed=0):
             raise ConfigError(
                 f"need {universe} item weights, got {len(weights)}", field="weights")
         w = _checked_weights(weights, "item weights", "list")
-        masks = _universe_masks(sets, universe)
-        packed = _packed_rows(masks, universe)
-        ground = GroundSet(len(sets))
+        ground = GroundSet(len(packed))
         return SetFunction(
             ground, lambda base, rows: _masked_sum(
                 w, _covered(packed, universe, base, rows)),

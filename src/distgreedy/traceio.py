@@ -9,10 +9,11 @@ files.
 import csv
 import json
 import math
+import os
 import re
 from contextlib import suppress
 from functools import partial
-from itertools import chain, compress, islice, takewhile
+from itertools import chain, compress, islice, repeat, takewhile
 
 import numpy as np
 
@@ -73,22 +74,6 @@ def _meta_line(trace):
     return "# " + ",".join(fields)
 
 
-def format_floats(values):
-    """`format_float` over an array, in C order, as a list of str.
-
-    One `.17g` pass over the whole array; the `.0` suffix goes only on
-    integral values whose text has neither a point nor an exponent.
-    """
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("refusing to serialize a non-finite float")
-    texts = [f"{v:.17g}" for v in flat.tolist()]
-    for j in np.flatnonzero(flat == np.trunc(flat)).tolist():
-        if "." not in texts[j] and "e" not in texts[j]:
-            texts[j] += ".0"
-    return texts
-
-
 def write_trace_csv(trace, path):
     """One CSV with three record kinds.
 
@@ -98,23 +83,30 @@ def write_trace_csv(trace, path):
     each round. Run metadata rides in `#` header lines, which end in
     `\n`; the CSV rows end in `\r\n`, as `csv.writer` writes them.
 
-    The x rows of one averaging step, an (n, r) block, are formatted in
-    one pass and written with one call. A block, not a whole round, so
-    that the row strings held at once stay small next to the run's own
-    memory.
+    An agent's x rows at one averaging step are written with one `%`
+    format, from templates built once per round: a cell is `%.1f` when
+    its value is integral with |x| < 1e17, where `%.17g` prints the
+    integer's digits alone, and `%.17g` otherwise. That gives
+    `format_float`'s text for every finite double. So the writer holds
+    one agent's rows of text at a time, whatever the run's size.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"{TRACE_MAGIC}\n{_meta_line(trace)}\n"
                  "record,round,t,agent,element,x_value,candidate_set\r\n")
         for rec in trace.rounds:
-            k, r = rec.index, len(rec.remaining)
-            elements = [f"{v}," for v in rec.remaining] * trace.n
+            k = rec.index
+            # each cell after its row's "x,k,t,i," head, in both float forms
+            cells = [(f"{v},%.17g,\r\n", f"{v},%.1f,\r\n") for v in rec.remaining]
+            general = [g for g, _ in cells]
             for t, X in enumerate(rec.x_steps):
-                cells = list(map(str.__add__, elements, format_floats(X)))
-                fh.write("".join(
-                    f"x,{k},{t},{i},"
-                    + f",\r\nx,{k},{t},{i},".join(cells[(i - 1) * r:i * r])
-                    + ",\r\n" for i in range(1, trace.n + 1)))
+                if not np.isfinite(X).all():
+                    raise ValueError("refusing to serialize a non-finite float")
+                integral = (X == np.trunc(X)) & (np.abs(X) < 1e17)
+                for i, (row, forms) in enumerate(zip(X.tolist(), integral.tolist()), 1):
+                    head = f"x,{k},{t},{i},"
+                    template = head + head.join(
+                        map(tuple.__getitem__, cells, forms) if any(forms) else general)
+                    fh.write(template % tuple(row))
             labels = [str(v) for v in rec.remaining]
             parts = []
             for step, C in enumerate(rec.candidate_masks.tolist()):
@@ -143,9 +135,10 @@ def _parse_meta(line):
     return parameters, selected, value
 
 
-X_ROW = np.dtype([("record", "U2")]
-                 + [(key, np.int64) for key in ("round", "t", "agent", "element")]
+X_ROW = np.dtype([(key, np.int64) for key in ("round", "t", "agent", "element")]
                  + [("x", np.float64)])
+# The shortest line that parses as an x row, "x,0,0,1,1,5", has 11 characters.
+MIN_X_ROW = 11
 
 
 def _found(number, text):
@@ -156,9 +149,10 @@ def _found(number, text):
 
 
 def _x_rows(lines, number):
-    """x lines, the first at trace line `number`, parsed as X_ROW records."""
+    """x lines, the first at trace line `number`, parsed as X_ROW records;
+    the record column, each line's "x," prefix, is not read."""
     parse = partial(np.loadtxt, dtype=X_ROW, delimiter=",", comments=None,
-                    usecols=range(6), ndmin=1)
+                    usecols=range(1, 6), ndmin=1)
     try:
         return parse(lines) if lines else np.empty(0, X_ROW)
     except ValueError:
@@ -170,30 +164,41 @@ def _x_rows(lines, number):
                                   f"{line.rstrip()!r} ({exc})") from None
 
 
-def _x_step(lines, after, number, k, t, remaining, n):
-    """Round k's (n, r) gains at step t from its x lines, the first at
-    trace line `number`; `after` is the line that follows them. Each row
-    must hold the round, step, agent and element of its place in the
-    writer's order; lines from the first that is not an x row are
-    missing rows, not x rows to parse."""
-    rows = _x_rows(list(takewhile(lambda line: line.startswith("x,"), lines)), number)
+def _x_step(lines, after, number, k, t, remaining, n, head=()):
+    """Round k's n * r gains at step t, flat in the writer's order.
+
+    `head` holds the gains of the step's rows already read, and `lines`
+    the x lines of the rest, the first at trace line `number` +
+    len(head); `after` is the line that follows them. Each row must hold
+    the round, step, agent and element of its place in the writer's
+    order. The lines are parsed as one block; they go one at a time only
+    to name a bad line. Lines from the first that is not an x row are
+    missing rows, not x rows to parse.
+    """
     r = remaining.size
-    agent, column = np.divmod(np.arange(rows.size), r)
+    done = len(head)
+    first = number + done
+    x_lines = lines
+    if not all(map(str.startswith, lines, repeat("x,"))):
+        x_lines = list(takewhile(lambda line: line.startswith("x,"), lines))
+    rows = _x_rows(x_lines, first)
+    agent, column = np.divmod(np.arange(done, done + rows.size), r)
     wrong = ((rows["round"] != k) | (rows["t"] != t) | (rows["agent"] != agent + 1)
              | (rows["element"] != remaining[column]))
     j = int(wrong.argmax()) if wrong.any() else rows.size
-    if j < n * r:
+    if done + j < n * r:
         raise ConfigError(
-            f"round {k}, t={t}: missing agent {j // r + 1} gain row for element "
-            f"{remaining[j % r]} "
-            f"({_found(number + j, lines[j] if j < len(lines) else after)})")
-    infinite = np.flatnonzero(~np.isfinite(rows["x"]))
-    if infinite.size:
-        j = infinite[0]
-        raise ConfigError(
-            f"trace line {number + j}: round {k}, t={t}: agent {j // r + 1} has "
-            f"a non-finite gain {rows['x'][j]} for element {remaining[j % r]}")
-    return rows["x"].reshape(n, r).copy()
+            f"round {k}, t={t}: missing agent {(done + j) // r + 1} gain row for "
+            f"element {remaining[(done + j) % r]} "
+            f"({_found(first + j, lines[j] if j < len(lines) else after)})")
+    for offset, x in ((0, head), (done, rows["x"])):
+        infinite = np.flatnonzero(~np.isfinite(x))
+        if infinite.size:
+            j = offset + int(infinite[0])
+            raise ConfigError(
+                f"trace line {number + j}: round {k}, t={t}: agent {j // r + 1} has "
+                f"a non-finite gain {x[j - offset]} for element {remaining[j % r]}")
+    return rows["x"]
 
 
 def _candidate_mask(text, number, k, t, i, columns):
@@ -231,10 +236,12 @@ def read_trace_csv(path):
     there. Agent 1's t=0 `x` rows of a round name its remaining
     elements, and fix how many `x` rows each later (t, agent) block
     holds. The `x` lines of one averaging step go through numpy's C
-    parser as one block; then come the round's `set` rows, each one row
-    of its candidate_masks, and its `chosen` row. The reader holds the
-    gains plus one step's lines, and no array is sized from a header
-    number before the rows that fill it are read. Deviations are
+    parser as one block, whose gains go straight into the round's
+    x_steps; then come the round's `set` rows, each one row of its
+    candidate_masks, and its `chosen` row. The reader holds the gains
+    plus one step's lines. No array is sized from a header number alone:
+    x_steps is sized once step 0 has been read, and holds no more steps
+    than the characters left in the file could fill. Deviations are
     recomputed from the gains; since floats round-trip exactly, the
     rebuilt trace audits identically to the original.
     """
@@ -254,6 +261,7 @@ def read_trace_csv(path):
                 f"t_prime={t_prime} do not fit: n, K and T must be >= 1, "
                 "diameter >= 0 and t_prime = T + 1 + diameter")
         number = 4  # the trace line that the next read starts at
+        left = os.fstat(fh.fileno()).st_size  # bounds the characters still to read
         rounds, selected = [], ()
         for k in range(K):
             lines = []  # agent 1's t=0 rows name the remaining elements
@@ -262,7 +270,8 @@ def read_trace_csv(path):
             if not lines:
                 raise ConfigError(f"round {k}, t=0: missing agent 1 gain rows "
                                   f"({_found(number, text)})")
-            remaining = _x_rows(lines, number)["element"]
+            head = _x_rows(lines, number)
+            remaining = head["element"]
             ascending = np.diff(remaining, prepend=0) > 0
             if not ascending.all():
                 j = int(ascending.argmin())
@@ -272,19 +281,28 @@ def read_trace_csv(path):
             r = remaining.size
             # Read by line up to its first foreign row, step 0 bounds each
             # later step, even under a header n above the recorded one.
-            while len(lines) < n * r and text.startswith(f"x,{k},0,"):
-                lines.append(text)
+            others = []
+            while len(others) < (n - 1) * r and text.startswith(f"x,{k},0,"):
+                others.append(text)
                 text = fh.readline()
             rest = chain([text] if text else [], fh)
-            steps = []
-            for t in range(T + 1):
-                if t:
-                    lines, text = list(islice(rest, n * r)), ""
-                steps.append(_x_step(lines, text, number, k, t, remaining, n))
+            x = _x_step(others, text, number, k, 0, remaining, n, head["x"])
+            # Step 0 held n * r rows, so n is the file's. A header T may
+            # not be: x_steps holds no more steps than the characters left
+            # could fill at MIN_X_ROW a row, and a step past those fails
+            # in _x_step before it is stored.
+            left -= sum(map(len, lines)) + sum(map(len, others))
+            x_steps = np.empty((min(T + 1, 1 + left // (MIN_X_ROW * n * r)), n, r))
+            x_steps[0, 0] = head["x"]
+            x_steps[0, 1:] = x.reshape(n - 1, r)
+            del lines, others, head, x  # one step of rows at a time
+            number += n * r
+            for t in range(1, T + 1):
+                lines = list(islice(rest, n * r))
+                x_steps[t] = _x_step(lines, "", number, k, t, remaining, n).reshape(n, r)
                 number += len(lines)
-            x_steps = np.stack(steps)
+                left -= sum(map(len, lines))
             x_steps.flags.writeable = False
-            del steps, lines  # only the stacked gains outlive the round
             columns = {str(v): j for j, v in enumerate(remaining.tolist())}
             masks = []
             for t in range(T + 1, t_prime + 1):

@@ -32,6 +32,7 @@ from distgreedy.protocol import (
     intersection_sources,
     intersection_step,
     select_and_append,
+    step_deviations,
     sweep,
     threshold_candidates,
 )
@@ -407,3 +408,17 @@ def test_singleton_cap_changes_auto_psi():
     tight = RunConfig(G, M, fam, K=1, T=2,
                       use_singleton_cap=True).trace_parameters(2, None)["psi"]
     assert tight == loose / 2  # singleton cap 3 vs total cap 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 7),
+       st.sampled_from([1.0, 1e3, 1e150, 1e300]), st.integers(0, 2 ** 32 - 1))
+def test_step_deviations_equal_the_whole_array_formula(steps, n, r, scale, seed):
+    # Large and negative gains; the reference takes the whole array at once.
+    rng = np.random.default_rng(seed)
+    x_steps = rng.standard_normal((steps, n, r)) * scale
+    x_steps[rng.random(x_steps.shape) < 0.2] *= -1e5 if scale < 1e300 else -1
+    reference = np.abs(x_steps - x_steps[0].mean(axis=0)).max(axis=(1, 2))
+    deviations = step_deviations(x_steps)
+    assert np.array_equal(deviations.view(np.int64), reference.view(np.int64))
+    assert not deviations.flags.writeable

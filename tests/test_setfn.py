@@ -20,7 +20,8 @@ from distgreedy import (
     marginal_gain,
 )
 from distgreedy.errors import CapExceededError, ConfigError
-from distgreedy.setfn import BATCH_BYTES, FUNCTION_KINDS, family_from_config
+from distgreedy.setfn import (BATCH_BYTES, FUNCTION_KINDS, _coverage_table,
+                              family_from_config)
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
 
@@ -202,6 +203,60 @@ def test_every_kind_is_normalized_and_monotone():
 def test_malformed_coverage_rejected():
     with pytest.raises(ConfigError):
         build_test_function("coverage", {"universe": 3, "sets": [[1, 9]]})
+
+
+def literal_table(sets, universe):
+    """Each set's items ORed into an int one at a time, as little-endian
+    bytes."""
+    width = (universe + 7) // 8
+    rows = []
+    for s in sets:
+        mask = 0
+        for u in s:
+            mask |= 1 << (int(u) - 1)
+        rows.append(mask.to_bytes(width, "little"))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["coverage", "weighted_coverage"])
+@pytest.mark.parametrize("size, universe, seed", [(1, 1, 0), (7, 9, 1), (30, 64, 2),
+                                                  (200, 400, 3)])
+def test_drawn_coverage_table_matches_a_literal_loop(kind, size, universe, seed):
+    # The draws are the ones that the table's rows record: sets drawn
+    # by the same rng calls, in the same order, then ORed item by item.
+    rng = np.random.default_rng(seed)
+    sets = [rng.choice(universe, size=int(rng.integers(1, universe + 1)),
+                       replace=False) + 1 for _ in range(size)]
+    table, got_universe = _coverage_table(
+        kind, {"size": size, "universe": universe}, np.random.default_rng(seed))
+    assert got_universe == universe
+    assert table.dtype == np.uint8 and table.shape == (size, (universe + 7) // 8)
+    assert [row.tobytes() for row in table] == literal_table(sets, universe)
+
+
+@pytest.mark.parametrize("params, universe", [
+    (C4_PARAMS, 6),
+    ({"sets": [[1, 2, 3], [3, 4], [5], [4, 5, 7]]}, 7),  # the largest item
+    ({"universe": 17, "sets": [[17], [], [1, 9, 8, 16, 17], [2.0, "3"]]}, 17),
+    ({"sets": [[]]}, 1),
+])
+def test_explicit_coverage_table_matches_a_literal_loop(params, universe):
+    table, got_universe = _coverage_table("coverage", params,
+                                          np.random.default_rng(0))
+    assert got_universe == universe
+    assert [row.tobytes() for row in table] == literal_table(params["sets"], universe)
+
+
+@pytest.mark.parametrize("sets, bad, at", [
+    ([[1, 9]], 9, "sets[0]"), ([[1, 2], [3, 0, 9]], 0, "sets[1]"),
+    ([[2], [1, -4]], -4, "sets[1]")])
+def test_explicit_items_outside_the_universe_are_named(sets, bad, at):
+    for kind in ("coverage", "weighted_coverage"):
+        params = {"universe": 3, "sets": sets, "weights": [1, 1, 1]}
+        with pytest.raises(ConfigError, match=rf"^covered item {bad} outside "
+                                              r"universe 1\.\.3$") as info:
+            build_test_function(kind, params)
+        assert info.value.field == at
 
 
 def test_malformed_pair_levels_rejected():

@@ -1,5 +1,6 @@
 """Trace CSV formatting and parsing: exact text, exact round trip, v1 input."""
 
+import filecmp
 import math
 import tracemalloc
 from pathlib import Path
@@ -16,15 +17,10 @@ from distgreedy.graph import make_network
 from distgreedy.protocol import (TRACE_PARAMETERS, RoundRecord, RunTrace,
                                  step_deviations)
 from distgreedy.protocol import run as run_protocol
-from distgreedy.traceio import (
-    format_float,
-    format_floats,
-    read_trace_csv,
-    write_trace_csv,
-)
+from distgreedy.traceio import format_float, read_trace_csv, write_trace_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-FIXED = [0.0, -0.0, 3.0, 1e16, 1e17, 5e-324, 0.1, 1 / 3, -2.5]
+FIXED = [0.0, -0.0, 3.0, 1e16, 1e17, 5e-324, 0.1, 1 / 3, -2.5, 1e300, -1e300]
 doubles = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -54,24 +50,47 @@ def assert_same_trace(a, b):
         assert np.array_equal(x.deviations, y.deviations)
 
 
+def written_x_values(tmp_path, values):
+    """The x_value cells that write_trace_csv gives a bundled trace whose
+    gains are `values`, repeated to fill its rounds in the writer's
+    order, and the gains that those cells hold."""
+    base = bundled_trace()
+    gains = [np.resize(np.array(values, dtype=float), rec.x_steps.shape)
+             for rec in base.rounds]
+    # the writer reads no deviations, and sums of |x| near 1.8e308 overflow
+    rounds = [RoundRecord(rec.index, rec.remaining, x, None, rec.candidate_masks,
+                          rec.chosen, rec.selected_after)
+              for rec, x in zip(base.rounds, gains)]
+    trace = RunTrace(rounds, base.selected, base.value,
+                     **{name: getattr(base, name) for name, _ in TRACE_PARAMETERS})
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    with open(path, newline="") as fh:
+        cells = [line.split(",")[5] for line in fh if line.startswith("x,")]
+    return cells, np.concatenate([x.ravel() for x in gains]).tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(doubles, max_size=40))
-def test_bulk_formatting_matches_format_float(values):
-    values = FIXED + values
-    assert format_floats(np.array(values)) == [format_float(v) for v in values]
+def test_bulk_formatting_matches_format_float(tmp_path_factory, values):
+    # Agent rows mix integral and non-integral values.
+    cells, gains = written_x_values(tmp_path_factory.mktemp("fmt"), FIXED + values)
+    assert cells == [format_float(v) for v in gains]
 
 
-def test_bulk_formatting_of_fixed_values():
-    assert format_floats(np.array(FIXED).reshape(3, 3)) == [
+def test_bulk_formatting_of_fixed_values(tmp_path):
+    cells, _ = written_x_values(tmp_path, FIXED)
+    assert cells[:len(FIXED)] == [
         "0.0", "-0.0", "3.0", "10000000000000000.0", "1e+17",
         "4.9406564584124654e-324", "0.10000000000000001",
-        "0.33333333333333331", "-2.5"]
+        "0.33333333333333331", "-2.5", "1.0000000000000001e+300",
+        "-1.0000000000000001e+300"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_bulk_formatting_refuses_non_finite(bad):
+def test_bulk_formatting_refuses_non_finite(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
-        format_floats(np.array([1.0, bad]))
+        written_x_values(tmp_path, [1.0, bad])
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,15 +194,24 @@ def test_candidate_masks_survive_run_and_round_trip(tmp_path_factory, config):
 
 
 @pytest.fixture(scope="module")
-def facility_trace(tmp_path_factory):
+def facility_run():
     # n=20, m=50, K=6, T=24: about 143k x rows, 1.1 MB of gains
     G = generate("erdos_renyi", 20, seed=3, p=0.3)
     fam = local_family(20, "facility_location",
                        params={"size": 50, "universe": 100}, seed=3)
+    config = RunConfig(G, metropolis_weights(G), fam, K=6, T=24)
+    return config, run_protocol(config)
+
+
+@pytest.fixture(scope="module")
+def facility_trace(tmp_path_factory, facility_run):
     path = tmp_path_factory.mktemp("facility") / "t.csv"
-    write_trace_csv(run_protocol(RunConfig(G, metropolis_weights(G), fam,
-                                           K=6, T=24)), path)
+    write_trace_csv(facility_run[1], path)
     return path
+
+
+def gain_bytes(trace):
+    return sum(rec.x_steps.nbytes for rec in trace.rounds)
 
 
 def traced_peak(read, *args):
@@ -198,9 +226,38 @@ def traced_peak(read, *args):
 
 def test_reader_memory_scales_with_the_gains(facility_trace):
     trace, peak = traced_peak(read_trace_csv, facility_trace)
-    gains = sum(rec.x_steps.nbytes for rec in trace.rounds)
+    gains = gain_bytes(trace)
     assert gains >= 1e6
     assert peak <= 2.5 * gains
+
+
+def test_reader_holds_one_step_of_rows_besides_the_gains(facility_trace):
+    # Each step is parsed into the round's array; no list of steps is
+    # stacked into a second copy of the round.
+    trace, peak = traced_peak(read_trace_csv, facility_trace)
+    assert peak <= 1.3 * gain_bytes(trace)
+
+
+def test_run_memory_is_the_gains(facility_run):
+    # The fixture's run of the same config filled the functions' scan
+    # cache, so this peak is the run's own arrays: the gains and a few
+    # (n, r) steps.
+    config, first = facility_run
+    trace, peak = traced_peak(run_protocol, config)
+    assert trace.selected == first.selected
+    assert peak <= 1.15 * gain_bytes(trace)
+
+
+def test_step_deviations_hold_one_step(facility_run):
+    x_steps = facility_run[1].rounds[0].x_steps
+    _, peak = traced_peak(step_deviations, x_steps)
+    assert peak <= 4 * x_steps[0].nbytes
+
+
+def test_writer_memory_is_a_fraction_of_the_gains(tmp_path, facility_run):
+    trace = facility_run[1]
+    _, peak = traced_peak(write_trace_csv, trace, tmp_path / "t.csv")
+    assert peak <= 0.12 * gain_bytes(trace)
 
 
 def test_a_larger_header_n_fails_within_the_first_step(tmp_path, facility_trace):
@@ -219,3 +276,43 @@ def test_a_larger_header_n_fails_within_the_first_step(tmp_path, facility_trace)
 
     _, peak = traced_peak(read)
     assert peak <= 0.3e6
+
+
+def test_a_larger_header_T_fails_at_the_first_missing_step(tmp_path, facility_trace):
+    # The header claims 10**6 steps. The reader sizes a round's gains by
+    # what the file's characters could fill, not by T, and fails where
+    # round 0's recorded steps end and its set rows begin.
+    text = facility_trace.read_text()
+    meta = text.splitlines()[1]
+    fields = dict(item.split("=", 1) for item in meta[2:].split(","))
+    T, t_prime = int(fields["T"]), int(fields["t_prime"])
+    doctored = tmp_path / "T.csv"
+    doctored.write_text(text.replace(
+        meta, meta.replace(f",T={T},", ",T=1000000,").replace(
+            f",t_prime={t_prime},", f",t_prime={1000001 + t_prime - T - 1},"), 1))
+    message = (rf"^round 0, t={T + 1}: missing agent 1 gain row for element 1 "
+               rf"\(trace line {4 + (T + 1) * 20 * 50} is 'set,0,{T + 1},1,,,")
+
+    def read():
+        with pytest.raises(ConfigError, match=message):
+            read_trace_csv(doctored)
+
+    _, peak = traced_peak(read)
+    assert peak <= doctored.stat().st_size
+
+
+@pytest.mark.slow
+def test_mid_scale_trace_rewrites_byte_for_byte(tmp_path):
+    # The ROADMAP facility mid row: ER p=0.2, n=50, m=200, universe 400,
+    # K=20, T=30. About 47 MB of gains and two 200 MB traces.
+    G = generate("erdos_renyi", 50, seed=0, p=0.2)
+    fam = local_family(50, "facility_location",
+                       params={"size": 200, "universe": 400}, seed=0)
+    trace, peak = traced_peak(run_protocol,
+                              RunConfig(G, metropolis_weights(G), fam, K=20, T=30))
+    assert peak <= 1.15 * gain_bytes(trace)
+    written, rewritten = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_trace_csv(trace, written)
+    del trace
+    write_trace_csv(read_trace_csv(written), rewritten)
+    assert filecmp.cmp(written, rewritten, shallow=False)
