@@ -63,7 +63,7 @@ def _agreement_failure(rec, ground):
         return f"round {rec.index}: not the network-wide intersection"
     if not final[0].any():
         return f"round {rec.index}: empty"
-    if not final[0, rec.x_steps[-1].argmax(axis=1)].all():
+    if not final[0, rec.x_final.argmax(axis=1)].all():
         return f"round {rec.index}: drops an agent argmax"
     expected = rec.remaining[int(final[0].argmax())]
     if rec.chosen != expected:
@@ -88,9 +88,7 @@ def audit_trace(trace, family):
     mu >= 1 there is no epsilon, and the three checks built on it are
     skipped.
     """
-    drift = max(float(np.abs(rec.x_steps[1:].mean(axis=1)
-                             - rec.x_steps[0].mean(axis=0)).max())
-                for rec in trace.rounds)
+    drift = max(float(rec.drifts.max()) for rec in trace.rounds)
     conservation = CheckResult(
         "mean_conservation", drift <= CONSERVATION_TOL,
         margin=CONSERVATION_TOL - drift,
@@ -132,7 +130,7 @@ def _epsilon_checks(trace, family):
         detail="deviation vs sqrt(n)*mu^t*cap envelope")
 
     worst = (X.max(axis=1) - X[:, X.argmax(axis=1)].min(axis=1)
-             for X in (rec.x_steps[-1] for rec in trace.rounds))
+             for X in (rec.x_final for rec in trace.rounds))
     gap_margin = min(float((floor - w).min()) for w in worst)
     argmax_gap = CheckResult(
         "argmax_gap", gap_margin >= -AUDIT_SLACK, margin=float(gap_margin),

@@ -34,7 +34,8 @@ submodular with ratio at least gamma_min > 0.
 
 import logging
 import math
-from itertools import compress
+from functools import partial
+from itertools import chain, compress
 
 import numpy as np
 
@@ -162,22 +163,26 @@ class RunConfig:
 
 
 class RoundRecord:
-    """Full state trajectory of one selection round."""
+    """One selection round. Of its T+1 averaging steps it keeps only the
+    last and per-step statistics; `steps`, None on a record read from a
+    file, is a callable that yields the steps again for the writer."""
 
-    __slots__ = ("index", "remaining", "x_steps", "deviations",
-                 "candidate_masks", "chosen", "selected_after")
+    __slots__ = ("index", "remaining", "x_final", "deviations", "drifts",
+                 "candidate_masks", "chosen", "selected_after", "steps")
 
-    def __init__(self, index, remaining, x_steps, deviations, candidate_masks,
-                 chosen, selected_after):
+    def __init__(self, index, remaining, x_final, deviations, drifts,
+                 candidate_masks, chosen, selected_after, steps=None):
         self.index = index
         self.remaining = remaining          # elements still available, ascending
-        self.x_steps = x_steps              # (T+1, n, |remaining|) gain estimates
+        self.x_final = x_final              # (n, |remaining|) gain estimates at t=T
         self.deviations = deviations        # worst |estimate - initial mean| per step
+        self.drifts = drifts                # worst |network mean - initial mean| per step
         # read-only (diameter+1, n, |remaining|) bool: step s, agent i+1
         # keeps remaining[j]; step 0 is the threshold cut
         self.candidate_masks = candidate_masks
         self.chosen = chosen
         self.selected_after = selected_after
+        self.steps = steps
 
     @property
     def candidate_steps(self):
@@ -189,18 +194,31 @@ class RoundRecord:
                      for C in self.candidate_masks)
 
 
-def step_deviations(x_steps):
-    """Worst |estimate - initial network mean| at each averaging step.
+def averaging_record(steps):
+    """x_final, deviations and drifts of the steps X_0..X_T that `steps`
+    yields, holding one (n, r) step at a time.
 
-    One step at a time, in one (n, r) buffer; the maximum is exact, so
-    this equals the whole-array formula bit for bit.
+    A step's deviation is its worst |estimate - initial network mean|,
+    its drift the worst |network mean - initial network mean|. Maxima
+    are exact, so both equal the formulas over the stacked steps bit for
+    bit. The results are read-only.
     """
-    mean0 = x_steps[0].mean(axis=0)
-    buf = np.empty_like(x_steps[0])
-    deviations = np.array([np.abs(np.subtract(X, mean0, out=buf), out=buf).max()
-                           for X in x_steps])
-    deviations.flags.writeable = False
-    return deviations
+    steps = iter(steps)
+    X = next(steps)
+    mean0 = X.mean(axis=0)
+    buf = np.empty_like(X)
+
+    def statistics():
+        nonlocal X
+        for X in chain([X], steps):
+            yield (np.abs(np.subtract(X, mean0, out=buf), out=buf).max(),
+                   np.abs(X.mean(axis=0) - mean0).max())
+
+    # 8 bytes a statistic, not a Python float each, while the steps go by
+    deviations, drifts = np.fromiter(statistics(), np.dtype((float, 2))).T.copy()
+    for a in (X, deviations, drifts):
+        a.flags.writeable = False
+    return X, deviations, drifts
 
 
 # The run parameters that a RunTrace records, with their types, in the
@@ -291,6 +309,18 @@ def consensus_step(X, mixing):
     return mixing.W @ X
 
 
+def averaging(X0, mixing, T):
+    """The averaging phase of a round: X_0, then each of T consensus
+    steps, one (n, r) array at a time. The steps are a function of X_0,
+    the read-only mixing matrix and T alone, so a second pass yields the
+    same arrays bit for bit."""
+    X = X0
+    yield X
+    for _ in range(T):
+        X = consensus_step(X, mixing)
+        yield X
+
+
 def threshold_candidates(X, psi, slack=0.0):
     """Mask of the elements whose averaged gain is within psi of the
     agent's own maximum, one row per agent.
@@ -366,7 +396,9 @@ def finish_round(X_T, psi, slack, sources, d, remaining, selected):
 
 
 def run(config):
-    """Execute all K rounds and record the full trajectory."""
+    """Execute all K rounds and record each one. A record's step source
+    replays the round's averaging from its X_0, so no round holds its
+    T+1 steps."""
     mixing = config.mixing
     family = config.family
     parameters = config.trace_parameters(config.T, config.psi)
@@ -377,19 +409,16 @@ def run(config):
     selected = ()
     rounds = []
     for k in range(config.K):
-        remaining, X = init_round(family, selected)
-        x_steps = np.empty((T + 1,) + X.shape)
-        x_steps[0] = X
-        for t in range(T):
-            x_steps[t + 1] = consensus_step(x_steps[t], mixing)
-        x_steps.flags.writeable = False
-
+        remaining, X0 = init_round(family, selected)
+        X0.flags.writeable = False
+        steps = partial(averaging, X0, mixing, T)
+        x_final, deviations, drifts = averaging_record(steps())
         masks, chosen, selected = finish_round(
-            x_steps[T], psi, slack, config.sources, d, remaining, selected)
+            x_final, psi, slack, config.sources, d, remaining, selected)
         masks = np.stack(masks)
         masks.flags.writeable = False
-        rounds.append(RoundRecord(k, remaining, x_steps, step_deviations(x_steps),
-                                  masks, chosen, selected))
+        rounds.append(RoundRecord(k, remaining, x_final, deviations, drifts, masks,
+                                  chosen, selected, steps))
 
     value = family.average().value(selected)
     return RunTrace(rounds, selected, value, **parameters)
@@ -401,10 +430,11 @@ def sweep(config, T_values, psi=None):
 
     Runs for different T share each round until their picks differ. So
     the walk visits each distinct selection prefix once, with the T
-    values that reach it: one init_round, averaging up to the largest of
-    those T, and finish_round at each of them; then the T values split
-    by the element they chose. The averaging sequence of each T is a
-    prefix of the longest one, so every number equals run's bit for bit.
+    values that reach it: one init_round, one pass of run's averaging
+    generator up to the largest of those T, and finish_round at each of
+    them; then the T values split by the element they chose. The
+    averaging sequence of each T is a prefix of the longest one, so
+    every number equals run's bit for bit.
 
     psi=None gives each T its own floor psi_min(n, mu, T, value_cap),
     otherwise every T uses the fixed psi; config.T and config.psi are
@@ -436,11 +466,9 @@ def sweep(config, T_values, psi=None):
             failures.update(dict.fromkeys(group, exc))
             continue
         branches = {}
-        t = 0
+        steps = enumerate(averaging(X, mixing, T_values[group[-1]]))
         for j in group:
-            while t < T_values[j]:
-                X = consensus_step(X, mixing)
-                t += 1
+            X = next(X for t, X in steps if t == T_values[j])
             try:
                 _, chosen, _ = finish_round(X, runs[j]["psi"], slack, config.sources,
                                             d, remaining, selected)

@@ -9,16 +9,15 @@ files.
 import csv
 import json
 import math
-import os
 import re
 from contextlib import suppress
 from functools import partial
-from itertools import chain, compress, islice, repeat, takewhile
+from itertools import chain, compress, islice, takewhile
 
 import numpy as np
 
 from .errors import ConfigError
-from .protocol import TRACE_PARAMETERS, RoundRecord, RunTrace, step_deviations
+from .protocol import TRACE_PARAMETERS, RoundRecord, RunTrace, averaging_record
 
 TRACE_MAGIC = "# distgreedy trace v1"
 
@@ -83,22 +82,28 @@ def write_trace_csv(trace, path):
     each round. Run metadata rides in `#` header lines, which end in
     `\n`; the CSV rows end in `\r\n`, as `csv.writer` writes them.
 
-    An agent's x rows at one averaging step are written with one `%`
-    format, from templates built once per round: a cell is `%.1f` when
-    its value is integral with |x| < 1e17, where `%.17g` prints the
-    integer's digits alone, and `%.17g` otherwise. That gives
-    `format_float`'s text for every finite double. So the writer holds
-    one agent's rows of text at a time, whatever the run's size.
+    A round's averaging steps come from its record's step source, one
+    step at a time; a record read from a file has none, so a read trace
+    cannot be written again. An agent's x rows at one averaging step are
+    written with one `%` format, from templates built once per round: a
+    cell is `%.1f` when its value is integral with |x| < 1e17, where
+    `%.17g` prints the integer's digits alone, and `%.17g` otherwise.
+    That gives `format_float`'s text for every finite double. So the
+    writer holds one step and one agent's rows of text at a time,
+    whatever the run's size.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"{TRACE_MAGIC}\n{_meta_line(trace)}\n"
                  "record,round,t,agent,element,x_value,candidate_set\r\n")
         for rec in trace.rounds:
             k = rec.index
+            if rec.steps is None:
+                raise ValueError(f"round {k} has no step source: a trace read "
+                                 "from a file cannot be written again")
             # each cell after its row's "x,k,t,i," head, in both float forms
             cells = [(f"{v},%.17g,\r\n", f"{v},%.1f,\r\n") for v in rec.remaining]
             general = [g for g, _ in cells]
-            for t, X in enumerate(rec.x_steps):
+            for t, X in enumerate(rec.steps()):
                 if not np.isfinite(X).all():
                     raise ValueError("refusing to serialize a non-finite float")
                 integral = (X == np.trunc(X)) & (np.abs(X) < 1e17)
@@ -135,10 +140,11 @@ def _parse_meta(line):
     return parameters, selected, value
 
 
-X_ROW = np.dtype([(key, np.int64) for key in ("round", "t", "agent", "element")]
+X_ROW = np.dtype([("record", "U2")]
+                 + [(key, np.int64) for key in ("round", "t", "agent", "element")]
                  + [("x", np.float64)])
-# The shortest line that parses as an x row, "x,0,0,1,1,5", has 11 characters.
-MIN_X_ROW = 11
+_parse_x_rows = partial(np.loadtxt, dtype=X_ROW, delimiter=",", comments=None,
+                        usecols=range(6), ndmin=1)
 
 
 def _found(number, text):
@@ -149,16 +155,13 @@ def _found(number, text):
 
 
 def _x_rows(lines, number):
-    """x lines, the first at trace line `number`, parsed as X_ROW records;
-    the record column, each line's "x," prefix, is not read."""
-    parse = partial(np.loadtxt, dtype=X_ROW, delimiter=",", comments=None,
-                    usecols=range(1, 6), ndmin=1)
+    """x lines, the first at trace line `number`, parsed as X_ROW records."""
     try:
-        return parse(lines) if lines else np.empty(0, X_ROW)
+        return _parse_x_rows(lines) if lines else np.empty(0, X_ROW)
     except ValueError:
         for j, line in enumerate(lines):
             try:
-                parse([line])
+                _parse_x_rows([line])
             except ValueError as exc:
                 raise ConfigError(f"trace line {number + j}: cannot read x row "
                                   f"{line.rstrip()!r} ({exc})") from None
@@ -171,17 +174,23 @@ def _x_step(lines, after, number, k, t, remaining, n, head=()):
     the x lines of the rest, the first at trace line `number` +
     len(head); `after` is the line that follows them. Each row must hold
     the round, step, agent and element of its place in the writer's
-    order. The lines are parsed as one block; they go one at a time only
-    to name a bad line. Lines from the first that is not an x row are
-    missing rows, not x rows to parse.
+    order. The lines are parsed as one block, record column included, and
+    each record must read "x"; a numpy string drops trailing NULs, so a
+    NUL in the block counts as a mismatch. Only on a block that does not
+    parse or mismatches are the lines walked one at a time: lines from
+    the first that does not start with "x," are missing rows, not x rows
+    to parse, and a bad x line before them is named.
     """
     r = remaining.size
     done = len(head)
     first = number + done
-    x_lines = lines
-    if not all(map(str.startswith, lines, repeat("x,"))):
-        x_lines = list(takewhile(lambda line: line.startswith("x,"), lines))
-    rows = _x_rows(x_lines, first)
+    rows = None
+    if lines:
+        with suppress(ValueError):
+            rows = _parse_x_rows(lines)
+    if rows is None or not (rows["record"] == "x").all() or "\0" in "".join(lines):
+        rows = _x_rows(list(takewhile(lambda line: line.startswith("x,"), lines)),
+                       first)
     agent, column = np.divmod(np.arange(done, done + rows.size), r)
     wrong = ((rows["round"] != k) | (rows["t"] != t) | (rows["agent"] != agent + 1)
              | (rows["element"] != remaining[column]))
@@ -198,7 +207,17 @@ def _x_step(lines, after, number, k, t, remaining, n, head=()):
             raise ConfigError(
                 f"trace line {number + j}: round {k}, t={t}: agent {j // r + 1} has "
                 f"a non-finite gain {x[j - offset]} for element {remaining[j % r]}")
-    return rows["x"]
+    return rows["x"].copy()
+
+
+def _later_steps(rest, number, k, T, remaining, n):
+    """Round k's gains at steps 1..T, each an (n, r) array parsed from the
+    next n * r lines of `rest`, the first at trace line `number`."""
+    size = n * remaining.size
+    for t in range(1, T + 1):
+        yield _x_step(list(islice(rest, size)), "", number, k, t, remaining,
+                      n).reshape(n, -1)
+        number += size
 
 
 def _candidate_mask(text, number, k, t, i, columns):
@@ -236,14 +255,14 @@ def read_trace_csv(path):
     there. Agent 1's t=0 `x` rows of a round name its remaining
     elements, and fix how many `x` rows each later (t, agent) block
     holds. The `x` lines of one averaging step go through numpy's C
-    parser as one block, whose gains go straight into the round's
-    x_steps; then come the round's `set` rows, each one row of its
-    candidate_masks, and its `chosen` row. The reader holds the gains
-    plus one step's lines. No array is sized from a header number alone:
-    x_steps is sized once step 0 has been read, and holds no more steps
-    than the characters left in the file could fill. Deviations are
-    recomputed from the gains; since floats round-trip exactly, the
-    rebuilt trace audits identically to the original.
+    parser as one block, and the step goes to protocol.averaging_record,
+    which keeps the round's x_final, deviations and drifts from the
+    file's own gains; then come the round's `set` rows, each one row of
+    its candidate_masks, and its `chosen` row. The reader holds one
+    step's lines and gains at a time, besides what the records keep, and
+    sizes no array from a header number. Since floats round-trip
+    exactly, the rebuilt trace audits identically to the original. Its
+    records have no step source, so it cannot be written again.
     """
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
@@ -261,7 +280,6 @@ def read_trace_csv(path):
                 f"t_prime={t_prime} do not fit: n, K and T must be >= 1, "
                 "diameter >= 0 and t_prime = T + 1 + diameter")
         number = 4  # the trace line that the next read starts at
-        left = os.fstat(fh.fileno()).st_size  # bounds the characters still to read
         rounds, selected = [], ()
         for k in range(K):
             lines = []  # agent 1's t=0 rows name the remaining elements
@@ -287,22 +305,12 @@ def read_trace_csv(path):
                 text = fh.readline()
             rest = chain([text] if text else [], fh)
             x = _x_step(others, text, number, k, 0, remaining, n, head["x"])
-            # Step 0 held n * r rows, so n is the file's. A header T may
-            # not be: x_steps holds no more steps than the characters left
-            # could fill at MIN_X_ROW a row, and a step past those fails
-            # in _x_step before it is stored.
-            left -= sum(map(len, lines)) + sum(map(len, others))
-            x_steps = np.empty((min(T + 1, 1 + left // (MIN_X_ROW * n * r)), n, r))
-            x_steps[0, 0] = head["x"]
-            x_steps[0, 1:] = x.reshape(n - 1, r)
+            X0 = np.concatenate((head["x"], x)).reshape(n, r)
             del lines, others, head, x  # one step of rows at a time
             number += n * r
-            for t in range(1, T + 1):
-                lines = list(islice(rest, n * r))
-                x_steps[t] = _x_step(lines, "", number, k, t, remaining, n).reshape(n, r)
-                number += len(lines)
-                left -= sum(map(len, lines))
-            x_steps.flags.writeable = False
+            x_final, deviations, drifts = averaging_record(
+                chain([X0], _later_steps(rest, number, k, T, remaining, n)))
+            number += T * n * r
             columns = {str(v): j for j, v in enumerate(remaining.tolist())}
             masks = []
             for t in range(T + 1, t_prime + 1):
@@ -315,9 +323,8 @@ def read_trace_csv(path):
             chosen = _chosen(fh.readline(), number, k, t_prime)
             number += 1
             selected += (chosen,)
-            rounds.append(RoundRecord(k, tuple(remaining.tolist()), x_steps,
-                                      step_deviations(x_steps), masks, chosen,
-                                      selected))
+            rounds.append(RoundRecord(k, tuple(remaining.tolist()), x_final,
+                                      deviations, drifts, masks, chosen, selected))
         if text := fh.readline():
             raise ConfigError(f"trace line {number}: row after the last round: "
                               f"{text.rstrip()!r}")

@@ -153,7 +153,7 @@ def test_criterion_4_argmax_gap_bound(randomized_suite):
     for trace, fam in suite:
         eps_T = epsilon(trace.n, trace.mu, trace.T, trace.value_cap)
         for rec in trace.rounds:
-            X_T = rec.x_steps[-1]
+            X_T = rec.x_final
             peak_cols = [int(np.argmax(row)) for row in X_T]
             for i in range(trace.n):
                 gap = float(X_T[i].max()) - float(min(X_T[i, c] for c in peak_cols))
@@ -170,7 +170,7 @@ def test_criterion_5_candidate_agreement(randomized_suite):
         for rec in trace.rounds:
             final = rec.candidate_steps[-1]
             network_wide = frozenset.intersection(*rec.candidate_steps[0])
-            X_T = rec.x_steps[-1]
+            X_T = rec.x_final
             peaks = frozenset(rec.remaining[int(np.argmax(row))] for row in X_T)
             assert all(s == final[0] for s in final)
             assert final[0] == network_wide

@@ -397,6 +397,15 @@ def _x_value(value):
     return tamper
 
 
+def _x_record(record):
+    """Round 1's t=1 row of agent 2 for element 3 with `record` in place
+    of its leading "x"."""
+    def tamper(lines):
+        j = lines.index(next(line for line in lines if line.startswith("x,1,1,2,3,")))
+        return lines[:j] + [record + lines[j][1:]] + lines[j + 1:]
+    return tamper
+
+
 def _drop_first_set_row(lines):
     j = next(j for j, line in enumerate(lines) if line.startswith("set,"))
     return lines[:j] + lines[j + 1:]
@@ -459,6 +468,11 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_x_value("inf"), "non-finite gain inf"),
     (_x_value("-1e999"), "non-finite gain -inf"),
     (_drop_first_set_row, "round 0, t=2: missing agent 1 candidate set"),
+    # records that numpy's string field reads as "xx", and as "x"
+    (_x_record("xx"), "round 1, t=1: missing agent 2 gain row for element 3 "
+                      "(trace line 51 is 'xx,1,1,2,3,"),
+    (_x_record("x\0"), "round 1, t=1: missing agent 2 gain row for element 3 "
+                       "(trace line 51 is 'x\\x00,1,1,2,3,"),
     (_add_agent_4_row, "trace line 66: row after the last round: 'x,0,0,4,1,1.0,'"),
     (_drop_meta_field, "malformed trace metadata line: KeyError('n')"),
     (_append("x,7,0,1,1,1.0,"), "trace line 66: row after the last round"),
@@ -490,9 +504,9 @@ def tradeoff_trace_lines(tmp_path_factory):
      "round 0, t=2: missing agent 1 gain row for element 1 (trace line 28 is "
      "'set,0,2,1,,,"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
-        "no_set_row", "extra_agent", "no_n", "x_round_7", "set_agent_9",
-        "chosen_round_9", "header_value", "set_element_99", "header_value_cap",
-        "header_mu", "header_psi", "header_mu_nan", "header_value_inf",
+        "no_set_row", "record_xx", "record_nul", "extra_agent", "no_n",
+        "x_round_7", "set_agent_9", "chosen_round_9", "header_value",
+        "set_element_99", "header_value_cap", "header_mu", "header_psi", "header_mu_nan", "header_value_inf",
         "header_t_prime", "header_diameter", "header_T"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
@@ -579,9 +593,10 @@ def test_trace_round_trips_exactly(tmp_path):
     assert loaded.psi == fresh.psi
     assert loaded.mu == fresh.mu
     for a, b in zip(loaded.rounds, fresh.rounds):
-        assert np.array_equal(a.x_steps, b.x_steps)
+        for field in ("x_final", "deviations", "drifts"):
+            assert np.array_equal(getattr(a, field).view(np.int64),
+                                  getattr(b, field).view(np.int64)), field
         assert a.candidate_steps == b.candidate_steps
-        assert np.array_equal(a.deviations, b.deviations)
 
 
 def write_reference_trace_csv(trace, path):
@@ -595,7 +610,7 @@ def write_reference_trace_csv(trace, path):
         rows.writerow(["record", "round", "t", "agent", "element", "x_value",
                        "candidate_set"])
         for rec in trace.rounds:
-            for (t, i, j), v in np.ndenumerate(rec.x_steps):
+            for (t, i, j), v in np.ndenumerate(np.stack(list(rec.steps()))):
                 rows.writerow(["x", rec.index, t, i + 1, rec.remaining[j],
                                format_float(float(v)), ""])
             for t, per_agent in enumerate(rec.candidate_steps, trace.T + 1):
@@ -634,5 +649,7 @@ def test_trace_round_trip_on_random_configs(tmp_path):
         assert loaded.selected == trace.selected
         assert loaded.value == trace.value
         for a, b in zip(loaded.rounds, trace.rounds):
-            assert np.array_equal(a.x_steps, b.x_steps)
-            assert a.candidate_steps == b.candidate_steps
+            for field in ("x_final", "deviations", "drifts"):
+                assert np.array_equal(getattr(a, field).view(np.int64),
+                                      getattr(b, field).view(np.int64)), field
+            assert np.array_equal(a.candidate_masks, b.candidate_masks)

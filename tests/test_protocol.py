@@ -27,12 +27,12 @@ from distgreedy.errors import (
 from distgreedy.graph import diameter, make_network
 from distgreedy.mixing import MixingMatrix, spectral_mu
 from distgreedy.protocol import (
+    averaging_record,
     consensus_step,
     init_round,
     intersection_sources,
     intersection_step,
     select_and_append,
-    step_deviations,
     sweep,
     threshold_candidates,
 )
@@ -288,7 +288,9 @@ def test_identical_runs_are_bit_identical():
     assert t1.selected == t2.selected
     assert t1.value == t2.value
     for r1, r2 in zip(t1.rounds, t2.rounds):
-        assert np.array_equal(r1.x_steps, r2.x_steps)
+        for a, b in zip(r1.steps(), r2.steps(), strict=True):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.array_equal(r1.x_final.view(np.int64), r2.x_final.view(np.int64))
         assert r1.candidate_steps == r2.candidate_steps
 
 
@@ -301,8 +303,9 @@ def test_trace_shapes_match_parameters():
     assert trace.t_prime == T + 1 + 2
     assert len(trace.rounds) == K
     for k, rec in enumerate(trace.rounds):
-        assert rec.x_steps.shape == (T + 1, 3, 4 - k)
-        assert len(rec.deviations) == T + 1
+        assert [X.shape for X in rec.steps()] == [(3, 4 - k)] * (T + 1)
+        assert rec.x_final.shape == (3, 4 - k)
+        assert len(rec.deviations) == len(rec.drifts) == T + 1
         assert len(rec.candidate_steps) == trace.diameter + 1
         assert len(rec.selected_after) == k + 1
 
@@ -414,11 +417,14 @@ def test_singleton_cap_changes_auto_psi():
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 7),
        st.sampled_from([1.0, 1e3, 1e150, 1e300]), st.integers(0, 2 ** 32 - 1))
 def test_step_deviations_equal_the_whole_array_formula(steps, n, r, scale, seed):
-    # Large and negative gains; the reference takes the whole array at once.
+    # Large and negative gains; the references take the stacked steps at
+    # once.
     rng = np.random.default_rng(seed)
     x_steps = rng.standard_normal((steps, n, r)) * scale
     x_steps[rng.random(x_steps.shape) < 0.2] *= -1e5 if scale < 1e300 else -1
-    reference = np.abs(x_steps - x_steps[0].mean(axis=0)).max(axis=(1, 2))
-    deviations = step_deviations(x_steps)
-    assert np.array_equal(deviations.view(np.int64), reference.view(np.int64))
-    assert not deviations.flags.writeable
+    mean0 = x_steps[0].mean(axis=0)
+    references = (x_steps[-1], np.abs(x_steps - mean0).max(axis=(1, 2)),
+                  np.abs(x_steps.mean(axis=1) - mean0).max(axis=1))
+    for got, reference in zip(averaging_record(iter(x_steps)), references, strict=True):
+        assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+        assert not got.flags.writeable

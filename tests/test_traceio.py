@@ -1,8 +1,8 @@
 """Trace CSV formatting and parsing: exact text, exact round trip, v1 input."""
 
-import filecmp
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,31 +10,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distgreedy import RunConfig, generate, local_family, metropolis_weights
+from distgreedy import (RunConfig, bounds_report, generate, local_family,
+                        metropolis_weights)
 from distgreedy.config import build_run_config, load_experiment
 from distgreedy.errors import ConfigError, ProtocolError
 from distgreedy.graph import make_network
 from distgreedy.protocol import (TRACE_PARAMETERS, RoundRecord, RunTrace,
-                                 step_deviations)
+                                 averaging_record)
 from distgreedy.protocol import run as run_protocol
-from distgreedy.traceio import format_float, read_trace_csv, write_trace_csv
+from distgreedy.traceio import (format_float, read_trace_csv, write_bounds_json,
+                                write_summary_json, write_trace_csv)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIXED = [0.0, -0.0, 3.0, 1e16, 1e17, 5e-324, 0.1, 1 / 3, -2.5, 1e300, -1e300]
 doubles = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def bundled_config(name="ring_metropolis"):
+    return build_run_config(load_experiment(CONFIGS / f"{name}.json"))
+
+
 def bundled_trace(name="ring_metropolis"):
-    return run_protocol(build_run_config(load_experiment(CONFIGS / f"{name}.json")))
+    return run_protocol(bundled_config(name))
 
 
-def with_x_steps(trace, x_steps):
-    """`trace` with its rounds' gain estimates replaced."""
-    rounds = [RoundRecord(rec.index, rec.remaining, x, step_deviations(x),
-                          rec.candidate_masks, rec.chosen, rec.selected_after)
-              for rec, x in zip(trace.rounds, x_steps)]
+def with_steps(trace, steps, record=averaging_record):
+    """`trace` with each round's averaging steps replaced by a list of
+    (n, r) arrays, which become the round's step source; `record` gives
+    the round's x_final, deviations and drifts from its steps."""
+    rounds = [RoundRecord(rec.index, rec.remaining, *record(x), rec.candidate_masks,
+                          rec.chosen, rec.selected_after, partial(iter, x))
+              for rec, x in zip(trace.rounds, steps)]
     return RunTrace(rounds, trace.selected, trace.value,
                     **{name: getattr(trace, name) for name, _ in TRACE_PARAMETERS})
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def assert_same_trace(a, b):
@@ -45,29 +58,26 @@ def assert_same_trace(a, b):
     for x, y in zip(a.rounds, b.rounds):
         assert (x.index, x.remaining, x.chosen, x.selected_after) == \
                (y.index, y.remaining, y.chosen, y.selected_after)
-        assert x.candidate_steps == y.candidate_steps
-        assert np.array_equal(x.x_steps.view(np.int64), y.x_steps.view(np.int64))
-        assert np.array_equal(x.deviations, y.deviations)
+        assert np.array_equal(x.candidate_masks, y.candidate_masks)
+        for field in ("x_final", "deviations", "drifts"):
+            assert_same_bits(getattr(x, field), getattr(y, field))
 
 
 def written_x_values(tmp_path, values):
     """The x_value cells that write_trace_csv gives a bundled trace whose
-    gains are `values`, repeated to fill its rounds in the writer's
-    order, and the gains that those cells hold."""
+    step sources yield `values`, repeated to fill its rounds in the
+    writer's order, and the gains that those cells hold."""
     base = bundled_trace()
-    gains = [np.resize(np.array(values, dtype=float), rec.x_steps.shape)
+    gains = [list(np.resize(np.array(values, dtype=float),
+                            (base.T + 1,) + rec.x_final.shape))
              for rec in base.rounds]
-    # the writer reads no deviations, and sums of |x| near 1.8e308 overflow
-    rounds = [RoundRecord(rec.index, rec.remaining, x, None, rec.candidate_masks,
-                          rec.chosen, rec.selected_after)
-              for rec, x in zip(base.rounds, gains)]
-    trace = RunTrace(rounds, base.selected, base.value,
-                     **{name: getattr(base, name) for name, _ in TRACE_PARAMETERS})
+    # the writer reads only the steps; sums of |x| near 1.8e308 overflow
+    trace = with_steps(base, gains, record=lambda x: (None, None, None))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path)
     with open(path, newline="") as fh:
         cells = [line.split(",")[5] for line in fh if line.startswith("x,")]
-    return cells, np.concatenate([x.ravel() for x in gains]).tolist()
+    return cells, np.concatenate([np.ravel(x) for x in gains]).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,16 +107,22 @@ def test_bulk_formatting_refuses_non_finite(tmp_path, bad):
 @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=20),
        st.integers(0, 2 ** 32 - 1))
 def test_write_read_round_trips_every_bit(tmp_path_factory, values, seed):
-    # Gains drawn from the fixed values plus a random pool; |x| <= 1e300
-    # keeps the recomputed deviations finite.
+    # A T=1 trace, whose steps X_0 and X_1 are drawn from the fixed values
+    # plus a random pool; |x| <= 1e300 keeps the deviations finite. The
+    # reader keeps X_T, so each draw is written once as X_1 and once as
+    # X_0, and every bit of both comes back.
     pool = np.array(FIXED + values)
     rng = np.random.default_rng(seed)
-    base = bundled_trace()
-    trace = with_x_steps(base, [pool[rng.integers(pool.size, size=rec.x_steps.shape)]
-                                for rec in base.rounds])
-    path = tmp_path_factory.mktemp("rt") / "t.csv"
-    write_trace_csv(trace, path)
-    assert_same_trace(read_trace_csv(path), trace)
+    config = bundled_config()
+    base = run_protocol(RunConfig(config.network, config.mixing, config.family,
+                                  K=config.K, T=1))
+    draws = [[pool[rng.integers(pool.size, size=rec.x_final.shape)]
+              for _ in range(2)] for rec in base.rounds]
+    for order in (1, -1):
+        trace = with_steps(base, [steps[::order] for steps in draws])
+        path = tmp_path_factory.mktemp("rt") / "t.csv"
+        write_trace_csv(trace, path)
+        assert_same_trace(read_trace_csv(path), trace)
 
 
 def written_lines(tmp_path, trace):
@@ -193,25 +209,44 @@ def test_candidate_masks_survive_run_and_round_trip(tmp_path_factory, config):
         assert np.array_equal(a.candidate_masks, b.candidate_masks)
 
 
-@pytest.fixture(scope="module")
-def facility_run():
-    # n=20, m=50, K=6, T=24: about 143k x rows, 1.1 MB of gains
+def facility_config(T):
+    # n=20, m=50, K=6: at T=24 about 143k x rows, 1.1 MB of gains
     G = generate("erdos_renyi", 20, seed=3, p=0.3)
     fam = local_family(20, "facility_location",
                        params={"size": 50, "universe": 100}, seed=3)
-    config = RunConfig(G, metropolis_weights(G), fam, K=6, T=24)
-    return config, run_protocol(config)
+    return RunConfig(G, metropolis_weights(G), fam, K=6, T=T)
 
 
 @pytest.fixture(scope="module")
-def facility_trace(tmp_path_factory, facility_run):
-    path = tmp_path_factory.mktemp("facility") / "t.csv"
-    write_trace_csv(facility_run[1], path)
-    return path
+def facility_runs():
+    """The facility config at T=24 and at T=96, each with its run, which
+    also fills the functions' scan cache."""
+    configs = {T: facility_config(T) for T in (24, 96)}
+    return {T: (config, run_protocol(config)) for T, config in configs.items()}
+
+
+@pytest.fixture(scope="module")
+def facility_run(facility_runs):
+    return facility_runs[24]
+
+
+@pytest.fixture(scope="module")
+def facility_traces(tmp_path_factory, facility_runs):
+    paths = {}
+    for T, (_, trace) in facility_runs.items():
+        paths[T] = tmp_path_factory.mktemp("facility") / f"t{T}.csv"
+        write_trace_csv(trace, paths[T])
+    return paths
+
+
+@pytest.fixture(scope="module")
+def facility_trace(facility_traces):
+    return facility_traces[24]
 
 
 def gain_bytes(trace):
-    return sum(rec.x_steps.nbytes for rec in trace.rounds)
+    """The bytes of the T+1 steps of gains that the trace file holds."""
+    return sum((trace.T + 1) * rec.x_final.nbytes for rec in trace.rounds)
 
 
 def traced_peak(read, *args):
@@ -224,40 +259,59 @@ def traced_peak(read, *args):
         tracemalloc.stop()
 
 
-def test_reader_memory_scales_with_the_gains(facility_trace):
-    trace, peak = traced_peak(read_trace_csv, facility_trace)
-    gains = gain_bytes(trace)
-    assert gains >= 1e6
-    assert peak <= 2.5 * gains
+def assert_peaks_do_not_grow_with_T(facility_runs, peak_at):
+    # Four times the steps add less than one (n, m) step of gains, 0.7%
+    # of the gains at T=24, to the peak; the per-step deviations and
+    # drifts, 16 bytes a step and round, add 6.9 kB to the run's. A peak
+    # may also fall: the T=24 run's wider psi keeps longer candidate sets.
+    peaks = {T: peak_at(T) for T in facility_runs}
+    step = facility_runs[24][1].rounds[0].x_final.nbytes
+    assert peaks[96] - peaks[24] < step, peaks
+
+
+def test_reader_memory_does_not_grow_with_T(facility_runs, facility_traces):
+    def peak_at(T):
+        trace, peak = traced_peak(read_trace_csv, facility_traces[T])
+        assert_same_trace(trace, facility_runs[T][1])
+        return peak
+    assert_peaks_do_not_grow_with_T(facility_runs, peak_at)
 
 
 def test_reader_holds_one_step_of_rows_besides_the_gains(facility_trace):
-    # Each step is parsed into the round's array; no list of steps is
-    # stacked into a second copy of the round.
     trace, peak = traced_peak(read_trace_csv, facility_trace)
     assert peak <= 1.3 * gain_bytes(trace)
 
 
-def test_run_memory_is_the_gains(facility_run):
-    # The fixture's run of the same config filled the functions' scan
-    # cache, so this peak is the run's own arrays: the gains and a few
-    # (n, r) steps.
-    config, first = facility_run
-    trace, peak = traced_peak(run_protocol, config)
-    assert trace.selected == first.selected
-    assert peak <= 1.15 * gain_bytes(trace)
+def test_run_memory_does_not_grow_with_T(facility_runs):
+    # Each fixture run filled its functions' scan cache, so these peaks
+    # are the runs' own arrays.
+    def peak_at(T):
+        config, first = facility_runs[T]
+        trace, peak = traced_peak(run_protocol, config)
+        assert trace.selected == first.selected
+        return peak
+    assert_peaks_do_not_grow_with_T(facility_runs, peak_at)
 
 
 def test_step_deviations_hold_one_step(facility_run):
-    x_steps = facility_run[1].rounds[0].x_steps
-    _, peak = traced_peak(step_deviations, x_steps)
-    assert peak <= 4 * x_steps[0].nbytes
+    # The round's step source makes each step as it is read.
+    rec = facility_run[1].rounds[0]
+    _, peak = traced_peak(averaging_record, rec.steps())
+    assert peak <= 4 * rec.x_final.nbytes
 
 
-def test_writer_memory_is_a_fraction_of_the_gains(tmp_path, facility_run):
-    trace = facility_run[1]
-    _, peak = traced_peak(write_trace_csv, trace, tmp_path / "t.csv")
-    assert peak <= 0.12 * gain_bytes(trace)
+def test_writer_memory_is_a_fraction_of_the_gains(tmp_path, facility_runs):
+    def peak_at(T):
+        trace = facility_runs[T][1]
+        _, peak = traced_peak(write_trace_csv, trace, tmp_path / "t.csv")
+        assert peak <= 0.12 * gain_bytes(trace)
+        return peak
+    assert_peaks_do_not_grow_with_T(facility_runs, peak_at)
+
+
+def test_a_read_trace_cannot_be_written_again(tmp_path, facility_trace):
+    with pytest.raises(ValueError, match="round 0 has no step source"):
+        write_trace_csv(read_trace_csv(facility_trace), tmp_path / "t.csv")
 
 
 def test_a_larger_header_n_fails_within_the_first_step(tmp_path, facility_trace):
@@ -302,17 +356,27 @@ def test_a_larger_header_T_fails_at_the_first_missing_step(tmp_path, facility_tr
 
 
 @pytest.mark.slow
-def test_mid_scale_trace_rewrites_byte_for_byte(tmp_path):
+def test_mid_scale_memory_does_not_grow_with_T_and_analyze_reproduces_run(tmp_path):
     # The ROADMAP facility mid row: ER p=0.2, n=50, m=200, universe 400,
-    # K=20, T=30. About 47 MB of gains and two 200 MB traces.
+    # K=20, T=30. About 47 MB of gains and a 200 MB trace. At T=120 the
+    # run's peak grows by the per-step statistics alone, 16 bytes a step
+    # and round, far less than one (n, m) step.
     G = generate("erdos_renyi", 50, seed=0, p=0.2)
     fam = local_family(50, "facility_location",
                        params={"size": 200, "universe": 400}, seed=0)
-    trace, peak = traced_peak(run_protocol,
-                              RunConfig(G, metropolis_weights(G), fam, K=20, T=30))
-    assert peak <= 1.15 * gain_bytes(trace)
-    written, rewritten = tmp_path / "a.csv", tmp_path / "b.csv"
+    configs = {T: RunConfig(G, metropolis_weights(G), fam, K=20, T=T) for T in (30, 120)}
+    for config in configs.values():
+        run_protocol(config)  # fills the scan cache
+    runs = {T: traced_peak(run_protocol, config) for T, config in configs.items()}
+    trace = runs[30][0]
+    assert abs(runs[120][1] - runs[30][1]) < trace.rounds[0].x_final.nbytes
+    written = tmp_path / "t.csv"
     write_trace_csv(trace, written)
-    del trace
-    write_trace_csv(read_trace_csv(written), rewritten)
-    assert filecmp.cmp(written, rewritten, shallow=False)
+    read = read_trace_csv(written)
+    assert_same_trace(read, trace)
+    outputs = []
+    for t in (trace, read):
+        write_bounds_json(bounds_report(t, fam), tmp_path / "b.json")
+        write_summary_json(t, tmp_path / "s.json")
+        outputs.append([(tmp_path / name).read_bytes() for name in ("b.json", "s.json")])
+    assert outputs[0] == outputs[1]
