@@ -46,23 +46,28 @@ def _step_gains(f, selected_mask, m):
     return free, gains
 
 
-def centralized_greedy(f, K):
-    """Plain greedy: best marginal gain each step, ties to the lowest index."""
-    m = f.ground.size
-    K = min(K, m)
+def _greedy(f, K, pick):
+    """K greedy steps; at each, pick(gains) returns the index of the chosen
+    element among the gains of the unselected elements, ascending."""
     mask = 0
     selected, values, gains, best_gains = [], [], [], []
     for _ in range(K):
-        free, step = _step_gains(f, mask, m)
-        j = int(np.argmax(step))  # the first maximum: ties go to the lowest index
-        best_v, best_g = int(free[j]), float(step[j])
-        selected.append(best_v)
-        gains.append(best_g)
-        best_gains.append(best_g)
-        mask |= 1 << (best_v - 1)
+        free, step = _step_gains(f, mask, f.ground.size)
+        j = pick(step)
+        v = int(free[j])
+        selected.append(v)
+        gains.append(float(step[j]))
+        best_gains.append(float(step.max()))
+        mask |= 1 << (v - 1)
         values.append(f.value_mask(mask))
     return GreedyResult(tuple(selected), tuple(values), tuple(gains),
                         tuple(best_gains))
+
+
+def centralized_greedy(f, K):
+    """Plain greedy: best marginal gain each step, ties to the lowest index."""
+    # np.argmax takes the first maximum: ties go to the lowest index
+    return _greedy(f, min(K, f.ground.size), np.argmax)
 
 
 def perturbed_greedy(f, K, taus, seed=0):
@@ -81,21 +86,13 @@ def perturbed_greedy(f, K, taus, seed=0):
     if any(t < 0 for t in taus):
         raise ValueError("slack values must be nonnegative")
     rng = np.random.default_rng(seed)
-    mask = 0
-    selected, values, gains, best_gains = [], [], [], []
-    for tau in taus:
-        free, step = _step_gains(f, mask, m)
-        best_g = float(step.max())
-        eligible = np.flatnonzero(step >= best_g - tau)  # ascending
-        j = eligible[int(rng.integers(len(eligible)))]
-        v, g = int(free[j]), float(step[j])
-        selected.append(v)
-        gains.append(g)
-        best_gains.append(best_g)
-        mask |= 1 << (v - 1)
-        values.append(f.value_mask(mask))
-    return GreedyResult(tuple(selected), tuple(values), tuple(gains),
-                        tuple(best_gains))
+    slack = iter(taus)
+
+    def draw(step):
+        eligible = np.flatnonzero(step >= step.max() - next(slack))  # ascending
+        return eligible[int(rng.integers(len(eligible)))]
+
+    return _greedy(f, K, draw)
 
 
 def brute_force_optimum(f, K):

@@ -40,15 +40,17 @@ def _setup_logging():
 
 def _gammas_if_checkable(family):
     """Exact per-agent ratios, only when the family may be nonsubmodular
-    and is small enough for the exhaustive oracle."""
+    and is small enough for the exhaustive oracle; one check per
+    distinct function, since a shared draw is [f] * n."""
     if family.kind != "pair_supermodular":
         return None
     if family.ground.size > 8:
         logger.info("skipping ratio bound: |V|=%d exceeds the exact-oracle cap",
                     family.ground.size)
         return None
-    return [check_structure(f, cap=8).submodularity_ratio
-            for f in family.functions]
+    ratios = {f: check_structure(f, cap=8).submodularity_ratio
+              for f in dict.fromkeys(family.functions)}
+    return [ratios[f] for f in family.functions]
 
 
 def _print_report(report):

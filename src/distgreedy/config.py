@@ -88,10 +88,12 @@ def _require_bool(value, field):
 
 def load_experiment(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}", field="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}", field="")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}", field="")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", field="")
     return ExperimentConfig(raw)

@@ -83,39 +83,39 @@ def spectral_mu(W):
     return float(max(lam[1], -lam[-1]))
 
 
-def power_iteration_mu(W, tol=1e-13, max_iter=200_000, seed=0):
+def power_iteration_mu(W):
     """Contraction rate via power iteration on the deflated matrix.
 
     Deflating the known leading eigenpair (eigenvalue 1 on the all-ones
     direction) leaves a matrix whose spectral radius is mu. The
     iteration squares the deflated matrix so that a +/-mu eigenvalue
     pair, which would make plain power iteration oscillate, becomes a
-    single dominant eigenvalue mu^2.
+    single dominant eigenvalue mu^2. Seed-0 start; at most 200000 steps.
     """
     W = np.asarray(W, dtype=float)
     n = W.shape[0]
     if n < 2:
         raise ValueError("contraction rate undefined for a single node")
     B = W - np.full((n, n), 1.0 / n)
-    x = np.random.default_rng(seed).normal(size=n)
+    x = np.random.default_rng(0).normal(size=n)
     x /= np.linalg.norm(x)
     rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(200_000):
         y = B @ (B @ x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return 0.0
         rho_new = float(x @ y)
         x = y / norm
-        if abs(rho_new - rho) <= tol * max(1.0, abs(rho_new)):
+        if abs(rho_new - rho) <= 1e-13 * max(1.0, abs(rho_new)):
             rho = rho_new
             break
         rho = rho_new
     return float(np.sqrt(max(rho, 0.0)))
 
 
-def validate_mixing(W, G, tol=STRUCT_TOL):
-    """Check all weight-matrix conditions against a graph.
+def validate_mixing(W, G):
+    """Check all weight-matrix conditions, to STRUCT_TOL, against a graph.
 
     Returns a report rather than raising: adversarial matrices (for
     instance periodic chains with mu = 1) are legitimate test inputs.
@@ -124,29 +124,25 @@ def validate_mixing(W, G, tol=STRUCT_TOL):
     n = G.n
     if W.shape != (n, n):
         raise ValueError(f"matrix shape {W.shape} does not match n={n}")
-    nonnegative = bool((W >= -tol).all())
+    nonnegative = bool((W >= -STRUCT_TOL).all())
     supported = True
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j and (min(i, j), max(i, j)) not in G.edges:
-                if abs(W[i - 1, j - 1]) > tol:
+                if abs(W[i - 1, j - 1]) > STRUCT_TOL:
                     supported = False
-    stochastic = bool(np.abs(W.sum(axis=1) - 1.0).max() <= tol)
-    symmetric = bool(np.abs(W - W.T).max() <= tol)
-    if symmetric and n >= 2:
-        mu = spectral_mu(W)
-    elif n == 1:
-        mu = 0.0
-    else:
-        mu = float("nan")
+    stochastic = bool(np.abs(W.sum(axis=1) - 1.0).max() <= STRUCT_TOL)
+    symmetric = bool(np.abs(W - W.T).max() <= STRUCT_TOL)
+    mu = _rate(W) if symmetric else float("nan")
     contractive = bool(mu < 1.0)
     return MixingReport(nonnegative, supported, stochastic, symmetric,
                         contractive, mu)
 
 
-def _with_mu(W, construction):
-    mu = spectral_mu(W) if W.shape[0] >= 2 else 0.0
-    return MixingMatrix(W, mu, construction)
+def _rate(W):
+    """spectral_mu of a symmetric W, and 0 on a single node, where
+    averaging is the identity and the error bound is 0."""
+    return 0.0 if W.shape[0] == 1 else spectral_mu(W)
 
 
 def metropolis_weights(G):
@@ -160,7 +156,7 @@ def metropolis_weights(G):
         W[j - 1, i - 1] = w
     for i in range(n):
         W[i, i] = 1.0 - W[i].sum()
-    return _with_mu(W, "metropolis")
+    return MixingMatrix(W, _rate(W), "metropolis")
 
 
 def lazy_max_degree_weights(G):
@@ -171,8 +167,6 @@ def lazy_max_degree_weights(G):
     eigenvalue into [0, 1) and restores contraction.
     """
     n = G.n
-    if n < 2:
-        return MixingMatrix(np.ones((1, 1)), 0.0, "lazy_max_degree")
     dmax = max(G.degree(i) for i in range(1, n + 1))
     W = np.zeros((n, n))
     for i, j in G.edges:
@@ -181,7 +175,7 @@ def lazy_max_degree_weights(G):
     for i in range(n):
         W[i, i] = 1.0 - W[i].sum()
     W = (np.eye(n) + W) / 2.0
-    return _with_mu(W, "lazy_max_degree")
+    return MixingMatrix(W, _rate(W), "lazy_max_degree")
 
 
 def uniform_complete_weights(n):
@@ -200,7 +194,7 @@ def lazy(mix):
     """Average a mixing matrix with the identity: halves the gap to 1."""
     n = mix.n
     W = (np.eye(n) + mix.W) / 2.0
-    return _with_mu(W, "custom")
+    return MixingMatrix(W, _rate(W), "custom")
 
 
 class ContractionReport:
@@ -211,12 +205,12 @@ class ContractionReport:
         self.passed = passed
 
 
-def contraction_bound_check(mix, t_max, slack=1e-9):
+def contraction_bound_check(mix, t_max):
     """Check that powers of W approach the averaging matrix geometrically.
 
     For each power t up to t_max, the worst row deviation
     max_i sum_j |(W^t)_ij - 1/n| is computed by repeated multiplication
-    and compared against sqrt(n) * mu^t plus `slack`.
+    and compared against sqrt(n) * mu^t plus a 1e-9 slack.
     """
     W = mix.W
     n = W.shape[0]
@@ -227,7 +221,7 @@ def contraction_bound_check(mix, t_max, slack=1e-9):
     for t in range(1, t_max + 1):
         measured = float(np.abs(P - 1.0 / n).sum(axis=1).max())
         bound = float(np.sqrt(n) * mu ** t)
-        ok = measured <= bound + slack
+        ok = measured <= bound + 1e-9
         passed = passed and ok
         rows.append((t, measured, bound, ok))
         P = P @ W

@@ -134,8 +134,7 @@ class RunConfig:
 
     @property
     def mu(self):
-        # single agent: averaging is the identity and the error bound is 0
-        return 0.0 if self.network.n == 1 else self.mixing.mu
+        return self.mixing.mu
 
     def trace_parameters(self, T, psi):
         """The TRACE_PARAMETERS of a run with T averaging steps and width

@@ -90,13 +90,16 @@ class SetFunction:
     runs it on blocks of BATCH_BYTES // row_bytes rows, and caches small
     scans. It is the only evaluator: value_mask and table are scans.
     Evaluation is pure; the cache is a plain dict, whose item writes are
-    atomic, so concurrent readers at worst recompute a value.
+    atomic, so concurrent readers at worst recompute a value. It costs
+    about 16 B per (agent, round, remaining element) of a run: 3.1 MB at
+    n=50, m=200, K=20, and 320 MB at n=200, m=2000, K=50 (see README).
     """
 
     def __init__(self, ground, batch, label="", row_bytes=8):
         self.ground = ground
         self.label = label
         self._batch = batch
+        # the audit rereads each init_round scan: mid row 0.010 s, not 0.23-0.31
         self._scans = {}
         self._rows_per_block = max(1, BATCH_BYTES // row_bytes)
 

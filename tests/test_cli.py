@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from distgreedy import centralized_greedy
+from distgreedy import centralized_greedy, check_structure, cli
 from distgreedy.cli import main
 from distgreedy.config import build_run_config, load_experiment
 from distgreedy.traceio import format_float, read_trace_csv
@@ -60,6 +60,31 @@ def test_nonsubmodular_scenario_reports_ratio_bound(tmp_path):
     bounds = json.loads((tmp_path / "b.json").read_text())
     assert bounds["gamma_min"] == pytest.approx(2 / 3)
     assert bounds["checks"]["ratio_bound"]["passed"]
+
+
+@pytest.mark.parametrize("functions, checks", [
+    ({"kind": "pair_supermodular", "size": 6, "pair": [1, 2]}, 1),
+    ({"kind": "pair_supermodular", "size": 6, "identical": True}, 1),
+    ({"kind": "pair_supermodular", "size": 6}, 4),
+], ids=["explicit_pair", "identical", "independent"])
+def test_structure_is_checked_once_per_distinct_function(tmp_path, monkeypatch,
+                                                         functions, checks):
+    raw = json.loads((CONFIGS / "nonsubmodular.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(raw, functions=functions)))
+    family = build_run_config(load_experiment(path)).family
+    assert family.n == 4
+    calls = []
+
+    def counted(f, cap):
+        calls.append(f)
+        return check_structure(f, cap=cap)
+
+    monkeypatch.setattr(cli, "check_structure", counted)
+    gammas = cli._gammas_if_checkable(family)
+    assert len(calls) == checks
+    assert gammas == [check_structure(f, cap=8).submodularity_ratio
+                      for f in family.functions]
 
 
 def test_summary_is_byte_identical_across_runs(tmp_path):
@@ -197,8 +222,23 @@ def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_missing_config_file(tmp_path):
-    assert run_cli("validate-config", "--config", tmp_path / "nope.json") == 2
+def _non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"scenario": "caf\xe9"}')
+    return path
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp_path: tmp_path / "nope.json",
+     "cannot read config file {path}: No such file or directory"),
+    (lambda tmp_path: tmp_path, "cannot read config file {path}: Is a directory"),
+    (_non_utf8, "config file {path} is not UTF-8: 'utf-8' codec can't decode "
+                "byte 0xe9 in position 17: invalid continuation byte"),
+], ids=["missing", "directory", "non_utf8"])
+def test_missing_config_file(tmp_path, capsys, make, message):
+    path = make(tmp_path)
+    assert run_cli("validate-config", "--config", path) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
 
 def test_auto_psi_needs_a_contracting_matrix(tmp_path):
@@ -388,9 +428,10 @@ def _truncate_to_x_0(lines):
     return lines[:x_at[len(x_at) // 2]] + ["x,0"]
 
 
-def _x_value(value):
+def _x_value(value, row="x,1,"):
+    """The first row that starts with `row` with `value` as its gain."""
     def tamper(lines):
-        j = next(j for j, line in enumerate(lines) if line.startswith("x,1,"))
+        j = next(j for j, line in enumerate(lines) if line.startswith(row))
         parts = lines[j].split(",")
         parts[5] = value
         return lines[:j] + [",".join(parts)] + lines[j + 1:]
@@ -464,7 +505,13 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_x_value("abc"), "cannot read x row 'x,1,0,1,"),
     (_drop_agent_1_at_t0, "round 0, t=0: missing agent 1 gain rows"),
     (_truncate_to_x_0, "cannot read x row 'x,0'"),
-    (_x_value("nan"), "non-finite gain nan"),
+    (_x_value("nan"), "config error: trace line 38: round 1, t=0: agent 1 has a "
+                      "non-finite gain nan for element 2\n"),
+    (_x_value("abc", "x,1,0,2,"),
+     "config error: trace line 41: cannot read x row 'x,1,0,2,2,abc,' ("),
+    (_x_value("nan", "x,1,0,2,"),
+     "config error: trace line 41: round 1, t=0: agent 2 has a non-finite gain "
+     "nan for element 2\n"),
     (_x_value("inf"), "non-finite gain inf"),
     (_x_value("-1e999"), "non-finite gain -inf"),
     (_drop_first_set_row, "round 0, t=2: missing agent 1 candidate set"),
@@ -503,7 +550,8 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_meta_fields(T="2", t_prime="5"),
      "round 0, t=2: missing agent 1 gain row for element 1 (trace line 28 is "
      "'set,0,2,1,,,"),
-], ids=["abc", "no_agent_1", "truncated", "nan", "inf", "overflow",
+], ids=["abc", "no_agent_1", "truncated", "nan", "abc_agent_2", "nan_agent_2",
+        "inf", "overflow",
         "no_set_row", "record_xx", "record_nul", "extra_agent", "no_n",
         "x_round_7", "set_agent_9", "chosen_round_9", "header_value",
         "set_element_99", "header_value_cap", "header_mu", "header_psi", "header_mu_nan", "header_value_inf",
@@ -517,6 +565,37 @@ def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                  "--config", str(CONFIGS / "tradeoff.json"),
                  "--out", str(tmp_path / "b.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _non_utf8_trace(tmp_path, lines):
+    """The trace with a Latin-1 byte in the gain of its first x row."""
+    path = tmp_path / "latin1.csv"
+    text = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(text.replace(b"\nx,0,0,1,1,3.0,", b"\nx,0,0,1,1,\xe93.0,"))
+    return path
+
+
+@pytest.mark.parametrize("command", [["analyze", "--out", "b.json"], ["replay"]],
+                         ids=["analyze", "replay"])
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp_path, lines: tmp_path / "nope.csv",
+     "cannot open trace {path}: No such file or directory"),
+    (lambda tmp_path, lines: tmp_path, "cannot open trace {path}: Is a directory"),
+    # the byte decodes to U+FFFD, and its row fails to parse
+    (_non_utf8_trace,
+     "trace line 4: cannot read x row 'x,0,0,1,1,\ufffd3.0,' ("),
+], ids=["missing", "directory", "non_utf8"])
+def test_unreadable_trace_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                            tradeoff_trace_lines, command,
+                                            make, message):
+    monkeypatch.chdir(tmp_path)
+    path = make(tmp_path, tradeoff_trace_lines)
+    capsys.readouterr()
+    assert run_cli(*command, "--trace", path,
+                   "--config", CONFIGS / "tradeoff.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message.format(path=path)}")
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):

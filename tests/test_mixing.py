@@ -50,6 +50,19 @@ def test_metropolis_single_node():
         spectral_mu(M.W)
 
 
+def test_lazy_max_degree_single_node():
+    M = lazy_max_degree_weights(generate("path", 1))
+    assert np.array_equal(M.W, np.ones((1, 1)))
+    assert M.mu == 0.0
+    assert M.construction == "lazy_max_degree"
+
+
+def test_validate_mixing_single_node():
+    report = validate_mixing(np.ones((1, 1)), generate("path", 1))
+    assert report.passed
+    assert report.mu == 0.0
+
+
 def test_uniform_complete_entries_and_mu():
     M = uniform_complete_weights(3)
     assert np.all(M.W == 1 / 3)
