@@ -1,8 +1,9 @@
 """Post-hoc audits of recorded runs and tradeoff sweeps.
 
-The closed-form bounds (epsilon, psi_min and the additive gap) live with
-the run state in the protocol module and are re-exported here. Every
-audit is computed from trace data alone, never from re-simulation.
+The closed-form bounds (epsilon(T), the psi floor and the additive gap)
+come from protocol.bounds, held by each RunTrace; only the per-step
+envelope calls epsilon(t). Every audit is computed from trace data
+alone, never from re-simulation.
 """
 
 import math
@@ -99,7 +100,7 @@ def audit_trace(trace, family):
     candidate_agreement = CheckResult(
         "candidate_agreement", not agreement_detail, detail=agreement_detail)
 
-    if trace.contracting:
+    if trace.epsilon_T is not None:
         consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family)
     else:
         consensus_error, argmax_gap, round_gain = (
@@ -152,7 +153,7 @@ def _epsilon_checks(trace, family):
 
 def _guarantee_check(name, trace, factor, optimum_value):
     """achieved >= factor * optimum - additive_gap, up to AUDIT_SLACK."""
-    if not trace.contracting:
+    if trace.additive_gap is None:
         result = _skip_non_contracting(name, trace)
         result.rhs = None
         return result
@@ -205,13 +206,13 @@ def check_ratio_bound(trace, optimum_value, gammas):
 class BoundsReport:
     """Everything the bound machinery derives from one run."""
 
-    def __init__(self, achieved, epsilon_T, psi, psi_floor, additive_gap,
-                 optimum, approx_rhs, vacuous, gamma_min, ratio_rhs, checks):
-        self.achieved = achieved
-        self.epsilon_T = epsilon_T
-        self.psi = psi
-        self.psi_floor = psi_floor
-        self.additive_gap = additive_gap      # see RunTrace.additive_gap
+    def __init__(self, trace, optimum, approx_rhs, vacuous, gamma_min, ratio_rhs,
+                 checks):
+        self.achieved = trace.value
+        self.epsilon_T = trace.epsilon_T
+        self.psi = trace.psi
+        self.psi_floor = trace.psi_floor
+        self.additive_gap = trace.additive_gap
         self.optimum = optimum
         self.approx_rhs = approx_rhs
         self.vacuous = vacuous
@@ -243,6 +244,15 @@ class BoundsReport:
         }
 
 
+def exact_optimum(family, K):
+    """The optimum value of the family's average function over the
+    K-subsets, or None for an instance past the enumeration cap."""
+    try:
+        return brute_force_optimum(family.average(), K)[1]
+    except CapExceededError:
+        return None
+
+
 def bounds_report(trace, family, optimum=None, gammas=None):
     """Assemble the audit plus the guarantee checks into one report.
 
@@ -261,19 +271,17 @@ def bounds_report(trace, family, optimum=None, gammas=None):
             checks.append(ratio)
             if not ratio.skipped:
                 gamma_min, ratio_rhs = ratio.gamma_min, ratio.rhs
-    return BoundsReport(trace.value, trace.epsilon_T, trace.psi,
-                        trace.psi_floor, trace.additive_gap, optimum,
-                        approx_rhs, vacuous, gamma_min, ratio_rhs,
-                        AuditReport(checks))
+    return BoundsReport(trace, optimum, approx_rhs, vacuous, gamma_min,
+                        ratio_rhs, AuditReport(checks))
 
 
 class SweepRow:
-    def __init__(self, T, psi, eps, additive_gap, achieved, rhs, vacuous):
-        self.T = T
-        self.psi = psi
-        self.epsilon = eps
-        self.additive_gap = additive_gap
-        self.achieved = achieved
+    def __init__(self, trace, rhs, vacuous):
+        self.T = trace.T
+        self.psi = trace.psi
+        self.epsilon = trace.epsilon_T
+        self.additive_gap = trace.additive_gap
+        self.achieved = trace.value
         self.rhs = rhs
         self.vacuous = vacuous
 
@@ -296,10 +304,7 @@ def tradeoff_sweep(config, T_values, psi="auto"):
     list).
     """
     traces = sweep(config, T_values, None if psi == "auto" else float(psi))
-    try:
-        _, optimum = brute_force_optimum(config.family.average(), config.K)
-    except CapExceededError:
-        optimum = None
+    optimum = exact_optimum(config.family, config.K)
     rows = []
     for trace in traces:
         if optimum is None:
@@ -307,6 +312,5 @@ def tradeoff_sweep(config, T_values, psi="auto"):
         else:
             approx = check_approx_bound(trace, optimum)
             rhs, vac = approx.rhs, approx.vacuous
-        rows.append(SweepRow(trace.T, trace.psi, trace.epsilon_T,
-                             trace.additive_gap, trace.value, rhs, vac))
+        rows.append(SweepRow(trace, rhs, vac))
     return rows

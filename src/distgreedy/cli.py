@@ -3,7 +3,8 @@
 Subcommands: run, sweep, baseline, analyze, replay, validate-config.
 Exit codes: 0 all enabled checks pass, 1 a check failed (margins are
 printed), 2 configuration or dimension problems (the offending field is
-named). Set DG_LOG=DEBUG|INFO|WARNING for verbosity.
+named) or an unwritable output file (the path is named). Set
+DG_LOG=DEBUG|INFO|WARNING for verbosity.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import logging
 import os
 import sys
 
-from .analysis import bounds_report, tradeoff_sweep
+from .analysis import bounds_report, exact_optimum, tradeoff_sweep
 from .baseline import brute_force_optimum, centralized_greedy, perturbed_greedy
 from .config import adversary_stream, build_run_config, load_experiment
 from .errors import CapExceededError, ConfigError, ProtocolError
@@ -63,10 +64,8 @@ def _print_report(report):
 
 def _full_report(trace, family):
     """The audit, plus the guarantee checks when the optimum is enumerable."""
-    try:
-        _, optimum = brute_force_optimum(family.average(), trace.K)
-    except CapExceededError:
-        optimum = None
+    optimum = exact_optimum(family, trace.K)
+    if optimum is None:
         logger.info("instance too large for the exact optimum; "
                     "guarantee checks disabled")
     return bounds_report(trace, family, optimum=optimum,
@@ -270,6 +269,9 @@ def main(argv=None):
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # every read turns its OSError into a ConfigError
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, GraphGenerationError
 from .graph import graph_from_config
 from .mixing import mixing_from_config
-from .protocol import RunConfig
+from .protocol import RunConfig, bounds
 from .setfn import family_from_config
 
 TOP_LEVEL_KEYS = {
@@ -141,11 +141,12 @@ def build_run_config(cfg):
         seed=cfg.seed)
 
     if cfg.strict_psi and cfg.psi != "auto":
-        if not run_config.mu < 1.0:
+        _, floor, _ = bounds(network.n, run_config.K, run_config.T, run_config.mu,
+                             run_config.value_cap, cfg.psi)
+        if floor is None:
             raise ConfigError(
                 f"strict_psi needs a contracting mixing matrix, but "
                 f"mu={run_config.mu}", field="strict_psi")
-        floor = run_config.trace_parameters(run_config.T, None)["psi"]
         if cfg.psi < floor:
             raise ConfigError(
                 f"psi={cfg.psi} is below the feasible floor {floor:.6g} "

@@ -27,9 +27,10 @@ A run that uses a feasible psi earns the additive guarantee
 
     achieved >= (1 - 1/e) * optimum - additive_gap,
 
-where RunTrace.additive_gap is K * (psi + 2 * epsilon(T)), and 1 - 1/e
+where the additive gap is K * (psi + 2 * epsilon(T)), and 1 - 1/e
 becomes 1 - exp(-gamma_min) when the locals are only approximately
-submodular with ratio at least gamma_min > 0.
+submodular with ratio at least gamma_min > 0. `bounds` computes these
+three numbers, once per RunTrace, and every other reader reads them.
 """
 
 import logging
@@ -63,6 +64,18 @@ def epsilon(n, mu, T, value_cap):
 def psi_min(n, mu, T, value_cap):
     """Smallest threshold width that keeps every agent's argmax alive."""
     return 4.0 * epsilon(n, mu, T, value_cap)
+
+
+def bounds(n, K, T, mu, value_cap, psi):
+    """(epsilon_T, psi_floor, additive_gap) of a run: epsilon(T), the psi
+    floor 4 * epsilon(T) and the additive gap K * (psi + 2 * epsilon(T)),
+    where psi=None is the floor. With mu >= 1 averaging carries no error
+    bound, and all three are None."""
+    if not mu < 1.0:
+        return None, None, None
+    eps = epsilon(n, mu, T, value_cap)
+    floor = 4.0 * eps
+    return eps, floor, K * ((floor if psi is None else psi) + 2.0 * eps)
 
 
 def _check_averaging(T, psi):
@@ -120,9 +133,6 @@ class RunConfig:
         self.use_singleton_cap = bool(use_singleton_cap)
         self.threshold_slack = float(threshold_slack)
         self.seed = int(seed)
-        if self.psi is None and not self.mu < 1.0:
-            raise ConfigError(f"psi 'auto' needs a contracting mixing matrix, "
-                              f"but mu={self.mu}", field="psi")
         self.diameter = diameter(network)
         self.sources = intersection_sources(network, include_self_in_intersection)
         self.trace_parameters(self.T, self.psi)  # bounds that overflow fail here
@@ -144,21 +154,21 @@ class RunConfig:
         files could not be written."""
         _check_averaging(T, psi)
         n, mu, cap = self.network.n, self.mu, self.value_cap
-        parameters = {
+        _, floor, gap = bounds(n, self.K, T, mu, cap, psi)
+        if floor is None and psi is None:
+            raise ConfigError(f"psi 'auto' needs a contracting mixing matrix, "
+                              f"but mu={mu}", field="psi")
+        psi = floor if psi is None else float(psi)
+        if floor is not None and not math.isfinite(max(floor, gap)):
+            raise ConfigError(
+                f"bounds overflow at T={T}, psi={psi}: psi floor "
+                f"4*epsilon(T) = {floor}, additive gap "
+                f"K*(psi + 2*epsilon(T)) = {gap}", field="psi")
+        return {
             "n": n, "K": self.K, "T": T, "t_prime": T + 1 + self.diameter,
-            "diameter": self.diameter,
-            "psi": psi_min(n, mu, T, cap) if psi is None else float(psi),
-            "mu": mu, "value_cap": cap,
+            "diameter": self.diameter, "psi": psi, "mu": mu, "value_cap": cap,
             "include_self": self.include_self_in_intersection,
             "threshold_slack": self.threshold_slack, "seed": self.seed}
-        bounds = RunTrace((), (), 0.0, **parameters)
-        if bounds.contracting and not math.isfinite(
-                max(bounds.psi_floor, bounds.additive_gap)):
-            raise ConfigError(
-                f"bounds overflow at T={T}, psi={parameters['psi']}: psi floor "
-                f"4*epsilon(T) = {bounds.psi_floor}, additive gap "
-                f"K*(psi + 2*epsilon(T)) = {bounds.additive_gap}", field="psi")
-        return parameters
 
 
 class RoundRecord:
@@ -233,10 +243,11 @@ class RunTrace:
     """Everything recorded during a run, enough to audit every guarantee.
 
     The run parameters come by keyword, one per TRACE_PARAMETERS name,
-    as RunConfig.trace_parameters gives them. A trace may be recorded
-    with a non-contracting mu >= 1 (an explicit psi on a periodic
-    chain). Averaging then carries no error bound, so the bound
-    properties read None and the audits that need them are skipped.
+    as RunConfig.trace_parameters gives them; epsilon_T, psi_floor and
+    additive_gap are their `bounds`. A trace may be recorded with a
+    non-contracting mu >= 1 (an explicit psi on a periodic chain).
+    Averaging then carries no error bound, so the three bounds are None
+    and the audits that need them are skipped.
     """
 
     def __init__(self, rounds, selected, value, **parameters):
@@ -246,28 +257,8 @@ class RunTrace:
         self.rounds = rounds
         self.selected = selected
         self.value = value
-
-    @property
-    def contracting(self):
-        return self.mu < 1.0
-
-    @property
-    def epsilon_T(self):
-        if not self.contracting:
-            return None
-        return epsilon(self.n, self.mu, self.T, self.value_cap)
-
-    @property
-    def psi_floor(self):
-        if not self.contracting:
-            return None
-        return psi_min(self.n, self.mu, self.T, self.value_cap)
-
-    @property
-    def additive_gap(self):
-        if not self.contracting:
-            return None
-        return self.K * (self.psi + 2.0 * self.epsilon_T)
+        self.epsilon_T, self.psi_floor, self.additive_gap = bounds(
+            self.n, self.K, self.T, self.mu, self.value_cap, self.psi)
 
     def __repr__(self):
         return (f"RunTrace(n={self.n}, K={self.K}, T={self.T}, "

@@ -134,7 +134,8 @@ def _parse_meta(line):
         selected = tuple(int(v) for v in meta["selected"].split("|") if v)
         value = float(meta["value"])
         for name, number in [*parameters.items(), ("value", value)]:
-            if not math.isfinite(number):  # the writer never writes one
+            if not math.isfinite(number) or (  # the writer writes neither
+                    number < 0 and name in ("mu", "value_cap")):
                 raise ValueError(f"{name}={number}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed trace metadata line: {exc!r}") from None

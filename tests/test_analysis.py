@@ -342,8 +342,7 @@ def reference_sweep(config, T_values, psi="auto"):
         else:
             approx = check_approx_bound(trace, optimum)
             rhs, vac = approx.rhs, approx.vacuous
-        rows.append(SweepRow(T, trace.psi, trace.epsilon_T, trace.additive_gap,
-                             trace.value, rhs, vac))
+        rows.append(SweepRow(trace, rhs, vac))
     return rows
 
 

@@ -539,6 +539,10 @@ def tradeoff_trace_lines(tmp_path_factory):
      "27.712812921102042"),
     (_meta_field("mu", "nan"),
      "malformed trace metadata line: ValueError('mu=nan')"),
+    (_meta_field("mu", "-0.5"),
+     "malformed trace metadata line: ValueError('mu=-0.5')"),
+    (_meta_field("value_cap", "-6.0"),
+     "malformed trace metadata line: ValueError('value_cap=-6.0')"),
     (_meta_value_inf, "malformed trace metadata line: ValueError('value=inf')"),
     # no list or array may be sized from these before the rows are read
     (_meta_field("t_prime", "1000000000000"),
@@ -554,7 +558,8 @@ def tradeoff_trace_lines(tmp_path_factory):
         "inf", "overflow",
         "no_set_row", "record_xx", "record_nul", "extra_agent", "no_n",
         "x_round_7", "set_agent_9", "chosen_round_9", "header_value",
-        "set_element_99", "header_value_cap", "header_mu", "header_psi", "header_mu_nan", "header_value_inf",
+        "set_element_99", "header_value_cap", "header_mu", "header_psi", "header_mu_nan",
+        "header_mu_negative", "header_value_cap_negative", "header_value_inf",
         "header_t_prime", "header_diameter", "header_T"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
@@ -565,6 +570,29 @@ def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                  "--config", str(CONFIGS / "tradeoff.json"),
                  "--out", str(tmp_path / "b.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, written", [
+    (["run", "--trace-out", "out", "--summary-out", "s.json"], []),
+    (["run", "--trace-out", "t.csv", "--summary-out", "out"], ["t.csv"]),
+    (["run", "--trace-out", "t.csv", "--summary-out", "s.json",
+      "--bounds-out", "out"], ["t.csv", "s.json"]),
+    (["sweep", "--T", "1:3", "--out", "out"], []),
+    (["baseline", "--which", "greedy", "--out", "out"], []),
+    (["analyze", "--trace", "trace.csv", "--out", "out"], []),
+], ids=["run_trace", "run_summary", "run_bounds", "sweep", "baseline", "analyze"])
+def test_an_unwritable_output_exits_2_and_names_it(tmp_path, capsys, monkeypatch,
+                                                   tradeoff_trace_lines,
+                                                   command, written):
+    # each used to end in a traceback and exit 1, after all the work
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "trace.csv").write_text("\n".join(tradeoff_trace_lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(*command, "--config", CONFIGS / "tradeoff.json") == 2
+    assert capsys.readouterr().err == "cannot write out: Is a directory\n"
+    for name in written:  # the files before the failing one stay
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def _non_utf8_trace(tmp_path, lines):

@@ -28,10 +28,13 @@ from distgreedy.graph import diameter, make_network
 from distgreedy.mixing import MixingMatrix, spectral_mu
 from distgreedy.protocol import (
     averaging_record,
+    bounds,
     consensus_step,
+    epsilon,
     init_round,
     intersection_sources,
     intersection_step,
+    psi_min,
     select_and_append,
     sweep,
     threshold_candidates,
@@ -411,6 +414,19 @@ def test_singleton_cap_changes_auto_psi():
     tight = RunConfig(G, M, fam, K=1, T=2,
                       use_singleton_cap=True).trace_parameters(2, None)["psi"]
     assert tight == loose / 2  # singleton cap 3 vs total cap 6
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 100), st.integers(1, 300),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1e12),
+       st.floats(0.0, 1e9), st.floats(1.0, 1e300))
+def test_bounds_are_the_closed_forms_bit_for_bit(n, K, T, mu, cap, psi, mu_hi):
+    eps, floor = epsilon(n, mu, T, cap), psi_min(n, mu, T, cap)
+    assert [b.hex() for b in bounds(n, K, T, mu, cap, psi)] == [
+        eps.hex(), floor.hex(), (K * (psi + 2.0 * eps)).hex()]
+    # psi=None is the floor, as RunConfig resolves psi 'auto'
+    assert bounds(n, K, T, mu, cap, None)[2].hex() == (K * (floor + 2.0 * eps)).hex()
+    assert bounds(n, K, T, mu_hi, cap, psi) == (None, None, None)
 
 
 @settings(max_examples=100, deadline=None)

@@ -157,6 +157,18 @@ def test_reader_rejects_rows_out_of_the_written_order(tmp_path, reorder, offset)
         read_trace_csv(tmp_path / "o.csv")
 
 
+@pytest.mark.parametrize("name, text", [("mu", "-0.5"), ("value_cap", "-6.0")])
+def test_reader_rejects_a_negative_mu_or_value_cap(tmp_path, name, text):
+    # such a header has no bounds: epsilon(T) would raise a bare ValueError
+    lines = written_lines(tmp_path, bundled_trace())
+    head, _, rest = lines[1].partition(f",{name}=")
+    lines[1] = f"{head},{name}={text}{rest[rest.index(','):]}"
+    (tmp_path / "neg.csv").write_text("".join(lines), newline="")
+    with pytest.raises(ConfigError, match=rf"^malformed trace metadata line: "
+                                          rf"ValueError\('{name}={text}'\)$"):
+        read_trace_csv(tmp_path / "neg.csv")
+
+
 def test_reader_accepts_lf_line_ends(tmp_path):
     trace = bundled_trace()
     lines = written_lines(tmp_path, trace)
