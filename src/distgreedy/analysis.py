@@ -1,9 +1,12 @@
 """Post-hoc audits of recorded runs and tradeoff sweeps.
 
-The closed-form bounds (epsilon(T), the psi floor and the additive gap)
-come from protocol.bounds, held by each RunTrace; only the per-step
-envelope calls epsilon(t). Every audit is computed from trace data
-alone, never from re-simulation.
+audit_trace and bounds_report return one report type, AuditReport: the
+trace, its checks in order, and the optimum that the guarantee checks
+used. Each CheckResult carries its own numbers, and the bounds file
+reads them and the trace directly. The closed-form bounds (epsilon(T),
+the psi floor and the additive gap) come from protocol.bounds, held by
+each RunTrace; only the per-step envelope calls epsilon(t). Every audit
+is computed from trace data alone, never from re-simulation.
 """
 
 import math
@@ -12,20 +15,29 @@ import numpy as np
 
 from .baseline import brute_force_optimum, max_marginal
 from .errors import CapExceededError
-# epsilon and psi_min stay importable from here, next to the audits
-from .protocol import epsilon, psi_min, sweep
+from .protocol import epsilon, sweep
 
 AUDIT_SLACK = 1e-9
 CONSERVATION_TOL = 1e-12
 
 
 class CheckResult:
-    def __init__(self, name, passed, margin=None, detail="", skipped=False):
+    """One named check. A guarantee check also carries its right side rhs
+    (vacuous when at or below zero) and, for ratio_bound, gamma_min."""
+
+    def __init__(self, name, passed, margin=None, detail="", skipped=False,
+                 rhs=None, gamma_min=None):
         self.name = name
         self.passed = passed
         self.margin = margin
         self.detail = detail
         self.skipped = skipped
+        self.rhs = rhs
+        self.gamma_min = gamma_min
+
+    @property
+    def vacuous(self):
+        return None if self.rhs is None else self.rhs <= 0.0
 
     def __repr__(self):
         state = "skipped" if self.skipped else ("pass" if self.passed else "FAIL")
@@ -33,22 +45,46 @@ class CheckResult:
         return f"CheckResult({self.name}: {state}{margin})"
 
 
+_NOT_RUN = CheckResult("", True, skipped=True)  # a guarantee check left out
+
+
 class AuditReport:
-    def __init__(self, checks):
-        self.checks = {c.name: c for c in checks}
+    """A trace, its checks in order, and the optimum that the guarantee
+    checks used (None when they were left out)."""
+
+    def __init__(self, trace, checks, optimum=None):
+        self.trace = trace
+        self.checks = list(checks)
+        self.optimum = optimum
 
     @property
     def passed(self):
-        return all(c.passed or c.skipped for c in self.checks.values())
-
-    def __iter__(self):
-        return iter(self.checks.values())
+        return all(c.passed or c.skipped for c in self.checks)
 
     def __getitem__(self, name):
-        return self.checks[name]
+        return {c.name: c for c in self.checks}[name]
 
-    def __repr__(self):
-        return f"AuditReport(passed={self.passed}, checks={list(self.checks)})"
+    def to_jsonable(self):
+        checks = {c.name: c for c in self.checks}
+        approx = checks.get("approx_bound", _NOT_RUN)
+        ratio = checks.get("ratio_bound", _NOT_RUN)
+        return {
+            "achieved": self.trace.value,
+            "epsilon_T": self.trace.epsilon_T,
+            "psi": self.trace.psi,
+            "psi_floor": self.trace.psi_floor,
+            "additive_gap": self.trace.additive_gap,
+            "optimum": self.optimum,
+            "approx_rhs": approx.rhs,
+            "vacuous": approx.vacuous,
+            "gamma_min": ratio.gamma_min,
+            "ratio_rhs": ratio.rhs,
+            "checks": {
+                name: {"passed": c.passed, "margin": c.margin,
+                       "detail": c.detail, "skipped": c.skipped}
+                for name, c in checks.items()
+            },
+        }
 
 
 def _agreement_failure(rec, ground):
@@ -90,30 +126,33 @@ def audit_trace(trace, family):
     skipped.
     """
     drift = max(float(rec.drifts.max()) for rec in trace.rounds)
-    conservation = CheckResult(
-        "mean_conservation", drift <= CONSERVATION_TOL,
-        margin=CONSERVATION_TOL - drift,
-        detail=f"max drift {drift:.3g}")
+    conservation = CheckResult("mean_conservation", drift <= CONSERVATION_TOL,
+                               margin=CONSERVATION_TOL - drift,
+                               detail=f"max drift {drift:.3g}")
 
     agreement_detail = next(filter(None, (_agreement_failure(rec, family.ground)
                                           for rec in trace.rounds)), "")
     candidate_agreement = CheckResult(
         "candidate_agreement", not agreement_detail, detail=agreement_detail)
 
-    if trace.epsilon_T is not None:
-        consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family)
-    else:
-        consensus_error, argmax_gap, round_gain = (
-            _skip_non_contracting(name, trace)
-            for name in ("consensus_error", "argmax_gap", "round_gain"))
-    return AuditReport([conservation, consensus_error, argmax_gap,
-                        candidate_agreement, round_gain])
+    consensus_error, argmax_gap, round_gain = (
+        _epsilon_checks(trace, family) if trace.epsilon_T is not None
+        else [_skip_non_contracting(name, trace)
+              for name in ("consensus_error", "argmax_gap", "round_gain")])
+    return AuditReport(trace, [conservation, consensus_error, argmax_gap,
+                               candidate_agreement, round_gain])
 
 
 def _skip_non_contracting(name, trace):
     return CheckResult(name, True, skipped=True,
                        detail=f"mu={trace.mu} >= 1: averaging does not contract, "
                               "so epsilon(T) is undefined")
+
+
+def _slack_check(name, margin, detail):
+    """Passes when the worst margin is at least -AUDIT_SLACK (round-off)."""
+    margin = float(margin)
+    return CheckResult(name, margin >= -AUDIT_SLACK, margin=margin, detail=detail)
 
 
 def _epsilon_checks(trace, family):
@@ -126,16 +165,14 @@ def _epsilon_checks(trace, family):
     envelope = np.array([epsilon(n, mu, t, cap) for t in range(1, T + 1)])
     dev_margin = min(float((envelope - rec.deviations[1:]).min())
                      for rec in trace.rounds)
-    consensus_error = CheckResult(
-        "consensus_error", dev_margin >= -AUDIT_SLACK, margin=float(dev_margin),
-        detail="deviation vs sqrt(n)*mu^t*cap envelope")
+    consensus_error = _slack_check("consensus_error", dev_margin,
+                                   "deviation vs sqrt(n)*mu^t*cap envelope")
 
     worst = (X.max(axis=1) - X[:, X.argmax(axis=1)].min(axis=1)
              for X in (rec.x_final for rec in trace.rounds))
     gap_margin = min(float((floor - w).min()) for w in worst)
-    argmax_gap = CheckResult(
-        "argmax_gap", gap_margin >= -AUDIT_SLACK, margin=float(gap_margin),
-        detail="cross-agent argmax undervaluation vs 4*epsilon(T)")
+    argmax_gap = _slack_check("argmax_gap", gap_margin,
+                              "cross-agent argmax undervaluation vs 4*epsilon(T)")
 
     gain_margin = np.inf
     before = ()
@@ -144,36 +181,29 @@ def _epsilon_checks(trace, family):
         best = max_marginal(avg, before)
         gain_margin = min(gain_margin, realized - (best - psi - 2.0 * eps_T))
         before = rec.selected_after
-    round_gain = CheckResult(
-        "round_gain", gain_margin >= -AUDIT_SLACK, margin=float(gain_margin),
-        detail="realized gain vs best gain - psi - 2*epsilon(T)")
+    round_gain = _slack_check("round_gain", gain_margin,
+                              "realized gain vs best gain - psi - 2*epsilon(T)")
 
     return consensus_error, argmax_gap, round_gain
 
 
-def _guarantee_check(name, trace, factor, optimum_value):
+def _guarantee_check(name, trace, factor, optimum_value, gamma_min=None):
     """achieved >= factor * optimum - additive_gap, up to AUDIT_SLACK."""
     if trace.additive_gap is None:
-        result = _skip_non_contracting(name, trace)
-        result.rhs = None
-        return result
+        return _skip_non_contracting(name, trace)
     rhs = factor * optimum_value - trace.additive_gap
-    result = CheckResult(name, trace.value >= rhs - AUDIT_SLACK,
-                         margin=trace.value - rhs, detail=f"rhs={rhs:.6g}")
-    result.rhs = rhs
-    return result
+    ratio = "" if gamma_min is None else f"gamma_min={gamma_min:.6g}, "
+    return CheckResult(name, trace.value >= rhs - AUDIT_SLACK,
+                       margin=trace.value - rhs, detail=f"{ratio}rhs={rhs:.6g}",
+                       rhs=rhs, gamma_min=gamma_min)
 
 
 def check_approx_bound(trace, optimum_value):
-    """The headline additive guarantee against the exact optimum.
-
-    When the additive gap exceeds the achievable value the right-hand
-    side drops at or below zero and the inequality holds trivially; the
-    result is then flagged vacuous so sweeps can tell the regimes apart.
-    """
+    """The headline additive guarantee against the exact optimum. Its
+    detail marks it vacuous when the additive gap drops the right-hand
+    side to zero or below, where the inequality holds trivially."""
     result = _guarantee_check("approx_bound", trace, 1.0 - 1.0 / math.e,
                               optimum_value)
-    result.vacuous = None if result.skipped else result.rhs <= 0.0
     if result.vacuous:
         result.detail += " (vacuous)"
     return result
@@ -186,62 +216,13 @@ def check_ratio_bound(trace, optimum_value, gammas):
     functions; the guarantee uses their minimum and requires it to be
     positive, otherwise the check is skipped with a reason.
     """
-    gammas = list(gammas)
-    if not gammas:
-        return CheckResult("ratio_bound", True, skipped=True,
-                           detail="no ratios supplied")
-    gamma_min = min(gammas)
-    if gamma_min <= 0.0:
-        return CheckResult("ratio_bound", True, skipped=True,
-                           detail=f"minimum ratio {gamma_min} is not positive")
-    result = _guarantee_check("ratio_bound", trace, 1.0 - math.exp(-gamma_min),
-                              optimum_value)
-    if result.skipped:
-        return result
-    result.detail = f"gamma_min={gamma_min:.6g}, {result.detail}"
-    result.gamma_min = gamma_min
-    return result
-
-
-class BoundsReport:
-    """Everything the bound machinery derives from one run."""
-
-    def __init__(self, trace, optimum, approx_rhs, vacuous, gamma_min, ratio_rhs,
-                 checks):
-        self.achieved = trace.value
-        self.epsilon_T = trace.epsilon_T
-        self.psi = trace.psi
-        self.psi_floor = trace.psi_floor
-        self.additive_gap = trace.additive_gap
-        self.optimum = optimum
-        self.approx_rhs = approx_rhs
-        self.vacuous = vacuous
-        self.gamma_min = gamma_min
-        self.ratio_rhs = ratio_rhs
-        self.checks = checks
-
-    @property
-    def passed(self):
-        return self.checks.passed
-
-    def to_jsonable(self):
-        return {
-            "achieved": self.achieved,
-            "epsilon_T": self.epsilon_T,
-            "psi": self.psi,
-            "psi_floor": self.psi_floor,
-            "additive_gap": self.additive_gap,
-            "optimum": self.optimum,
-            "approx_rhs": self.approx_rhs,
-            "vacuous": self.vacuous,
-            "gamma_min": self.gamma_min,
-            "ratio_rhs": self.ratio_rhs,
-            "checks": {
-                c.name: {"passed": c.passed, "margin": c.margin,
-                         "detail": c.detail, "skipped": c.skipped}
-                for c in self.checks
-            },
-        }
+    gamma_min = min(gammas, default=None)
+    if gamma_min is None or gamma_min <= 0.0:
+        return CheckResult("ratio_bound", True, skipped=True, detail=(
+            "no ratios supplied" if gamma_min is None
+            else f"minimum ratio {gamma_min} is not positive"))
+    return _guarantee_check("ratio_bound", trace, 1.0 - math.exp(-gamma_min),
+                            optimum_value, gamma_min)
 
 
 def exact_optimum(family, K):
@@ -254,36 +235,31 @@ def exact_optimum(family, K):
 
 
 def bounds_report(trace, family, optimum=None, gammas=None):
-    """Assemble the audit plus the guarantee checks into one report.
+    """The audit plus the guarantee checks, as one AuditReport.
 
     optimum may be the exact optimal value, or None to leave the
     guarantee checks out (for instances past the enumeration cap).
     """
-    audit = audit_trace(trace, family)
-    checks = list(audit)
-    approx_rhs = vacuous = gamma_min = ratio_rhs = None
+    checks = audit_trace(trace, family).checks
     if optimum is not None:
-        approx = check_approx_bound(trace, optimum)
-        checks.append(approx)
-        approx_rhs, vacuous = approx.rhs, approx.vacuous
+        checks.append(check_approx_bound(trace, optimum))
         if gammas is not None:
-            ratio = check_ratio_bound(trace, optimum, gammas)
-            checks.append(ratio)
-            if not ratio.skipped:
-                gamma_min, ratio_rhs = ratio.gamma_min, ratio.rhs
-    return BoundsReport(trace, optimum, approx_rhs, vacuous, gamma_min,
-                        ratio_rhs, AuditReport(checks))
+            checks.append(check_ratio_bound(trace, optimum, gammas))
+    return AuditReport(trace, checks, optimum)
 
 
 class SweepRow:
-    def __init__(self, trace, rhs, vacuous):
+    """A sweep point: its trace's bounds and its approx_bound check, if any."""
+
+    def __init__(self, trace, approx):
+        approx = approx or _NOT_RUN
         self.T = trace.T
         self.psi = trace.psi
         self.epsilon = trace.epsilon_T
         self.additive_gap = trace.additive_gap
         self.achieved = trace.value
-        self.rhs = rhs
-        self.vacuous = vacuous
+        self.rhs = approx.rhs
+        self.vacuous = approx.vacuous
 
 
 def tradeoff_sweep(config, T_values, psi="auto"):
@@ -305,12 +281,6 @@ def tradeoff_sweep(config, T_values, psi="auto"):
     """
     traces = sweep(config, T_values, None if psi == "auto" else float(psi))
     optimum = exact_optimum(config.family, config.K)
-    rows = []
-    for trace in traces:
-        if optimum is None:
-            rhs = vac = None
-        else:
-            approx = check_approx_bound(trace, optimum)
-            rhs, vac = approx.rhs, approx.vacuous
-        rows.append(SweepRow(trace, rhs, vac))
-    return rows
+    return [SweepRow(trace, None if optimum is None
+                     else check_approx_bound(trace, optimum))
+            for trace in traces]

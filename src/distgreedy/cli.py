@@ -25,6 +25,7 @@ from .traceio import (
     meta_text,
     read_trace_csv,
     write_bounds_json,
+    write_json,
     write_summary_json,
     write_sweep_csv,
     write_trace_csv,
@@ -146,12 +147,10 @@ def cmd_baseline(args):
                    "gains": list(result.gains),
                    "best_gains": list(result.best_gains),
                    "taus": taus}
-    text = canonical_json(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        write_json(payload, args.out)
+        return 0
+    print(canonical_json(payload))
     return 0
 
 
@@ -269,7 +268,7 @@ def main(argv=None):
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # every read turns its OSError into a ConfigError
+    except OSError as exc:  # reads raise ConfigError; each writer names its path
         print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 

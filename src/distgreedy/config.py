@@ -42,6 +42,10 @@ class ExperimentConfig:
         self.graph = raw["graph"]
         self.mixing = raw["mixing"]
         self.functions = raw["functions"]
+        for name, checks in SPEC_NUMBERS.items():
+            for key, check in checks.items():
+                if isinstance(raw[name], dict) and key in raw[name]:
+                    _require_each(raw[name][key], check, f"{name}.{key}")
         self.K = _require_int(raw["K"], "K")
         self.T = _require_int(raw["T"], "T")
         self.psi = raw.get("psi", "auto")
@@ -58,12 +62,8 @@ class ExperimentConfig:
         self.tight_value_cap = _require_bool(
             raw.get("tight_value_cap", False), "tight_value_cap")
         self.strict_psi = _require_bool(raw.get("strict_psi", False), "strict_psi")
-        self.threshold_slack = raw.get("threshold_slack", 0.0)
-        if (not isinstance(self.threshold_slack, (int, float))
-                or isinstance(self.threshold_slack, bool)):
-            raise ConfigError("threshold_slack must be a number",
-                              field="threshold_slack")
-        self.threshold_slack = float(self.threshold_slack)
+        self.threshold_slack = _require_number(raw.get("threshold_slack", 0.0),
+                                               "threshold_slack")
         self.taus = raw.get("taus")
         if self.taus is not None:
             if (not isinstance(self.taus, list)
@@ -76,14 +76,37 @@ class ExperimentConfig:
 
 def _require_int(value, field):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{field} must be an integer", field=field)
+        raise ConfigError(f"{field} must be an integer, not {value!r}", field=field)
     return int(value)
+
+
+def _require_number(value, field):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{field} must be a number, not {value!r}", field=field)
+    return float(value)
 
 
 def _require_bool(value, field):
     if not isinstance(value, bool):
         raise ConfigError(f"{field} must be a boolean", field=field)
     return value
+
+
+# The numbers of the nested specs, each list entry checked like a top-level one
+SPEC_NUMBERS = {"graph": {"n": _require_int, "p": _require_number, "seed": _require_int},
+                "functions": {"universe": _require_int, "size": _require_int,
+                              "sets": _require_int, "pair": _require_int,
+                              "seed": _require_int, "weights": _require_number,
+                              "g": _require_number}}
+
+
+def _require_each(value, check, field):
+    """check(entry, its path) for value, a number or nested lists of them."""
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            _require_each(entry, check, f"{field}[{i}]")
+    else:
+        check(value, field)
 
 
 def load_experiment(path):
@@ -104,6 +127,11 @@ def derived_streams(master_seed):
     return np.random.SeedSequence(master_seed).spawn(3)
 
 
+def _seeded(spec, stream):
+    """The graph or functions spec, seeded from `stream` if it has no seed."""
+    return {"seed": stream, **spec} if isinstance(spec, dict) else spec
+
+
 def _from_spec(field, build, *args):
     """build(*args), with a value of the `field` spec that the builder
     cannot use raised as a ConfigError naming the spec, not a traceback."""
@@ -119,18 +147,10 @@ def _from_spec(field, build, *args):
 def build_run_config(cfg):
     """Materialize graph, weights and functions; enforce cross-field rules."""
     graph_ss, fn_ss, _ = derived_streams(cfg.seed)
-
-    graph_spec = dict(cfg.graph) if isinstance(cfg.graph, dict) else cfg.graph
-    if isinstance(graph_spec, dict) and "seed" not in graph_spec:
-        graph_spec["seed"] = graph_ss
-    network = _from_spec("graph", graph_from_config, graph_spec)
-
+    network = _from_spec("graph", graph_from_config, _seeded(cfg.graph, graph_ss))
     mix = mixing_from_config(cfg.mixing, network)
-
-    fn_spec = dict(cfg.functions) if isinstance(cfg.functions, dict) else cfg.functions
-    if isinstance(fn_spec, dict) and "seed" not in fn_spec:
-        fn_spec["seed"] = fn_ss
-    family = _from_spec("functions", family_from_config, fn_spec, network.n)
+    family = _from_spec("functions", family_from_config,
+                        _seeded(cfg.functions, fn_ss), network.n)
 
     run_config = RunConfig(
         network, mix, family, cfg.K, cfg.T,

@@ -22,6 +22,7 @@ scalar map from one bitmask to a value enters through
 """
 
 import operator
+from functools import partial
 
 import numpy as np
 
@@ -309,17 +310,6 @@ def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _selection(size, base, rows):
-    """(C, size) bool matrix: row c marks the elements of base | rows[c],
-    marked a column of `rows` at a time so that the temporaries are (C,)."""
-    sel = np.zeros((len(rows), size), dtype=bool)
-    sel[:, _bits(base)] = True
-    every = np.arange(len(rows))
-    for col in rows.T:
-        sel[every, col - 1] = True
-    return sel
-
-
 def _fold(table, op, base, rows):
     """op-reduction of the table rows of the elements of base | rows[c],
     one result row per c.
@@ -342,6 +332,15 @@ def _covered(packed, universe, base, rows):
     """(C, universe) bool matrix: the items covered by base | rows[c]."""
     return np.unpackbits(_fold(packed, np.bitwise_or, base, rows), axis=1,
                          count=universe, bitorder="little").view(bool)
+
+
+def _coverage_function(packed, universe, score, label):
+    """A SetFunction of score((C, universe) bool covered), element i
+    covering the items of row i of the packed table."""
+    return SetFunction(
+        GroundSet(len(packed)),
+        lambda base, rows: score(_covered(packed, universe, base, rows)),
+        label=label, row_bytes=universe + 2 * packed.shape[1] + 16)
 
 
 def _masked_sum(weights, mask):
@@ -424,12 +423,8 @@ def build_test_function(kind, params=None, seed=0):
     rng = np.random.default_rng(seed)
 
     if kind == "coverage":
-        packed, universe = _coverage_table(kind, params, rng)
-        ground = GroundSet(len(packed))
-        return SetFunction(
-            ground, lambda base, rows: _covered(packed, universe, base, rows).sum(
-                axis=1).astype(float),
-            label="coverage", row_bytes=universe + 2 * packed.shape[1] + 16)
+        return _coverage_function(*_coverage_table(kind, params, rng),
+                                  lambda c: c.sum(axis=1).astype(float), kind)
 
     if kind == "weighted_coverage":
         packed, universe = _coverage_table(kind, params, rng)
@@ -440,11 +435,7 @@ def build_test_function(kind, params=None, seed=0):
             raise ConfigError(
                 f"need {universe} item weights, got {len(weights)}", field="weights")
         w = _checked_weights(weights, "item weights", "list")
-        ground = GroundSet(len(packed))
-        return SetFunction(
-            ground, lambda base, rows: _masked_sum(
-                w, _covered(packed, universe, base, rows)),
-            label="weighted_coverage", row_bytes=universe + 2 * packed.shape[1] + 16)
+        return _coverage_function(packed, universe, partial(_masked_sum, w), kind)
 
     if kind == "facility_location":
         weights = params.get("weights")
@@ -457,15 +448,14 @@ def build_test_function(kind, params=None, seed=0):
                     field="functions")
             weights = rng.integers(0, 10, size=(universe, size))
         mat = _checked_weights(weights, "facility weights", "customers x sites matrix")
-        ground = GroundSet(mat.shape[1])
         # One row per element; the only copy kept. Integers 0..255 fit in
         # uint8, and their float64 row sums are exact in any order.
         small = ((mat <= 255) & (mat == np.floor(mat))).all()
         sites = np.ascontiguousarray(mat.T, dtype=np.uint8 if small else float)
         return SetFunction(
-            ground, lambda base, rows: _fold(sites, np.maximum, base, rows).sum(
-                axis=1, dtype=float),
-            label="facility_location", row_bytes=2 * sites.itemsize * mat.shape[0] + 8)
+            GroundSet(len(sites)),
+            lambda base, rows: _fold(sites, np.maximum, base, rows).sum(axis=1, dtype=float),
+            label=kind, row_bytes=2 * sites.itemsize * mat.shape[0] + 8)
 
     if kind == "modular":
         weights = params.get("weights")
@@ -475,10 +465,9 @@ def build_test_function(kind, params=None, seed=0):
                 raise ConfigError("random modular needs 'size'", field="functions")
             weights = [int(w) for w in rng.integers(1, 10, size=size)]
         w = _checked_weights(weights, "modular weights", "list")
-        ground = GroundSet(len(w))
-        return SetFunction(
-            ground, lambda base, rows: _masked_sum(w, _selection(len(w), base, rows)),
-            label="modular", row_bytes=len(w) + 24)
+        # weighted coverage in which element i covers item i alone
+        eye = np.packbits(np.eye(len(w), dtype=bool), axis=1, bitorder="little")
+        return _coverage_function(eye, len(w), partial(_masked_sum, w), kind)
 
     if kind == "pair_supermodular":
         size = int(params.get("size", 3))
@@ -495,13 +484,12 @@ def build_test_function(kind, params=None, seed=0):
         pair = tuple(int(v) for v in pair)
         if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= size for v in pair):
             raise ConfigError(f"invalid designated pair {pair}", field="pair")
-        pair_cols = [pair[0] - 1, pair[1] - 1]
+        # a 2-item coverage in which only the pair's elements cover anything
+        covers = np.zeros((size, 1), dtype=np.uint8)
+        covers[[pair[0] - 1, pair[1] - 1], 0] = [1, 2]
         level_array = np.array(levels)
-        ground = GroundSet(size)
-        return SetFunction(
-            ground, lambda base, rows: level_array[
-                _selection(size, base, rows)[:, pair_cols].sum(axis=1)],
-            label=f"pair_supermodular{pair}", row_bytes=size + 24)
+        return _coverage_function(covers, 2, lambda c: level_array[c.sum(axis=1)],
+                                  f"pair_supermodular{pair}")
 
     raise ConfigError(f"unknown function kind {kind!r}; expected one of "
                       f"{', '.join(FUNCTION_KINDS)}", field="kind")

@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import re
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain, compress, islice, takewhile
 
@@ -34,6 +34,16 @@ def format_float(x):
 def _optional_float(x):
     """An empty CSV cell for a value that does not exist."""
     return "" if x is None else format_float(x)
+
+
+@contextmanager
+def _output(path, newline=None):
+    """`path` open for writing; an OSError names it, even one from close."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def canonical_json(obj):
@@ -92,7 +102,7 @@ def write_trace_csv(trace, path):
     writer holds one step and one agent's rows of text at a time,
     whatever the run's size.
     """
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         fh.write(f"{TRACE_MAGIC}\n{_meta_line(trace)}\n"
                  "record,round,t,agent,element,x_value,candidate_set\r\n")
         for rec in trace.rounds:
@@ -247,6 +257,15 @@ def _chosen(text, number, k, t_prime):
     raise ConfigError(f"round {k}: missing chosen row ({_found(number, text)})")
 
 
+@contextmanager
+def _reading(path):
+    """An OSError raised while reading the trace at `path` as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc.strerror}") from None
+
+
 def read_trace_csv(path):
     """Rebuild a RunTrace from its CSV form.
 
@@ -269,7 +288,7 @@ def read_trace_csv(path):
         fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ConfigError(f"cannot open trace {path}: {exc.strerror}") from None
-    with fh:
+    with fh, _reading(path):
         magic = fh.readline().rstrip("\n")
         if magic != TRACE_MAGIC:
             raise ConfigError(f"not a trace file (header {magic!r})")
@@ -360,21 +379,24 @@ def summary_dict(trace):
     }
 
 
+def write_json(obj, path):
+    with _output(path) as fh:
+        fh.write(canonical_json(obj) + "\n")
+
+
 def write_summary_json(trace, path):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(summary_dict(trace)) + "\n")
+    write_json(summary_dict(trace), path)
 
 
 def write_bounds_json(report, path):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(report.to_jsonable()) + "\n")
+    write_json(report.to_jsonable(), path)
 
 
 SWEEP_COLUMNS = ["T", "psi", "epsilon", "E_r", "achieved", "rhs", "vacuous"]
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:

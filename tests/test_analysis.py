@@ -154,9 +154,10 @@ def test_non_contracting_trace_skips_every_epsilon_check():
     skipped = {c.name for c in report.checks if c.skipped}
     assert skipped == {"consensus_error", "argmax_gap", "round_gain",
                        "approx_bound", "ratio_bound"}
-    assert all("mu=1.0" in report.checks[name].detail for name in skipped)
+    assert all("mu=1.0" in report[name].detail for name in skipped)
     assert report.passed
-    assert report.approx_rhs is report.vacuous is report.ratio_rhs is None
+    payload = report.to_jsonable()
+    assert payload["approx_rhs"] is payload["vacuous"] is payload["ratio_rhs"] is None
 
 
 # --- trace audits --------------------------------------------------------------
@@ -198,12 +199,12 @@ def test_bounds_report_is_internally_consistent():
     trace = run(RunConfig(G, metropolis_weights(G), fam, K=2, T=4))
     _, opt = brute_force_optimum(fam.average(), 2)
     report = bounds_report(trace, fam, optimum=opt)
-    assert report.additive_gap == trace.K * (trace.psi + 2 * report.epsilon_T)
-    assert report.approx_rhs == pytest.approx(
-        (1 - 1 / math.e) * opt - report.additive_gap, rel=1e-14)
-    assert report.psi_floor == pytest.approx(4 * report.epsilon_T, rel=1e-15)
-    assert report.passed
     payload = report.to_jsonable()
+    assert payload["additive_gap"] == trace.K * (trace.psi + 2 * payload["epsilon_T"])
+    assert payload["approx_rhs"] == report["approx_bound"].rhs == pytest.approx(
+        (1 - 1 / math.e) * opt - payload["additive_gap"], rel=1e-14)
+    assert payload["psi_floor"] == pytest.approx(4 * payload["epsilon_T"], rel=1e-15)
+    assert report.passed
     assert set(payload["checks"]) == {
         "mean_conservation", "consensus_error", "argmax_gap",
         "candidate_agreement", "round_gain", "approx_bound"}
@@ -337,12 +338,8 @@ def reference_sweep(config, T_values, psi="auto"):
             use_singleton_cap=config.use_singleton_cap,
             threshold_slack=config.threshold_slack, seed=config.seed)
         trace = run(point)
-        if optimum is None:
-            rhs = vac = None
-        else:
-            approx = check_approx_bound(trace, optimum)
-            rhs, vac = approx.rhs, approx.vacuous
-        rows.append(SweepRow(trace, rhs, vac))
+        rows.append(SweepRow(trace, None if optimum is None
+                             else check_approx_bound(trace, optimum)))
     return rows
 
 

@@ -34,5 +34,9 @@ def test_traced_run_writes_the_bytes_of_an_untraced_run(tmp_path):
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs[mode] = [(out / name).read_bytes() for name in ("t.csv", "s.json", "b.json")]
     assert outputs["traced"] == outputs["plain"]
-    assert "protocol.run" in json.loads(summary.read_text())["hooked"]
+    traced = json.loads(summary.read_text())
+    assert "protocol.run" in traced["hooked"]
+    # the audit_fails hook iterates the bounds report's checks
+    assert "analysis.audit_fails" in traced["hooked"]
+    assert "analysis.audit_fails" not in traced["absent_reasons"]
     assert spans.stat().st_size > 0

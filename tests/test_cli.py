@@ -595,6 +595,28 @@ def test_an_unwritable_output_exits_2_and_names_it(tmp_path, capsys, monkeypatch
         assert (tmp_path / name).stat().st_size > 0
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("command", [
+    ["run", "--trace-out", "/dev/full", "--summary-out", "s.json"],
+    ["run", "--trace-out", "t.csv", "--summary-out", "/dev/full"],
+    ["run", "--trace-out", "t.csv", "--summary-out", "s.json",
+     "--bounds-out", "/dev/full"],
+    ["sweep", "--T", "1:3", "--out", "/dev/full"],
+    ["baseline", "--which", "greedy", "--out", "/dev/full"],
+    ["analyze", "--trace", "trace.csv", "--out", "/dev/full"],
+], ids=["run_trace", "run_summary", "run_bounds", "sweep", "baseline", "analyze"])
+def test_a_full_device_exits_2_and_names_it(tmp_path, capsys, monkeypatch,
+                                            tradeoff_trace_lines, command):
+    # the write fails when the file is flushed, which used to name no file:
+    # "cannot write None: No space left on device"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.csv").write_text("\n".join(tradeoff_trace_lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(*command, "--config", CONFIGS / "tradeoff.json") == 2
+    assert (capsys.readouterr().err
+            == "cannot write /dev/full: No space left on device\n")
+
+
 def _non_utf8_trace(tmp_path, lines):
     """The trace with a Latin-1 byte in the gain of its first x row."""
     path = tmp_path / "latin1.csv"
@@ -612,7 +634,13 @@ def _non_utf8_trace(tmp_path, lines):
     # the byte decodes to U+FFFD, and its row fails to parse
     (_non_utf8_trace,
      "trace line 4: cannot read x row 'x,0,0,1,1,\ufffd3.0,' ("),
-], ids=["missing", "directory", "non_utf8"])
+    # it opens, but reading its offset 0 fails; that used to print
+    # "cannot write None: Input/output error"
+    pytest.param(lambda tmp_path, lines: Path("/proc/self/mem"),
+                 "cannot read trace {path}: Input/output error\n",
+                 marks=pytest.mark.skipif(not Path("/proc/self/mem").exists(),
+                                          reason="no /proc/self/mem")),
+], ids=["missing", "directory", "non_utf8", "read_error"])
 def test_unreadable_trace_is_a_config_error(tmp_path, capsys, monkeypatch,
                                             tradeoff_trace_lines, command,
                                             make, message):
@@ -656,16 +684,16 @@ def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, matrix, field", [
-    ({"graph": {"kind": "complete", "n": "x"}}, None, "graph"),
-    ({"graph": {"kind": "erdos_renyi", "n": 4, "p": "x"}}, None, "graph"),
+    ({"graph": {"kind": "complete", "n": "x"}}, None, "graph.n"),
+    ({"graph": {"kind": "erdos_renyi", "n": 4, "p": "x"}}, None, "graph.p"),
     # no connected draw: a spec the generator cannot meet
     ({"graph": {"kind": "erdos_renyi", "n": 30, "p": 0.01}}, None, "graph"),
     ({"functions": {"kind": "coverage", "size": "x", "universe": 6}}, None,
-     "functions"),
+     "functions.size"),
     ({"functions": {"kind": "coverage", "universe": 6, "sets": [[1, "a"]]}},
-     None, "functions"),
+     None, "functions.sets[0][1]"),
     ({"functions": {"kind": "modular", "weights": [1, "a"]}}, None,
-     "functions"),
+     "functions.weights[1]"),
     ({"functions": {"kind": "facility_location", "weights": [[1, 2], [3]]}},
      None, "functions"),
     ({"functions": {"kind": "coverage", "size": 4, "universe": 6,
@@ -674,8 +702,31 @@ def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
     ({}, "0.5,x\n0.5,0.5\n", "mixing.custom_csv"),
     ({}, "0.5,0.5\n0.5\n", "mixing.custom_csv"),
     ({"mixing": {"custom_csv": None}}, None, "mixing.custom_csv"),
+    # each used to pass: a float truncated, a bool read as 0 or 1
+    ({"graph": {"kind": "complete", "n": 3.9}}, None, "graph.n"),
+    ({"graph": {"kind": "complete", "n": True}, "mixing": "metropolis"}, None,
+     "graph.n"),
+    ({"graph": {"kind": "erdos_renyi", "n": 4, "p": True}}, None, "graph.p"),
+    ({"graph": {"kind": "complete", "n": 4, "seed": True}}, None, "graph.seed"),
+    ({"functions": {"kind": "coverage", "size": 5.7, "universe": 6}}, None,
+     "functions.size"),
+    ({"functions": {"kind": "coverage", "size": 5, "universe": 6.2}}, None,
+     "functions.universe"),
+    ({"functions": {"kind": "coverage", "sets": [[1.5, 2]]}}, None,
+     "functions.sets[0][0]"),
+    ({"functions": {"kind": "pair_supermodular", "size": 3, "pair": [1.9, 2.2]}},
+     None, "functions.pair[0]"),
+    ({"functions": {"kind": "pair_supermodular", "size": 3, "g": [0, True, 3]}},
+     None, "functions.g[1]"),
+    ({"functions": {"kind": "coverage", "size": 5, "universe": 6, "seed": True}},
+     None, "functions.seed"),
+    ({"functions": {"kind": "modular", "weights": [True, False, 2]}}, None,
+     "functions.weights[0]"),
 ], ids=["graph_n", "graph_p", "graph_unconnectable", "size", "sets", "weights", "ragged_weights",
-        "identical", "csv_missing", "csv_cell", "csv_ragged", "csv_null"])
+        "identical", "csv_missing", "csv_cell", "csv_ragged", "csv_null",
+        "graph_n_float", "graph_n_bool", "graph_p_bool", "graph_seed_bool",
+        "size_float", "universe_float", "sets_float", "pair_float", "g_bool",
+        "functions_seed_bool", "weights_bool"])
 def test_malformed_spec_value_is_a_config_error(tmp_path, capsys, overrides,
                                                 matrix, field):
     if matrix is not None:
