@@ -32,6 +32,8 @@ from .traceio import (
 )
 
 logger = logging.getLogger("distgreedy")
+# run and analyze audit ratio_bound only on families this small
+RATIO_ORACLE_CAP = 8
 
 
 def _setup_logging():
@@ -46,11 +48,11 @@ def _gammas_if_checkable(family):
     distinct function, since a shared draw is [f] * n."""
     if family.kind != "pair_supermodular":
         return None
-    if family.ground.size > 8:
-        logger.info("skipping ratio bound: |V|=%d exceeds the exact-oracle cap",
-                    family.ground.size)
+    if family.ground.size > RATIO_ORACLE_CAP:
+        logger.info("skipping ratio bound: |V|=%d exceeds the exact-oracle cap %d",
+                    family.ground.size, RATIO_ORACLE_CAP)
         return None
-    ratios = {f: check_structure(f, cap=8).submodularity_ratio
+    ratios = {f: check_structure(f, cap=RATIO_ORACLE_CAP).submodularity_ratio
               for f in dict.fromkeys(family.functions)}
     return [ratios[f] for f in family.functions]
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -60,6 +61,24 @@ def test_nonsubmodular_scenario_reports_ratio_bound(tmp_path):
     bounds = json.loads((tmp_path / "b.json").read_text())
     assert bounds["gamma_min"] == pytest.approx(2 / 3)
     assert bounds["checks"]["ratio_bound"]["passed"]
+
+
+def test_ratio_bound_is_left_out_past_the_oracle_cap(tmp_path, caplog):
+    raw = json.loads((CONFIGS / "nonsubmodular.json").read_text())
+    size = cli.RATIO_ORACLE_CAP + 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(raw, functions={"kind": "pair_supermodular",
+                                                    "size": size})))
+    caplog.set_level(logging.INFO, logger="distgreedy")
+    code = run_cli("run", "--config", path, "--trace-out", tmp_path / "t.csv",
+                   "--summary-out", tmp_path / "s.json",
+                   "--bounds-out", tmp_path / "b.json")
+    assert code == 0
+    bounds = json.loads((tmp_path / "b.json").read_text())
+    assert "ratio_bound" not in bounds["checks"]
+    assert "approx_bound" in bounds["checks"]
+    assert bounds["gamma_min"] is None
+    assert f"|V|={size} exceeds the exact-oracle cap 8" in caplog.text
 
 
 @pytest.mark.parametrize("functions, checks", [

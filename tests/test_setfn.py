@@ -84,7 +84,6 @@ def test_coverage_is_submodular_with_ratio_one():
     assert rep.is_monotone
     assert rep.is_submodular
     assert rep.submodularity_ratio == 1.0
-    assert rep.witness is None
     assert rep.ratio_witness is None
 
 
@@ -111,12 +110,27 @@ def test_structure_cap_enforced():
         check_structure(f)
 
 
+def test_structure_check_keeps_its_memory_budget():
+    # the ratio holds (2^m, 2^m) arrays: at most five float64 ones
+    f = build_test_function("pair_supermodular", {"size": 10}, seed=3)
+    tracemalloc.start()
+    try:
+        rep = check_structure(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.submodularity_ratio == 2.0 / 3.0
+    assert peak <= 5 * 8 * 4 ** 10
+
+
 def literal_structure_check(f):
     """Independent oracle: the definitions applied verbatim.
 
     Monotonicity over every nested pair, diminishing returns over every
     (A, B, v) with A inside B, and the ratio as the minimum quotient over
-    ALL subset pairs (A, B), not just disjoint representatives.
+    ALL subset pairs (A, B), not just disjoint representatives; its
+    witness is the first minimizing (A, B) with B, then A, ascending as
+    bitmasks.
     """
     m = f.ground.size
     subsets = [frozenset(s) for s in all_subsets(m)]
@@ -131,20 +145,22 @@ def literal_structure_check(f):
                     continue
                 if f(a | {v}) - f(a) < f(b | {v}) - f(b):
                     submodular = False
-    quotients = []
-    for a in subsets:
-        for b in subsets:
+    best, witness = math.inf, None
+    for b in subsets:
+        for a in subsets:
             denom = f(a | b) - f(b)
             if denom > 0:
-                num = sum(f(b | {x}) - f(b) for x in a - b)
-                quotients.append(num / denom)
-    ratio = min(1.0, max(0.0, min(quotients))) if quotients else 1.0
-    return monotone, submodular, ratio
+                q = sum(f(b | {x}) - f(b) for x in sorted(a - b)) / denom
+                if q < best:
+                    best, witness = q, (a, b)
+    ratio = min(1.0, max(0.0, best))
+    return monotone, submodular, ratio, (witness if ratio < 1.0 else None)
 
 
 def test_checker_matches_the_literal_definitions():
-    # the production checker skips dominated (A, B) pairs; this pins it
-    # to the unreduced enumeration on every kind
+    # the production checker reads single-element steps off one gain
+    # table; this pins it to the unreduced enumeration on every kind and
+    # on raw tables that are nonmonotone, fractional or 3-agent averages
     rng = np.random.default_rng(41)
     cases = [build_test_function("pair_supermodular",
                                  {"size": 4, "pair": (2, 4), "g": (0, 2, 7)})]
@@ -152,12 +168,34 @@ def test_checker_matches_the_literal_definitions():
                  "modular", "pair_supermodular"):
         cases.append(build_test_function(kind, {"size": 5, "universe": 4},
                                          seed=rng.integers(2 ** 31)))
+    # nonmonotone, nonsubmodular, yet ratio 1: no pair has a positive
+    # increment whose gains fall short
+    dip = SetFunction.from_scalar(GroundSet(2), [0.0, -1.0, 0.0, 0.0].__getitem__)
+    # nonmonotone and submodular: concave in |S|, falling past |S| = 2
+    hump = SetFunction.from_scalar(GroundSet(4),
+                                   lambda s: s.bit_count() * (4.0 - s.bit_count()))
+    cases += [dip, hump]
+    for m in (3, 4, 5):
+        for table in (rng.integers(-3, 10, size=1 << m).astype(float),
+                      rng.random(1 << m) * 10,
+                      np.sqrt(rng.random(1 << m)).cumsum()):
+            cases.append(SetFunction.from_scalar(GroundSet(m), table.tolist().__getitem__))
+        for kind in ("coverage", "facility_location"):
+            cases.append(local_family(3, kind, params={"size": m, "universe": 5},
+                                      seed=rng.integers(2 ** 31)).average())
+    seen = set()
     for f in cases:
         rep = check_structure(f)
-        monotone, submodular, ratio = literal_structure_check(f)
+        monotone, submodular, ratio, witness = literal_structure_check(f)
         assert rep.is_monotone == monotone
         assert rep.is_submodular == submodular
         assert rep.submodularity_ratio == ratio
+        assert rep.ratio_witness == witness
+        seen.add((monotone, submodular, ratio == 1.0))
+    rep = check_structure(dip)
+    assert (rep.is_monotone, rep.is_submodular, rep.submodularity_ratio) == (False, False, 1.0)
+    assert {(True, True, True), (True, False, False), (False, True, True),
+            (False, False, False), (False, False, True)} <= seen
 
 
 def test_ratio_one_iff_submodular_on_random_families():
