@@ -157,14 +157,14 @@ def cmd_baseline(args):
 
 
 def _load_trace_for_config(trace_path, run_config):
-    """Read the trace; each header parameter but include_self (replay only
-    notes that one) must equal the config's, bit for bit as header text."""
+    """Read the trace; each header parameter must equal the config's, bit
+    for bit as header text."""
     trace = read_trace_csv(trace_path)
     config_gives = run_config.trace_parameters(run_config.T, run_config.psi)
     for name, kind in TRACE_PARAMETERS:
         got = meta_text(kind, getattr(trace, name))
         want = meta_text(kind, config_gives[name])
-        if got != want and name != "include_self":
+        if got != want:
             raise ConfigError(f"trace header {name}={got}, but the config "
                               f"gives {want}")
     try:
@@ -193,10 +193,6 @@ def cmd_replay(args):
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
     trace = _load_trace_for_config(args.trace, run_config)
-    if trace.include_self != run_config.include_self_in_intersection:
-        print("note: intersection rule mismatch: the trace was recorded with "
-              f"include_self={trace.include_self}, the config requests "
-              f"{run_config.include_self_in_intersection}")
     report = bounds_report(trace, run_config.family)
     _print_report(report)
     return 0 if report.passed else 1
@@ -243,7 +239,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("replay", help="re-audit a trace without re-simulating")
+    about = "audit checks alone: no optimum or ratio oracle, no file written"
+    p = sub.add_parser("replay", help=f"re-audit a trace; {about}",
+                       description=f"Re-audit a trace with the {about}.")
     p.add_argument("--trace", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_replay)

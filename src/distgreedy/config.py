@@ -20,8 +20,7 @@ from .setfn import family_from_config
 
 TOP_LEVEL_KEYS = {
     "scenario", "graph", "mixing", "functions", "K", "T", "psi", "seed",
-    "neighbors_only_intersection", "tight_value_cap",
-    "threshold_slack", "strict_psi", "taus",
+    "tight_value_cap", "threshold_slack", "strict_psi", "taus",
 }
 
 
@@ -56,9 +55,6 @@ class ExperimentConfig:
         self.seed = _require_int(raw.get("seed", 0), "seed")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", field="seed")
-        self.neighbors_only_intersection = _require_bool(
-            raw.get("neighbors_only_intersection", False),
-            "neighbors_only_intersection")
         self.tight_value_cap = _require_bool(
             raw.get("tight_value_cap", False), "tight_value_cap")
         self.strict_psi = _require_bool(raw.get("strict_psi", False), "strict_psi")
@@ -155,7 +151,6 @@ def build_run_config(cfg):
     run_config = RunConfig(
         network, mix, family, cfg.K, cfg.T,
         psi=None if cfg.psi == "auto" else cfg.psi,
-        include_self_in_intersection=not cfg.neighbors_only_intersection,
         use_singleton_cap=cfg.tight_value_cap,
         threshold_slack=cfg.threshold_slack,
         seed=cfg.seed)

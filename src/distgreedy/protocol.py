@@ -78,15 +78,6 @@ def bounds(n, K, T, mu, value_cap, psi):
     return eps, floor, K * ((floor if psi is None else psi) + 2.0 * eps)
 
 
-def _check_averaging(T, psi):
-    """The checks on T and psi that RunConfig and trace_parameters share."""
-    if T < 1:
-        raise ConfigError("consensus steps T must be >= 1", field="T")
-    if psi is not None and not 0 <= psi < math.inf:
-        raise ConfigError(f"threshold width psi must be finite and >= 0, not {psi}",
-                          field="psi")
-
-
 class RunConfig:
     """Everything a run needs, with the derived quantities pinned.
 
@@ -100,8 +91,7 @@ class RunConfig:
     """
 
     def __init__(self, network, mixing, family, K, T, psi=None,
-                 include_self_in_intersection=True, use_singleton_cap=False,
-                 threshold_slack=0.0, seed=0):
+                 use_singleton_cap=False, threshold_slack=0.0, seed=0):
         if family.n != network.n:
             raise ConfigError(
                 f"{family.n} local functions for {network.n} agents", field="functions")
@@ -111,7 +101,6 @@ class RunConfig:
                 field="mixing")
         if K < 1:
             raise ConfigError("cardinality budget K must be >= 1", field="K")
-        _check_averaging(T, psi)
         if not 0 <= threshold_slack < math.inf:
             raise ConfigError(f"threshold_slack must be finite and >= 0, not "
                               f"{threshold_slack}", field="threshold_slack")
@@ -129,13 +118,12 @@ class RunConfig:
         self.K = min(int(K), m)
         self.T = int(T)
         self.psi = None if psi is None else float(psi)
-        self.include_self_in_intersection = bool(include_self_in_intersection)
         self.use_singleton_cap = bool(use_singleton_cap)
         self.threshold_slack = float(threshold_slack)
         self.seed = int(seed)
         self.diameter = diameter(network)
-        self.sources = intersection_sources(network, include_self_in_intersection)
-        self.trace_parameters(self.T, self.psi)  # bounds that overflow fail here
+        self.sources = intersection_sources(network)
+        self.trace_parameters(self.T, self.psi)  # T, psi and overflowing bounds fail here
 
     @property
     def value_cap(self):
@@ -152,7 +140,11 @@ class RunConfig:
         phase lasts exactly the diameter, so t_prime is derived. The
         bounds that a trace derives from them must be finite, or its
         files could not be written."""
-        _check_averaging(T, psi)
+        if T < 1:
+            raise ConfigError("consensus steps T must be >= 1", field="T")
+        if psi is not None and not 0 <= psi < math.inf:
+            raise ConfigError(f"threshold width psi must be finite and >= 0, not {psi}",
+                              field="psi")
         n, mu, cap = self.network.n, self.mu, self.value_cap
         _, floor, gap = bounds(n, self.K, T, mu, cap, psi)
         if floor is None and psi is None:
@@ -167,7 +159,7 @@ class RunConfig:
         return {
             "n": n, "K": self.K, "T": T, "t_prime": T + 1 + self.diameter,
             "diameter": self.diameter, "psi": psi, "mu": mu, "value_cap": cap,
-            "include_self": self.include_self_in_intersection,
+            "include_self": True,  # the one intersection rule, kept in the v1 header
             "threshold_slack": self.threshold_slack, "seed": self.seed}
 
 
@@ -322,20 +314,17 @@ def threshold_candidates(X, psi, slack=0.0):
     return X >= X.max(axis=1, keepdims=True) - psi - slack
 
 
-def intersection_sources(network, include_self=True):
+def intersection_sources(network):
     """(n, w) index whose row i lists the agents (0-based) that agent i+1
-    intersects with.
+    intersects with: itself, then its neighbors.
 
     Rows shorter than the widest repeat their first entry, which leaves
-    an intersection unchanged. With include_self the agent keeps its own
-    set in the intersection, which is what makes the network-wide fixed
-    point reachable in diameter-many steps; the neighbors-only variant
-    is kept for comparison runs and generally desynchronizes on
-    non-complete graphs.
+    an intersection unchanged. The agent keeps its own set in the
+    intersection, which is what makes the network-wide fixed point
+    reachable in diameter-many steps.
     """
     adj = network.adjacency
-    rows = [((i,) if include_self else ()) + adj[i]
-            for i in range(1, network.n + 1)]
+    rows = [(i,) + adj[i] for i in range(1, network.n + 1)]
     width = max(map(len, rows))
     return np.array([[v - 1 for v in row + row[:1] * (width - len(row))]
                      for row in rows], dtype=np.intp).reshape(network.n, width)

@@ -141,6 +141,9 @@ def _parse_meta(line):
         parameters = {name: float(meta[name]) if kind is float
                       else kind(int(meta[name]))
                       for name, kind in TRACE_PARAMETERS}
+        for name, kind in TRACE_PARAMETERS:  # the writer writes a flag as 0 or 1
+            if kind is bool and meta[name] not in ("0", "1"):
+                raise ValueError(f"{name}={meta[name]}")
         selected = tuple(int(v) for v in meta["selected"].split("|") if v)
         value = float(meta["value"])
         for name, number in [*parameters.items(), ("value", value)]:

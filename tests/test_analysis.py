@@ -334,7 +334,6 @@ def reference_sweep(config, T_values, psi="auto"):
         point = RunConfig(
             config.network, config.mixing, config.family, config.K, T,
             psi=None if psi == "auto" else float(psi),
-            include_self_in_intersection=config.include_self_in_intersection,
             use_singleton_cap=config.use_singleton_cap,
             threshold_slack=config.threshold_slack, seed=config.seed)
         trace = run(point)
@@ -367,8 +366,7 @@ def sweep_cases(draw):
     fam = local_family(n, draw(st.sampled_from(FUNCTION_KINDS)),
                        seed=draw(st.integers(0, 2 ** 32 - 1)),
                        params={"size": m, "universe": draw(st.integers(1, 12))})
-    config = RunConfig(G, weights(G), fam, K=draw(st.integers(1, m + 1)), T=1,
-                       include_self_in_intersection=draw(st.booleans()))
+    config = RunConfig(G, weights(G), fam, K=draw(st.integers(1, m + 1)), T=1)
     T_values = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=10)))
     # fixed widths near the gain gaps: small T may fail or pick differently
     psi = draw(st.sampled_from(["auto", 0.0, 0.25, 1.0, 2.5]))

@@ -11,7 +11,7 @@ import pytest
 
 from distgreedy import centralized_greedy, check_structure, cli
 from distgreedy.cli import main
-from distgreedy.config import build_run_config, load_experiment
+from distgreedy.config import TOP_LEVEL_KEYS, build_run_config, load_experiment
 from distgreedy.traceio import format_float, read_trace_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -160,9 +160,19 @@ def test_validate_config_echoes_the_clamped_budget(tmp_path, capsys):
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
-    bad = write_config(tmp_path, "bad.json", psi_width=1.0)
-    assert run_cli("validate-config", "--config", bad) == 2
-    assert "psi_width" in capsys.readouterr().err
+    for key in ("psi_width", "neighbors_only_intersection"):
+        bad = write_config(tmp_path, "bad.json", **{key: True})
+        assert run_cli("validate-config", "--config", bad) == 2
+        assert (capsys.readouterr().err
+                == f"config error at {key!r}: unknown config key {key!r}\n")
+
+
+def test_readme_documents_every_optional_key():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n")[1].split("\n\n")[0]
+    documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    required = {"graph", "mixing", "functions", "K", "T"}
+    assert sorted(documented) == sorted(TOP_LEVEL_KEYS - required)
 
 
 def test_strict_psi_floor_is_enforced(tmp_path):
@@ -344,19 +354,14 @@ def test_analyze_reproduces_run_bounds(tmp_path):
     assert (tmp_path / "b1.json").read_bytes() == (tmp_path / "b2.json").read_bytes()
 
 
-def test_replay_passes_and_notes_flag_mismatch(tmp_path, capsys):
+def test_replay_passes_on_the_trace_of_a_run(tmp_path, capsys):
     cfg = CONFIGS / "tradeoff.json"
     run_cli("run", "--config", cfg, "--trace-out", tmp_path / "t.csv",
             "--summary-out", tmp_path / "s.json")
-    capsys.readouterr()
+    run_lines = capsys.readouterr().out.splitlines(keepends=True)
     assert run_cli("replay", "--trace", tmp_path / "t.csv", "--config", cfg) == 0
-    assert "mismatch" not in capsys.readouterr().out
-    flipped = write_config(tmp_path, "flipped.json",
-                           **json.loads(cfg.read_text()),
-                           neighbors_only_intersection=True)
-    assert run_cli("replay", "--trace", tmp_path / "t.csv",
-                   "--config", flipped) == 0
-    assert "intersection rule mismatch" in capsys.readouterr().out
+    # the run's audit checks, without its selection line and approx_bound
+    assert capsys.readouterr().out == "".join(run_lines[1:-1])
 
 
 def test_replay_rejects_truncated_trace(tmp_path):
@@ -563,6 +568,10 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_meta_field("value_cap", "-6.0"),
      "malformed trace metadata line: ValueError('value_cap=-6.0')"),
     (_meta_value_inf, "malformed trace metadata line: ValueError('value=inf')"),
+    (_meta_field("include_self", "0"),
+     "trace header include_self=0, but the config gives 1"),
+    (_meta_field("include_self", "2"),
+     "malformed trace metadata line: ValueError('include_self=2')"),
     # no list or array may be sized from these before the rows are read
     (_meta_field("t_prime", "1000000000000"),
      "trace header sizes n=3, K=2, T=1, diameter=2, t_prime=1000000000000 "
@@ -579,6 +588,7 @@ def tradeoff_trace_lines(tmp_path_factory):
         "x_round_7", "set_agent_9", "chosen_round_9", "header_value",
         "set_element_99", "header_value_cap", "header_mu", "header_psi", "header_mu_nan",
         "header_mu_negative", "header_value_cap_negative", "header_value_inf",
+        "header_include_self_0", "header_include_self_2",
         "header_t_prime", "header_diameter", "header_T"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):

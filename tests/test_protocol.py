@@ -150,8 +150,8 @@ def masks(sets, remaining=(1, 2, 3)):
     return np.array([[v in s for v in remaining] for s in sets])
 
 
-def intersect(G, C, steps=1, include_self=True):
-    sources = intersection_sources(G, include_self)
+def intersect(G, C, steps=1):
+    sources = intersection_sources(G)
     for _ in range(steps):
         C = intersection_step(C, sources)
     return C
@@ -172,13 +172,6 @@ def test_complete_graph_stabilizes_in_one_step():
     C = masks([{1, 2}, {1, 3}, {1, 2, 3}, {1}])
     after = intersect(generate("complete", 4), C)
     assert np.array_equal(after, masks([{1}] * 4))
-
-
-def test_neighbors_only_variant_can_drop_own_set():
-    G = generate("path", 3)
-    after = intersect(G, masks([{1, 2}, {2, 3}, {2}]), include_self=False)
-    # the center keeps only what its ends agree on, losing its own {2}
-    assert np.array_equal(after, masks([{2, 3}, {2}, {2, 3}]))
 
 
 @st.composite
@@ -203,15 +196,15 @@ def test_intersection_reaches_columnwise_and_in_diameter_steps(G, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(G=connected_graphs(), include_self=st.booleans(), data=st.data())
-def test_intersection_step_keeps_what_every_source_holds(G, include_self, data):
+@given(G=connected_graphs(), data=st.data())
+def test_intersection_step_keeps_what_every_source_holds(G, data):
     r = data.draw(st.integers(1, 6))
     C = np.array(data.draw(st.lists(
         st.lists(st.booleans(), min_size=r, max_size=r),
         min_size=G.n, max_size=G.n))).reshape(G.n, r)
-    expected = [[all(C[j - 1, col] for j in G.neighbors(i) + ((i,) * include_self))
+    expected = [[all(C[j - 1, col] for j in G.neighbors(i) + (i,))
                  for col in range(r)] for i in range(1, G.n + 1)]
-    assert intersect(G, C, include_self=include_self).tolist() == expected
+    assert intersect(G, C).tolist() == expected
 
 
 # --- selection --------------------------------------------------------------
@@ -336,15 +329,12 @@ def test_tight_threshold_splits_candidates_and_fails():
         run(RunConfig(G, M, fam, K=1, T=1, psi=0.0))
 
 
-def test_neighbors_only_rule_desyncs_where_default_succeeds():
+def test_own_set_in_the_intersection_keeps_a_path_in_sync():
+    # without its own set the center would keep only what its ends agree on
     G = generate("path", 3)
     M = metropolis_weights(G)
     fam = modular_family([[10, 10, 9], [10, 10, 6], [10, 10, 0]])
-    default = run(RunConfig(G, M, fam, K=1, T=1, psi=5.5))
-    assert default.selected == (1,)
-    with pytest.raises(DesyncError):
-        run(RunConfig(G, M, fam, K=1, T=1, psi=5.5,
-                      include_self_in_intersection=False))
+    assert run(RunConfig(G, M, fam, K=1, T=1, psi=5.5)).selected == (1,)
 
 
 def test_config_rejects_mismatched_sizes():

@@ -201,8 +201,7 @@ def small_configs(draw):
                        params={"size": m, "universe": draw(st.integers(1, 9))})
     return RunConfig(G, metropolis_weights(G), fam, K=draw(st.integers(1, m)),
                      T=draw(st.integers(1, 5)),
-                     psi=draw(st.sampled_from([None, 0.5, 5.0])),
-                     include_self_in_intersection=draw(st.booleans()))
+                     psi=draw(st.sampled_from([None, 0.5, 5.0])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,7 +209,7 @@ def small_configs(draw):
 def test_candidate_masks_survive_run_and_round_trip(tmp_path_factory, config):
     try:
         trace = run_protocol(config)
-    except ProtocolError:  # a tight psi, or neighbors-only desynchronized
+    except ProtocolError:  # a tight psi
         return
     assert_masks_are_the_record(trace)
     path = tmp_path_factory.mktemp("masks") / "t.csv"
