@@ -18,7 +18,6 @@ from .config import adversary_stream, build_run_config, load_experiment
 from .errors import CapExceededError, ConfigError, ProtocolError
 from .protocol import TRACE_PARAMETERS
 from .protocol import run as run_protocol
-from .setfn import check_structure
 from .traceio import (
     canonical_json,
     format_float,
@@ -32,29 +31,12 @@ from .traceio import (
 )
 
 logger = logging.getLogger("distgreedy")
-# run and analyze audit ratio_bound only on families this small
-RATIO_ORACLE_CAP = 8
 
 
 def _setup_logging():
     level = os.environ.get("DG_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _gammas_if_checkable(family):
-    """Exact per-agent ratios, only when the family may be nonsubmodular
-    and is small enough for the exhaustive oracle; one check per
-    distinct function, since a shared draw is [f] * n."""
-    if family.kind != "pair_supermodular":
-        return None
-    if family.ground.size > RATIO_ORACLE_CAP:
-        logger.info("skipping ratio bound: |V|=%d exceeds the exact-oracle cap %d",
-                    family.ground.size, RATIO_ORACLE_CAP)
-        return None
-    ratios = {f: check_structure(f, cap=RATIO_ORACLE_CAP).submodularity_ratio
-              for f in dict.fromkeys(family.functions)}
-    return [ratios[f] for f in family.functions]
 
 
 def _print_report(report):
@@ -71,8 +53,9 @@ def _full_report(trace, family):
     if optimum is None:
         logger.info("instance too large for the exact optimum; "
                     "guarantee checks disabled")
+    gammas = [f.submodularity_ratio for f in family.functions]
     return bounds_report(trace, family, optimum=optimum,
-                         gammas=_gammas_if_checkable(family))
+                         gammas=None if None in gammas else gammas)
 
 
 def cmd_run(args):
@@ -157,23 +140,23 @@ def cmd_baseline(args):
 
 
 def _load_trace_for_config(trace_path, run_config):
-    """Read the trace; each header parameter must equal the config's, bit
-    for bit as header text."""
+    """Read the trace; each header parameter and the value must be, as
+    header text, what the writer writes for the config's, so bit for bit."""
     trace = read_trace_csv(trace_path)
+    got = trace.header_text
     config_gives = run_config.trace_parameters(run_config.T, run_config.psi)
     for name, kind in TRACE_PARAMETERS:
-        got = meta_text(kind, getattr(trace, name))
         want = meta_text(kind, config_gives[name])
-        if got != want:
-            raise ConfigError(f"trace header {name}={got}, but the config "
+        if got[name] != want:
+            raise ConfigError(f"trace header {name}={got[name]}, but the config "
                               f"gives {want}")
     try:
         value = run_config.family.average().value(trace.selected)
     except ValueError as exc:
         raise ConfigError(f"trace selection {trace.selected}: {exc}") from None
-    if float(value).hex() != trace.value.hex():
+    if got["value"] != format_float(value):
         raise ConfigError(
-            f"trace header value={format_float(trace.value)}, but the config's "
+            f"trace header value={got['value']}, but the config's "
             f"average function gives {format_float(value)} for selection "
             f"{trace.selected}")
     return trace
@@ -239,7 +222,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    about = "audit checks alone: no optimum or ratio oracle, no file written"
+    about = ("audit checks alone: it skips the optimum, so no approx_bound or "
+             "ratio_bound, and writes no file")
     p = sub.add_parser("replay", help=f"re-audit a trace; {about}",
                        description=f"Re-audit a trace with the {about}.")
     p.add_argument("--trace", required=True)

@@ -135,7 +135,7 @@ def write_trace_csv(trace, path):
 
 
 def _parse_meta(line):
-    """The `#` metadata line as (run parameters by name, selection, value)."""
+    """The `#` metadata line as (parameters, selection, value, field texts)."""
     meta = dict(item.partition("=")[::2] for item in line.lstrip("# ").split(","))
     try:
         parameters = {name: float(meta[name]) if kind is float
@@ -152,7 +152,7 @@ def _parse_meta(line):
                 raise ValueError(f"{name}={number}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed trace metadata line: {exc!r}") from None
-    return parameters, selected, value
+    return parameters, selected, value, meta
 
 
 X_ROW = np.dtype([("record", "U2")]
@@ -295,7 +295,7 @@ def read_trace_csv(path):
         magic = fh.readline().rstrip("\n")
         if magic != TRACE_MAGIC:
             raise ConfigError(f"not a trace file (header {magic!r})")
-        parameters, declared, value = _parse_meta(fh.readline().rstrip("\n"))
+        parameters, declared, value, texts = _parse_meta(fh.readline().rstrip("\n"))
         header = next(csv.reader([fh.readline()]), [])
         if header[:3] != ["record", "round", "t"]:
             raise ConfigError(f"unexpected trace columns {header}")
@@ -357,7 +357,7 @@ def read_trace_csv(path):
         raise ConfigError(
             f"trace header announces selection {declared} but the rounds "
             f"build {selected}")
-    return RunTrace(rounds, selected, value, **parameters)
+    return RunTrace(rounds, selected, value, header_text=texts, **parameters)
 
 
 def summary_dict(trace):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from distgreedy import centralized_greedy, check_structure, cli
+from distgreedy import centralized_greedy
 from distgreedy.cli import main
 from distgreedy.config import TOP_LEVEL_KEYS, build_run_config, load_experiment
 from distgreedy.traceio import format_float, read_trace_csv
@@ -63,47 +63,29 @@ def test_nonsubmodular_scenario_reports_ratio_bound(tmp_path):
     assert bounds["checks"]["ratio_bound"]["passed"]
 
 
-def test_ratio_bound_is_left_out_past_the_oracle_cap(tmp_path, caplog):
-    raw = json.loads((CONFIGS / "nonsubmodular.json").read_text())
-    size = cli.RATIO_ORACLE_CAP + 1
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(raw, functions={"kind": "pair_supermodular",
-                                                    "size": size})))
-    caplog.set_level(logging.INFO, logger="distgreedy")
-    code = run_cli("run", "--config", path, "--trace-out", tmp_path / "t.csv",
-                   "--summary-out", tmp_path / "s.json",
-                   "--bounds-out", tmp_path / "b.json")
-    assert code == 0
-    bounds = json.loads((tmp_path / "b.json").read_text())
-    assert "ratio_bound" not in bounds["checks"]
-    assert "approx_bound" in bounds["checks"]
-    assert bounds["gamma_min"] is None
-    assert f"|V|={size} exceeds the exact-oracle cap 8" in caplog.text
-
-
-@pytest.mark.parametrize("functions, checks", [
-    ({"kind": "pair_supermodular", "size": 6, "pair": [1, 2]}, 1),
-    ({"kind": "pair_supermodular", "size": 6, "identical": True}, 1),
-    ({"kind": "pair_supermodular", "size": 6}, 4),
-], ids=["explicit_pair", "identical", "independent"])
-def test_structure_is_checked_once_per_distinct_function(tmp_path, monkeypatch,
-                                                         functions, checks):
+@pytest.mark.parametrize("functions, code, state, detail", [
+    ({"kind": "pair_supermodular", "size": 9}, 0, "pass", "gamma_min=0.666667"),
+    ({"kind": "pair_supermodular", "size": 12}, 0, "pass", "gamma_min=0.666667"),
+    # ratio 0: the (1 - 1/e) bound assumes diminishing returns, and fails
+    ({"kind": "pair_supermodular", "size": 6, "g": [0, 0, 3]}, 1, "skip",
+     "minimum ratio 0.0 is not positive"),
+], ids=["size_9", "size_12", "zero_ratio"])
+def test_ratio_bound_runs_wherever_brute_force_runs(tmp_path, caplog, capsys,
+                                                    functions, code, state, detail):
     raw = json.loads((CONFIGS / "nonsubmodular.json").read_text())
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(raw, functions=functions)))
-    family = build_run_config(load_experiment(path)).family
-    assert family.n == 4
-    calls = []
-
-    def counted(f, cap):
-        calls.append(f)
-        return check_structure(f, cap=cap)
-
-    monkeypatch.setattr(cli, "check_structure", counted)
-    gammas = cli._gammas_if_checkable(family)
-    assert len(calls) == checks
-    assert gammas == [check_structure(f, cap=8).submodularity_ratio
-                      for f in family.functions]
+    caplog.set_level(logging.INFO, logger="distgreedy")
+    assert run_cli("run", "--config", path, "--trace-out", tmp_path / "t.csv",
+                   "--summary-out", tmp_path / "s.json",
+                   "--bounds-out", tmp_path / "b.json") == code
+    assert f"  [{state}] ratio_bound" in capsys.readouterr().out
+    bounds = json.loads((tmp_path / "b.json").read_text())
+    ratio = bounds["checks"]["ratio_bound"]
+    assert ratio["passed"] and ratio["skipped"] == (state == "skip")
+    assert detail in ratio["detail"]
+    assert bounds["gamma_min"] == (2.0 / 3.0 if state == "pass" else None)
+    assert caplog.text == ""  # the ratio needs no oracle, so no cap and no line
 
 
 def test_summary_is_byte_identical_across_runs(tmp_path):
@@ -490,8 +472,10 @@ def _drop_meta_field(lines):
     return [lines[0], lines[1].replace("n=3,", "")] + lines[2:]
 
 
-def _meta_value_50(lines):
-    return [lines[0], re.sub(r",value=.*", ",value=50.0", lines[1])] + lines[2:]
+def _meta_value(text):
+    def tamper(lines):
+        return [lines[0], re.sub(r",value=.*", f",value={text}", lines[1])] + lines[2:]
+    return tamper
 
 
 def _meta_fields(**texts):
@@ -505,10 +489,6 @@ def _meta_fields(**texts):
 
 def _meta_field(name, text):
     return _meta_fields(**{name: text})
-
-
-def _meta_value_inf(lines):
-    return [lines[0], re.sub(r",value=.*", ",value=inf", lines[1])] + lines[2:]
 
 
 def _round_0_sets_add_99(lines):
@@ -549,7 +529,7 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_append("x,7,0,1,1,1.0,"), "trace line 66: row after the last round"),
     (_append("set,0,2,9,,,1"), "trace line 66: row after the last round"),
     (_append("chosen,9,3,,4,,"), "trace line 66: row after the last round"),
-    (_meta_value_50, "trace header value=50.0, but the config's average "
+    (_meta_value("50.0"), "trace header value=50.0, but the config's average "
                      "function gives 4.0 for selection (1, 2)"),
     (_round_0_sets_add_99, "trace line 28: set row names element 99, not one "
                            "of round 0's remaining elements"),
@@ -567,11 +547,18 @@ def tradeoff_trace_lines(tmp_path_factory):
      "malformed trace metadata line: ValueError('mu=-0.5')"),
     (_meta_field("value_cap", "-6.0"),
      "malformed trace metadata line: ValueError('value_cap=-6.0')"),
-    (_meta_value_inf, "malformed trace metadata line: ValueError('value=inf')"),
+    (_meta_value("inf"), "malformed trace metadata line: ValueError('value=inf')"),
     (_meta_field("include_self", "0"),
      "trace header include_self=0, but the config gives 1"),
     (_meta_field("include_self", "2"),
      "malformed trace metadata line: ValueError('include_self=2')"),
+    # header numbers are compared as the text the writer writes
+    (_meta_field("K", "02"), "trace header K=02, but the config gives 2"),
+    (_meta_field("value_cap", "6"),
+     "trace header value_cap=6, but the config gives 6.0"),
+    (_meta_field("seed", "1_1"), "trace header seed=1_1, but the config gives 11"),
+    (_meta_value("4"), "trace header value=4, but the config's average "
+                       "function gives 4.0 for selection (1, 2)"),
     # no list or array may be sized from these before the rows are read
     (_meta_field("t_prime", "1000000000000"),
      "trace header sizes n=3, K=2, T=1, diameter=2, t_prime=1000000000000 "
@@ -588,17 +575,18 @@ def tradeoff_trace_lines(tmp_path_factory):
         "x_round_7", "set_agent_9", "chosen_round_9", "header_value",
         "set_element_99", "header_value_cap", "header_mu", "header_psi", "header_mu_nan",
         "header_mu_negative", "header_value_cap_negative", "header_value_inf",
-        "header_include_self_0", "header_include_self_2",
+        "header_include_self_0", "header_include_self_2", "header_K_text",
+        "header_value_cap_text", "header_seed_text", "header_value_text",
         "header_t_prime", "header_diameter", "header_T"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(tamper(tradeoff_trace_lines)) + "\n")
-    capsys.readouterr()
-    assert main(["analyze", "--trace", str(bad),
-                 "--config", str(CONFIGS / "tradeoff.json"),
-                 "--out", str(tmp_path / "b.json")]) == 2
-    assert message in capsys.readouterr().err
+    for command in (["analyze", "--out", tmp_path / "b.json"], ["replay"]):
+        capsys.readouterr()
+        assert run_cli(*command, "--trace", bad,
+                       "--config", CONFIGS / "tradeoff.json") == 2, command
+        assert message in capsys.readouterr().err, command
 
 
 @pytest.mark.parametrize("command, written", [

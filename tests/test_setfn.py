@@ -20,7 +20,7 @@ from distgreedy import (
     marginal_gain,
 )
 from distgreedy.errors import CapExceededError, ConfigError
-from distgreedy.setfn import (BATCH_BYTES, FUNCTION_KINDS, _coverage_table,
+from distgreedy.setfn import (BATCH_BYTES, FUNCTION_KINDS, _bits, _coverage_table,
                               family_from_config)
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
@@ -207,12 +207,35 @@ def test_ratio_one_iff_submodular_on_random_families():
                                     seed=rng.integers(2 ** 31))
             rep = check_structure(f)
             assert rep.is_submodular and rep.submodularity_ratio == 1.0, kind
+            assert f.submodularity_ratio is None, kind  # no closed form carried
     for _ in range(5):
         f = build_test_function("pair_supermodular", {"size": 5},
                                 seed=rng.integers(2 ** 31))
         rep = check_structure(f)
         assert not rep.is_submodular
-        assert rep.submodularity_ratio == 2.0 / 3.0
+        assert rep.submodularity_ratio == f.submodularity_ratio == 2.0 / 3.0
+
+
+def test_pair_ratio_in_closed_form_is_the_oracles_bit_for_bit():
+    rng = np.random.default_rng(21)
+    levels = [(0, 0, 0), (0, 0, 3), (0, 1, 3), (0, 2, 3), (0, 3, 3)]
+    levels += [(0, *sorted(rng.integers(0, 10, size=2).tolist())) for _ in range(145)]
+    for scale in (1e-3, 1.0, 1e6):
+        levels += [(0.0, *sorted((rng.random(2) * scale).tolist())) for _ in range(150)]
+    for g in levels:
+        f = build_test_function("pair_supermodular",
+                                {"size": int(rng.integers(2, 9)), "g": g},
+                                seed=int(rng.integers(2 ** 31)))
+        assert f.submodularity_ratio == check_structure(f).submodularity_ratio, g
+
+
+def test_bits_lists_the_set_bits_ascending():
+    rng = np.random.default_rng(4)
+    wide = [int.from_bytes(rng.bytes(250), "little") for _ in range(20)]
+    sparse = [sum(1 << i for i in rng.choice(2000, size=50, replace=False).tolist())
+              for _ in range(20)]
+    for mask in [0, 1, 1 << 1999, *wide, *sparse]:
+        assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # --- builders --------------------------------------------------------------
