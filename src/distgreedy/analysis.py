@@ -239,10 +239,18 @@ def bounds_report(trace, family, optimum=None, gammas=None):
 
     optimum may be the exact optimal value, or None to leave the
     guarantee checks out (for instances past the enumeration cap).
+    With a ratio below 1 among `gammas` the (1 - 1/e) factor is not
+    guaranteed, so an approx_bound that fails is skipped, margin kept.
     """
     checks = audit_trace(trace, family).checks
     if optimum is not None:
-        checks.append(check_approx_bound(trace, optimum))
+        approx = check_approx_bound(trace, optimum)
+        gamma_min = min(gammas or [1.0])
+        if not approx.passed and gamma_min < 1.0:
+            approx.skipped = True
+            approx.detail = (f"gamma_min={gamma_min:.6g} < 1: no (1 - 1/e) "
+                             f"guarantee, {approx.detail}")
+        checks.append(approx)
         if gammas is not None:
             checks.append(check_ratio_bound(trace, optimum, gammas))
     return AuditReport(trace, checks, optimum)

@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Subcommands: run, sweep, baseline, analyze, replay, validate-config.
+Subcommands: run, sweep, baseline, analyze, validate-config.
 Exit codes: 0 all enabled checks pass, 1 a check failed (margins are
 printed), 2 configuration or dimension problems (the offending field is
 named) or an unwritable output file (the path is named). Set
@@ -172,15 +172,6 @@ def cmd_analyze(args):
     return 0 if report.passed else 1
 
 
-def cmd_replay(args):
-    cfg = load_experiment(args.config)
-    run_config = build_run_config(cfg)
-    trace = _load_trace_for_config(args.trace, run_config)
-    report = bounds_report(trace, run_config.family)
-    _print_report(report)
-    return 0 if report.passed else 1
-
-
 def cmd_validate_config(args):
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
@@ -221,14 +212,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
-
-    about = ("audit checks alone: it skips the optimum, so no approx_bound or "
-             "ratio_bound, and writes no file")
-    p = sub.add_parser("replay", help=f"re-audit a trace; {about}",
-                       description=f"Re-audit a trace with the {about}.")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("validate-config", help="schema-check a config file")
     p.add_argument("--config", required=True)

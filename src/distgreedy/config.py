@@ -15,12 +15,12 @@ import numpy as np
 from .errors import ConfigError, GraphGenerationError
 from .graph import graph_from_config
 from .mixing import mixing_from_config
-from .protocol import RunConfig, bounds
+from .protocol import RunConfig
 from .setfn import family_from_config
 
 TOP_LEVEL_KEYS = {
     "scenario", "graph", "mixing", "functions", "K", "T", "psi", "seed",
-    "tight_value_cap", "threshold_slack", "strict_psi", "taus",
+    "tight_value_cap", "threshold_slack", "taus",
 }
 
 
@@ -57,7 +57,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0", field="seed")
         self.tight_value_cap = _require_bool(
             raw.get("tight_value_cap", False), "tight_value_cap")
-        self.strict_psi = _require_bool(raw.get("strict_psi", False), "strict_psi")
         self.threshold_slack = _require_number(raw.get("threshold_slack", 0.0),
                                                "threshold_slack")
         self.taus = raw.get("taus")
@@ -148,25 +147,12 @@ def build_run_config(cfg):
     family = _from_spec("functions", family_from_config,
                         _seeded(cfg.functions, fn_ss), network.n)
 
-    run_config = RunConfig(
+    return RunConfig(
         network, mix, family, cfg.K, cfg.T,
         psi=None if cfg.psi == "auto" else cfg.psi,
         use_singleton_cap=cfg.tight_value_cap,
         threshold_slack=cfg.threshold_slack,
         seed=cfg.seed)
-
-    if cfg.strict_psi and cfg.psi != "auto":
-        _, floor, _ = bounds(network.n, run_config.K, run_config.T, run_config.mu,
-                             run_config.value_cap, cfg.psi)
-        if floor is None:
-            raise ConfigError(
-                f"strict_psi needs a contracting mixing matrix, but "
-                f"mu={run_config.mu}", field="strict_psi")
-        if cfg.psi < floor:
-            raise ConfigError(
-                f"psi={cfg.psi} is below the feasible floor {floor:.6g} "
-                f"required by strict_psi", field="psi")
-    return run_config
 
 
 def adversary_stream(cfg):

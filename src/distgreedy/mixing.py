@@ -125,12 +125,10 @@ def validate_mixing(W, G):
     if W.shape != (n, n):
         raise ValueError(f"matrix shape {W.shape} does not match n={n}")
     nonnegative = bool((W >= -STRUCT_TOL).all())
-    supported = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (min(i, j), max(i, j)) not in G.edges:
-                if abs(W[i - 1, j - 1]) > STRUCT_TOL:
-                    supported = False
+    allowed = np.eye(n, dtype=bool)  # the diagonal and the graph's edges
+    for i, j in G.edges:
+        allowed[i - 1, j - 1] = allowed[j - 1, i - 1] = True
+    supported = not (np.abs(W[~allowed]) > STRUCT_TOL).any()
     stochastic = bool(np.abs(W.sum(axis=1) - 1.0).max() <= STRUCT_TOL)
     symmetric = bool(np.abs(W - W.T).max() <= STRUCT_TOL)
     mu = _rate(W) if symmetric else float("nan")

@@ -520,22 +520,19 @@ def family_from_functions(functions, kind="custom"):
     return LocalFamily(functions[0].ground, functions, kind)
 
 
-def local_family(n, kind, seed=0, params=None, identical=False):
+def local_family(n, kind, seed=0, params=None):
     """Build n local functions sharing one ground set.
 
     With explicit data in `params` (sets / weights / pair) every agent
     holds the same function. Otherwise each agent draws its own from an
-    independent stream derived from `seed`; pass identical=True to draw
-    once and share.
+    independent stream derived from `seed`.
     """
     if n < 1:
         raise ConfigError("need at least one agent", field="n")
     params = dict(params or {})
-    explicit = any(k in params for k in ("sets", "weights", "pair"))
-    if explicit or identical:
+    if any(k in params for k in ("sets", "weights", "pair")):
         proto = build_test_function(kind, params, seed)
-        functions = [proto] * n
-        return LocalFamily(proto.ground, functions, kind)
+        return LocalFamily(proto.ground, [proto] * n, kind)
 
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -552,21 +549,16 @@ def family_from_config(cfg, n):
     """Build a LocalFamily from its JSON description.
 
     Recognized keys: kind (required), universe, sets, weights, size,
-    pair, g, seed, identical.
+    pair, g, seed.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("functions spec must be an object", field="functions")
-    known = {"kind", "universe", "sets", "weights", "size", "pair", "g",
-             "seed", "identical"}
+    known = {"kind", "universe", "sets", "weights", "size", "pair", "g", "seed"}
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in functions spec",
                               field=f"functions.{key}")
     if "kind" not in cfg:
         raise ConfigError("functions spec needs 'kind'", field="functions.kind")
-    identical = cfg.get("identical", False)
-    if not isinstance(identical, bool):
-        raise ConfigError("identical must be a boolean", field="functions.identical")
-    params = {k: v for k, v in cfg.items() if k not in ("kind", "seed", "identical")}
-    return local_family(n, cfg["kind"], seed=cfg.get("seed", 0), params=params,
-                        identical=identical)
+    params = {k: v for k, v in cfg.items() if k not in ("kind", "seed")}
+    return local_family(n, cfg["kind"], seed=cfg.get("seed", 0), params=params)

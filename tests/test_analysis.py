@@ -144,6 +144,24 @@ def test_ratio_bound_skipped_for_zero_ratio():
     assert "not positive" in result.detail
 
 
+@pytest.mark.parametrize("gammas, state", [
+    (None, "FAIL"), ([1.0, 1.0], "FAIL"), ([0.5, 1.0], "skip"),
+], ids=["no_ratios", "ratio_1", "ratio_half"])
+def test_failing_approx_bound_is_skipped_below_ratio_1(gammas, state):
+    # an optimum of 100 puts the (1 - 1/e) right side above the achieved 6
+    fam = c4_family(2)
+    trace = exact_run(fam, K=2)
+    approx = bounds_report(trace, fam, optimum=100.0, gammas=gammas)["approx_bound"]
+    assert not approx.passed
+    assert approx.skipped == (state == "skip")
+    assert approx.margin == pytest.approx(6.0 - (1 - 1 / math.e) * 100.0)
+    assert approx.rhs == pytest.approx((1 - 1 / math.e) * 100.0)
+    assert ("gamma_min=0.5 < 1" in approx.detail) == (state == "skip")
+    holds = bounds_report(trace, fam, optimum=6.0, gammas=gammas)["approx_bound"]
+    assert (holds.passed, holds.skipped) == (True, False)
+    assert holds.detail == check_approx_bound(trace, 6.0).detail
+
+
 def test_non_contracting_trace_skips_every_epsilon_check():
     from distgreedy.mixing import MixingMatrix
     fam = c4_family(2)

@@ -40,3 +40,21 @@ def test_traced_run_writes_the_bytes_of_an_untraced_run(tmp_path):
     assert "analysis.audit_fails" in traced["hooked"]
     assert "analysis.audit_fails" not in traced["absent_reasons"]
     assert spans.stat().st_size > 0
+
+
+def test_every_timed_function_is_found():
+    # A removed or renamed function that the benchmark times reads as
+    # "function missing" there; install() patches the program, so it runs
+    # in a child.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # import tracer writes nothing to bench/
+    code = ("import json, tracer; "
+            "print(json.dumps([tracer.TIMED, tracer.install(tracer.Tracer())]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "bench",
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    timed, absent = json.loads(proc.stdout)
+    spans = {f"{layer}.{name}" for layer, names in timed.items() for name in names}
+    assert {k: v for k, v in absent.items() if k in spans or k in timed} == {}

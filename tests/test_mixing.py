@@ -16,6 +16,7 @@ from distgreedy import (
 )
 from distgreedy.errors import ConfigError
 from distgreedy.mixing import (
+    STRUCT_TOL,
     MixingMatrix,
     mixing_from_config,
     read_matrix_csv,
@@ -119,6 +120,32 @@ def test_off_graph_weight_fails_support():
     W = np.full((3, 3), 1 / 3)
     report = validate_mixing(W, G)
     assert not report.supported
+
+
+def _supported_by_pairs(W, G):
+    """The support check pair by pair: no entry off the graph and the
+    diagonal exceeds STRUCT_TOL in magnitude (so NaN reads as supported)."""
+    return not any(abs(W[i - 1, j - 1]) > STRUCT_TOL
+                   for i in range(1, G.n + 1) for j in range(1, G.n + 1)
+                   if i != j and (min(i, j), max(i, j)) not in G.edges)
+
+
+def test_support_check_matches_a_pairwise_scan():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        G = generate(("path", "cycle", "complete", "grid", "erdos_renyi")[trial % 5],
+                     n, seed=trial, p=0.6)
+        W = metropolis_weights(G).W.copy()
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(0, n, size=2)
+            W[i, j] = rng.choice([np.nan, np.inf, 1e-13, 0.3, -0.3])
+        with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check
+            report = validate_mixing(W, G)
+        assert report.supported is _supported_by_pairs(W, G), (trial, W)
+    nan_off_graph = np.eye(3)
+    nan_off_graph[0, 2] = np.nan
+    assert validate_mixing(nan_off_graph, generate("path", 3)).supported
 
 
 def test_metropolis_passes_everywhere():
