@@ -148,11 +148,24 @@ def test_validate_config_echoes_the_clamped_budget(tmp_path, capsys):
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
-    for key in ("psi_width", "neighbors_only_intersection", "strict_psi"):
+    for key in ("psi_width", "neighbors_only_intersection"):
         bad = write_config(tmp_path, "bad.json", **{key: True})
         assert run_cli("validate-config", "--config", bad) == 2
         assert (capsys.readouterr().err
                 == f"config error at {key!r}: unknown config key {key!r}\n")
+
+
+def test_strict_psi_floor_is_enforced(tmp_path, capsys):
+    # the strict_psi key is gone: a config naming it is refused as an
+    # unknown key whether or not psi clears the feasible floor
+    base = json.loads((CONFIGS / "tradeoff.json").read_text())
+    path = tmp_path / "strict.json"
+    for psi in (0.001, 1000.0):
+        base.update(psi=psi, strict_psi=True)
+        path.write_text(json.dumps(base))
+        assert run_cli("validate-config", "--config", path) == 2
+        assert (capsys.readouterr().err
+                == "config error at 'strict_psi': unknown config key 'strict_psi'\n")
 
 
 def test_readme_documents_every_optional_key():
