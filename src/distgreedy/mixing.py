@@ -125,9 +125,7 @@ def validate_mixing(W, G):
     if W.shape != (n, n):
         raise ValueError(f"matrix shape {W.shape} does not match n={n}")
     nonnegative = bool((W >= -STRUCT_TOL).all())
-    allowed = np.eye(n, dtype=bool)  # the diagonal and the graph's edges
-    for i, j in G.edges:
-        allowed[i - 1, j - 1] = allowed[j - 1, i - 1] = True
+    allowed = G.adjacency | np.eye(n, dtype=bool)
     supported = not (np.abs(W[~allowed]) > STRUCT_TOL).any()
     stochastic = bool(np.abs(W.sum(axis=1) - 1.0).max() <= STRUCT_TOL)
     symmetric = bool(np.abs(W - W.T).max() <= STRUCT_TOL)
@@ -143,17 +141,17 @@ def _rate(W):
     return 0.0 if W.shape[0] == 1 else spectral_mu(W)
 
 
+def _fill_diagonal(W):
+    """W, whose diagonal is 0, with each row's remainder to 1 put on it."""
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return W
+
+
 def metropolis_weights(G):
     """Edge weight 1/(1+max degree of the endpoints), remainder on the
     diagonal. Valid on every connected graph."""
-    n = G.n
-    W = np.zeros((n, n))
-    for i, j in G.edges:
-        w = 1.0 / (1.0 + max(G.degree(i), G.degree(j)))
-        W[i - 1, j - 1] = w
-        W[j - 1, i - 1] = w
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
+    d = G.adjacency.sum(axis=1)
+    W = _fill_diagonal(np.where(G.adjacency, 1.0 / (1.0 + np.maximum.outer(d, d)), 0.0))
     return MixingMatrix(W, _rate(W), "metropolis")
 
 
@@ -164,15 +162,9 @@ def lazy_max_degree_weights(G):
     bipartite graphs); averaging it with the identity shifts every
     eigenvalue into [0, 1) and restores contraction.
     """
-    n = G.n
-    dmax = max(G.degree(i) for i in range(1, n + 1))
-    W = np.zeros((n, n))
-    for i, j in G.edges:
-        W[i - 1, j - 1] = 1.0 / dmax
-        W[j - 1, i - 1] = 1.0 / dmax
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
-    W = (np.eye(n) + W) / 2.0
+    # a single node has maximum degree 0 and no edge to weight
+    dmax = max(int(G.adjacency.sum(axis=1).max()), 1)
+    W = (np.eye(G.n) + _fill_diagonal(G.adjacency / dmax)) / 2.0
     return MixingMatrix(W, _rate(W), "lazy_max_degree")
 
 
@@ -226,16 +218,10 @@ def contraction_bound_check(mix, t_max):
     return ContractionReport(rows, passed)
 
 
-def write_matrix_csv(W, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(W, dtype=float):
-            writer.writerow([f"{x:.17g}" for x in row])
-
-
 def read_matrix_csv(path):
-    """The square matrix in a CSV file; a file that does not hold one is
-    a ConfigError at mixing.custom_csv, where configs name the file."""
+    """The square matrix of finite numbers in a CSV file; a file that does
+    not hold one is a ConfigError at mixing.custom_csv, where configs name
+    the file."""
     try:
         # fspath: an integer would open a file descriptor, not a file
         with open(os.fspath(path), newline="") as fh:
@@ -247,6 +233,11 @@ def read_matrix_csv(path):
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError(f"matrix CSV is not square: shape {W.shape}",
                           field="mixing.custom_csv")
+    bad = np.argwhere(~np.isfinite(W))
+    if len(bad):
+        i, j = bad[0]
+        raise ConfigError(f"matrix CSV entry ({i + 1},{j + 1}) is {W[i, j]}, "
+                          "not a finite number", field="mixing.custom_csv")
     return W
 
 
@@ -264,8 +255,7 @@ def mixing_from_config(spec, G):
     if spec == "lazy":
         return lazy_max_degree_weights(G)
     if spec == "uniform":
-        expected = G.n * (G.n - 1) // 2
-        if len(G.edges) != expected:
+        if G.adjacency.sum() != G.n * (G.n - 1):
             raise ConfigError("uniform weights require a complete graph",
                               field="mixing")
         return uniform_complete_weights(G.n)

@@ -324,11 +324,10 @@ def intersection_sources(network):
     intersection, which is what makes the network-wide fixed point
     reachable in diameter-many steps.
     """
-    adj = network.adjacency
-    rows = [(i,) + adj[i] for i in range(1, network.n + 1)]
-    width = max(map(len, rows))
-    return np.array([[v - 1 for v in row + row[:1] * (width - len(row))]
-                     for row in rows], dtype=np.intp).reshape(network.n, width)
+    nbrs = [np.flatnonzero(row).tolist() for row in network.adjacency]
+    width = 1 + max(map(len, nbrs))
+    return np.array([[i, *row] + [i] * (width - 1 - len(row))
+                     for i, row in enumerate(nbrs)], dtype=np.intp)
 
 
 def intersection_step(C, sources):

@@ -473,11 +473,11 @@ class LocalFamily:
         if any(f.ground != ground for f in self.functions):
             raise ConfigError("local functions must share the ground set",
                               field="functions")
-        everything = np.arange(1, ground.size + 1)[None, :]
+        full = (1 << ground.size) - 1
+        singletons = np.arange(1, ground.size + 1)[:, None]
         with np.errstate(over="ignore"):
-            self.max_total = max(float(f.extend_values(0, everything)[0])
-                                 for f in self.functions)
-            self.max_singleton = max(float(f.extend_values(0, everything.T).max())
+            self.max_total = max(f.value_mask(full) for f in self.functions)
+            self.max_singleton = max(float(f.extend_values(0, singletons).max())
                                      for f in self.functions)
         total = self.n * self.max_total
         if not np.isfinite([self.max_total, self.max_singleton, total]).all():

@@ -278,9 +278,8 @@ def test_missing_config_file(tmp_path, capsys, make, message):
 def test_auto_psi_needs_a_contracting_matrix(tmp_path):
     import numpy as np
 
-    from distgreedy.mixing import write_matrix_csv
     wpath = tmp_path / "w.csv"
-    write_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), wpath)
+    np.savetxt(wpath, [[0.0, 1.0], [1.0, 0.0]], fmt="%.17g", delimiter=",")
     base = {"graph": {"kind": "path", "n": 2},
             "mixing": {"custom_csv": str(wpath)},
             "functions": {"kind": "modular", "weights": [1, 2]},
@@ -296,9 +295,8 @@ def test_auto_psi_needs_a_contracting_matrix(tmp_path):
 def test_non_contracting_run_skips_the_epsilon_checks(tmp_path):
     import numpy as np
 
-    from distgreedy.mixing import write_matrix_csv
     wpath = tmp_path / "w.csv"
-    write_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), wpath)
+    np.savetxt(wpath, [[0.0, 1.0], [1.0, 0.0]], fmt="%.17g", delimiter=",")
     cfg = {"graph": {"kind": "path", "n": 2},
            "mixing": {"custom_csv": str(wpath)},
            "functions": {"kind": "modular", "weights": [1, 2]},
@@ -738,6 +736,8 @@ def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
     ({}, "missing", "mixing.custom_csv"),
     ({}, "0.5,x\n0.5,0.5\n", "mixing.custom_csv"),
     ({}, "0.5,0.5\n0.5\n", "mixing.custom_csv"),
+    ({}, "inf,0.5\n0.5,inf\n", "mixing.custom_csv"),
+    ({}, "0.5,0.5\n0.5,nan\n", "mixing.custom_csv"),
     ({"mixing": {"custom_csv": None}}, None, "mixing.custom_csv"),
     # each used to pass: a float truncated, a bool read as 0 or 1
     ({"graph": {"kind": "complete", "n": 3.9}}, None, "graph.n"),
@@ -760,7 +760,8 @@ def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
     ({"functions": {"kind": "modular", "weights": [True, False, 2]}}, None,
      "functions.weights[0]"),
 ], ids=["graph_n", "graph_p", "graph_unconnectable", "size", "sets", "weights", "ragged_weights",
-        "identical", "csv_missing", "csv_cell", "csv_ragged", "csv_null",
+        "identical", "csv_missing", "csv_cell", "csv_ragged", "csv_inf", "csv_nan",
+        "csv_null",
         "graph_n_float", "graph_n_bool", "graph_p_bool", "graph_seed_bool",
         "size_float", "universe_float", "sets_float", "pair_float", "g_bool",
         "functions_seed_bool", "weights_bool"])

@@ -1,5 +1,7 @@
 """Mixing-matrix constructions, spectra and the contraction envelope."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from distgreedy.mixing import (
     MixingMatrix,
     mixing_from_config,
     read_matrix_csv,
-    write_matrix_csv,
 )
 
 
@@ -246,9 +247,19 @@ def test_lazy_mu_halves_gap_on_path3():
 def test_matrix_csv_round_trip(tmp_path):
     M = metropolis_weights(generate("cycle", 5))
     path = tmp_path / "w.csv"
-    write_matrix_csv(M.W, path)
+    np.savetxt(path, M.W, fmt="%.17g", delimiter=",")
     back = read_matrix_csv(path)
     assert np.array_equal(back, M.W)
+
+
+@pytest.mark.parametrize("text, cell", [("inf,0.5\n0.5,inf\n", "(1,1) is inf"),
+                                        ("0.5,0.5\n0.5,nan\n", "(2,2) is nan"),
+                                        ("0.5,-inf\n0.5,0.5\n", "(1,2) is -inf")])
+def test_non_finite_matrix_csv_entry_is_named(tmp_path, text, cell):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"entry {re.escape(cell)}, not a finite"):
+        read_matrix_csv(path)
 
 
 def test_mixing_from_config_names(tmp_path):
@@ -257,7 +268,7 @@ def test_mixing_from_config_names(tmp_path):
     assert mixing_from_config("lazy", G).construction == "lazy_max_degree"
     assert mixing_from_config("uniform", G).construction == "uniform_complete"
     path = tmp_path / "w.csv"
-    write_matrix_csv(uniform_complete_weights(3).W, path)
+    np.savetxt(path, uniform_complete_weights(3).W, fmt="%.17g", delimiter=",")
     custom = mixing_from_config({"custom_csv": str(path)}, G)
     assert custom.construction == "custom"
     assert custom.mu < 1e-12
@@ -271,7 +282,7 @@ def test_uniform_requires_complete_graph():
 def test_custom_matrix_must_be_structurally_valid(tmp_path):
     G = generate("path", 3)
     path = tmp_path / "w.csv"
-    write_matrix_csv(np.full((3, 3), 1 / 3), path)
+    np.savetxt(path, np.full((3, 3), 1 / 3), fmt="%.17g", delimiter=",")
     with pytest.raises(ConfigError):
         mixing_from_config({"custom_csv": str(path)}, G)
 
@@ -280,7 +291,7 @@ def test_custom_periodic_chain_is_loadable(tmp_path):
     # mu = 1 is allowed through for adversarial experiments
     G = generate("path", 2)
     path = tmp_path / "w.csv"
-    write_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), path)
+    np.savetxt(path, np.array([[0.0, 1.0], [1.0, 0.0]]), fmt="%.17g", delimiter=",")
     M = mixing_from_config({"custom_csv": str(path)}, G)
     assert M.mu == pytest.approx(1.0)
 
