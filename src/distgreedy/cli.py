@@ -16,12 +16,9 @@ from .analysis import bounds_report, exact_optimum, tradeoff_sweep
 from .baseline import brute_force_optimum, centralized_greedy, perturbed_greedy
 from .config import adversary_stream, build_run_config, load_experiment
 from .errors import CapExceededError, ConfigError, ProtocolError
-from .protocol import TRACE_PARAMETERS
 from .protocol import run as run_protocol
 from .traceio import (
     canonical_json,
-    format_float,
-    meta_text,
     read_trace_csv,
     write_bounds_json,
     write_json,
@@ -91,9 +88,6 @@ def _parse_t_range(text):
                           "comma-separated list", field="T")
     if not values:
         raise ConfigError(f"T range {text!r} is empty", field="T")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"T list {text!r} must be strictly ascending",
-                          field="T")
     return values
 
 
@@ -139,33 +133,10 @@ def cmd_baseline(args):
     return 0
 
 
-def _load_trace_for_config(trace_path, run_config):
-    """Read the trace; each header parameter and the value must be, as
-    header text, what the writer writes for the config's, so bit for bit."""
-    trace = read_trace_csv(trace_path)
-    got = trace.header_text
-    config_gives = run_config.trace_parameters(run_config.T, run_config.psi)
-    for name, kind in TRACE_PARAMETERS:
-        want = meta_text(kind, config_gives[name])
-        if got[name] != want:
-            raise ConfigError(f"trace header {name}={got[name]}, but the config "
-                              f"gives {want}")
-    try:
-        value = run_config.family.average().value(trace.selected)
-    except ValueError as exc:
-        raise ConfigError(f"trace selection {trace.selected}: {exc}") from None
-    if got["value"] != format_float(value):
-        raise ConfigError(
-            f"trace header value={got['value']}, but the config's "
-            f"average function gives {format_float(value)} for selection "
-            f"{trace.selected}")
-    return trace
-
-
 def cmd_analyze(args):
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
-    trace = _load_trace_for_config(args.trace, run_config)
+    trace = read_trace_csv(args.trace, run_config)
     report = _full_report(trace, run_config.family)
     write_bounds_json(report, args.out)
     _print_report(report)

@@ -239,14 +239,13 @@ class RunTrace:
     additive_gap are their `bounds`. A trace may be recorded with a
     non-contracting mu >= 1 (an explicit psi on a periodic chain).
     Averaging then carries no error bound, so the three bounds are None
-    and the audits that need them are skipped. header_text, for a trace
-    read from a file, is the text of each header field by name.
+    and the audits that need them are skipped.
     """
 
-    def __init__(self, rounds, selected, value, header_text=None, **parameters):
+    def __init__(self, rounds, selected, value, **parameters):
         if sorted(parameters) != sorted(name for name, _ in TRACE_PARAMETERS):
             raise TypeError(f"RunTrace parameters {sorted(parameters)}")
-        vars(self).update(parameters, header_text=header_text)
+        vars(self).update(parameters)
         self.rounds = rounds
         self.selected = selected
         self.value = value

@@ -1,9 +1,11 @@
 """Trace, summary and report serialization.
 
 Floats are rendered with 17 significant digits everywhere, which
-round-trips IEEE doubles exactly: a replayed trace reproduces the
+round-trips IEEE doubles exactly: a trace read back reproduces the
 original audit bit for bit, and identical runs produce byte-identical
-files.
+files. A trace is read against the RunConfig of its run: its metadata
+line must be the one the writer writes for that config, and the rows
+are read with the config's sizes.
 """
 
 import csv
@@ -69,18 +71,15 @@ def canonical_json(obj):
     return re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: slots[int(m.group(1))], text)
 
 
-def meta_text(kind, value):
-    """A run parameter as the trace header writes it: a float at 17
-    digits, a flag as 0 or 1, an integer as is."""
-    return format_float(value) if kind is float else str(int(value))
-
-
-def _meta_line(trace):
-    fields = [f"{name}={meta_text(kind, getattr(trace, name))}"
-              for name, kind in TRACE_PARAMETERS]
-    fields += [f"selected={'|'.join(str(v) for v in trace.selected)}",
-               f"value={format_float(trace.value)}"]
-    return "# " + ",".join(fields)
+def _meta_line(parameters, selected, value):
+    """The `#` metadata line of a run with these TRACE_PARAMETERS, by
+    name, selection and value: a float at 17 digits, a flag as 0 or 1,
+    an integer as is."""
+    texts = {name: format_float(parameters[name]) if kind is float
+             else str(int(parameters[name])) for name, kind in TRACE_PARAMETERS}
+    texts.update(selected="|".join(str(v) for v in selected),
+                 value=format_float(value))
+    return "# " + ",".join(f"{name}={text}" for name, text in texts.items())
 
 
 def write_trace_csv(trace, path):
@@ -103,7 +102,8 @@ def write_trace_csv(trace, path):
     whatever the run's size.
     """
     with _output(path, newline="") as fh:
-        fh.write(f"{TRACE_MAGIC}\n{_meta_line(trace)}\n"
+        meta = _meta_line(vars(trace), trace.selected, trace.value)
+        fh.write(f"{TRACE_MAGIC}\n{meta}\n"
                  "record,round,t,agent,element,x_value,candidate_set\r\n")
         for rec in trace.rounds:
             k = rec.index
@@ -134,27 +134,6 @@ def write_trace_csv(trace, path):
             fh.write("".join(parts))
 
 
-def _parse_meta(line):
-    """The `#` metadata line as (parameters, selection, value, field texts)."""
-    meta = dict(item.partition("=")[::2] for item in line.lstrip("# ").split(","))
-    try:
-        parameters = {name: float(meta[name]) if kind is float
-                      else kind(int(meta[name]))
-                      for name, kind in TRACE_PARAMETERS}
-        for name, kind in TRACE_PARAMETERS:  # the writer writes a flag as 0 or 1
-            if kind is bool and meta[name] not in ("0", "1"):
-                raise ValueError(f"{name}={meta[name]}")
-        selected = tuple(int(v) for v in meta["selected"].split("|") if v)
-        value = float(meta["value"])
-        for name, number in [*parameters.items(), ("value", value)]:
-            if not math.isfinite(number) or (  # the writer writes neither
-                    number < 0 and name in ("mu", "value_cap")):
-                raise ValueError(f"{name}={number}")
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed trace metadata line: {exc!r}") from None
-    return parameters, selected, value, meta
-
-
 X_ROW = np.dtype([("record", "U2")]
                  + [(key, np.int64) for key in ("round", "t", "agent", "element")]
                  + [("x", np.float64)])
@@ -182,12 +161,12 @@ def _x_rows(lines, number):
                                   f"{line.rstrip()!r} ({exc})") from None
 
 
-def _x_step(lines, after, number, k, t, remaining, n):
+def _x_step(lines, number, k, t, remaining, n):
     """Round k's n * r gains at step t, flat in the writer's order.
 
-    `lines` holds the step's x lines, the first at trace line `number`;
-    `after` is the line that follows them. Each row must hold the round,
-    step, agent and element of its place in the writer's order. The
+    `lines` holds the n * r lines that the step takes, fewer where the
+    file ends, the first at trace line `number`. Each row must hold the
+    round, step, agent and element of its place in the writer's order. The
     lines are parsed as one block, record column included, and each
     record must read "x"; a numpy string drops trailing NULs, so a NUL
     in the block counts as a mismatch. Only on a block that does not
@@ -212,7 +191,7 @@ def _x_step(lines, after, number, k, t, remaining, n):
         raise ConfigError(
             f"round {k}, t={t}: missing agent {j // r + 1} gain row for "
             f"element {remaining[j % r]} "
-            f"({_found(number + j, lines[j] if j < len(lines) else after)})")
+            f"({_found(number + j, lines[j] if j < len(lines) else '')})")
     x = rows["x"].copy()
     infinite = np.flatnonzero(~np.isfinite(x))
     if infinite.size:
@@ -228,7 +207,7 @@ def _later_steps(rest, number, k, T, remaining, n):
     next n * r lines of `rest`, the first at trace line `number`."""
     size = n * remaining.size
     for t in range(1, T + 1):
-        yield _x_step(list(islice(rest, size)), "", number, k, t, remaining,
+        yield _x_step(list(islice(rest, size)), number, k, t, remaining,
                       n).reshape(n, -1)
         number += size
 
@@ -269,24 +248,52 @@ def _reading(path):
         raise ConfigError(f"cannot read trace {path}: {exc.strerror}") from None
 
 
-def read_trace_csv(path):
-    """Rebuild a RunTrace from its CSV form.
+def _meta_mismatch(line, want, selection):
+    """What the metadata line `line` states first that differs from
+    `want`, the line that the config gives for `selection`."""
+    if line.startswith("# "):
+        for field, wanted in zip(line[2:].split(","), want[2:].split(",")):
+            name, _, text = field.partition("=")
+            wanted_name, _, given = wanted.partition("=")
+            if name != wanted_name:
+                break
+            if text == given:
+                continue
+            if name == "value":
+                return (f"trace header value={text}, but the config's average "
+                        f"function gives {given} for selection {selection}")
+            if name == "selected":
+                return (f"trace header selected={text}, but selection "
+                        f"{selection} is written {given}")
+            return f"trace header {name}={text}, but the config gives {given}"
+    return f"trace metadata line {line!r} is not the config's {want!r}"
 
-    The rows must come in the writer's order, with `\\n` or `\\r\\n` line
+
+def read_trace_csv(path, config):
+    """Rebuild the RunTrace that `run` of RunConfig `config` writes as CSV.
+
+    The metadata line must be the line that the writer writes for the
+    selection it states: the config's trace_parameters, that selection
+    and the value that the config's average function gives it, byte for
+    byte. Else the first field that differs, or the line, is named,
+    before any row is read. The rows are read with the config's n, K, T
+    and t_prime, only in the writer's order, with `\\n` or `\\r\\n` line
     ends: each line is checked against the row that the order puts
     there. Agent 1's t=0 `x` rows of a round name its remaining
-    elements, and fix how many `x` rows each later (t, agent) block
-    holds. The `x` lines of one averaging step go through numpy's C
-    parser as one block, and the step goes to protocol.averaging_record,
-    which keeps the round's x_final, deviations and drifts from the
-    file's own gains; then come the round's `set` rows, each one row of
-    its candidate_masks, and its `chosen` row. The reader holds one
-    step's lines and gains at a time, besides what the records keep, and
-    sizes no array from a header number. Since floats round-trip
-    exactly, the rebuilt trace audits identically to the original. Its
-    records have no step source, so it cannot be written again. A byte
-    that is not UTF-8 reads as U+FFFD, so it fails the check of its row.
+    elements, and fix how many `x` rows each (t, agent) block holds.
+    The `x` lines of one averaging step go through numpy's C parser as
+    one block, and the step goes to protocol.averaging_record, which
+    keeps the round's x_final, deviations and drifts from the file's
+    own gains; then come the round's `set` rows, each one row of its
+    candidate_masks, and its `chosen` row. The reader holds one step's
+    lines and gains at a time, besides what the records keep. Since
+    floats round-trip exactly, the rebuilt trace audits identically to
+    the original. Its records have no step source, so it cannot be
+    written again. A byte that is not UTF-8 reads as U+FFFD, so it
+    fails the check of its line.
     """
+    parameters = config.trace_parameters(config.T, config.psi)
+    n, K, T, t_prime = (parameters[key] for key in ("n", "K", "T", "t_prime"))
     try:
         fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
@@ -295,17 +302,19 @@ def read_trace_csv(path):
         magic = fh.readline().rstrip("\n")
         if magic != TRACE_MAGIC:
             raise ConfigError(f"not a trace file (header {magic!r})")
-        parameters, declared, value, texts = _parse_meta(fh.readline().rstrip("\n"))
+        line = fh.readline().rstrip("\n")
+        listed = line.partition(",selected=")[2].partition(",")[0]
+        try:
+            declared = tuple(int(v) for v in listed.split("|") if v)
+            value = config.family.average().value(declared)
+        except ValueError as exc:
+            raise ConfigError(f"trace header selected={listed}: {exc}") from None
+        want = _meta_line(parameters, declared, value)
+        if line != want:
+            raise ConfigError(_meta_mismatch(line, want, declared))
         header = next(csv.reader([fh.readline()]), [])
         if header[:3] != ["record", "round", "t"]:
             raise ConfigError(f"unexpected trace columns {header}")
-        n, K, T, t_prime, d = (parameters[key] for key in
-                               ("n", "K", "T", "t_prime", "diameter"))
-        if min(n, K, T, d + 1) < 1 or t_prime != T + 1 + d:
-            raise ConfigError(
-                f"trace header sizes n={n}, K={K}, T={T}, diameter={d}, "
-                f"t_prime={t_prime} do not fit: n, K and T must be >= 1, "
-                "diameter >= 0 and t_prime = T + 1 + diameter")
         number = 4  # the trace line that the next read starts at
         rounds, selected = [], ()
         for k in range(K):
@@ -323,13 +332,9 @@ def read_trace_csv(path):
                     f"round {k}, t=0: agent 1's elements do not ascend from 1 "
                     f"({_found(number + j, lines[j])})")
             r = remaining.size
-            # Read by line up to its first foreign row, step 0 bounds each
-            # later step, even under a header n above the recorded one.
-            while len(lines) < n * r and text.startswith(f"x,{k},0,"):
-                lines.append(text)
-                text = fh.readline()
             rest = chain([text] if text else [], fh)
-            X0 = _x_step(lines, text, number, k, 0, remaining, n).reshape(n, r)
+            lines += islice(rest, (n - 1) * r)  # agents 2..n
+            X0 = _x_step(lines, number, k, 0, remaining, n).reshape(n, r)
             del lines  # one step of rows at a time
             number += n * r
             x_final, deviations, drifts = averaging_record(
@@ -357,7 +362,7 @@ def read_trace_csv(path):
         raise ConfigError(
             f"trace header announces selection {declared} but the rounds "
             f"build {selected}")
-    return RunTrace(rounds, selected, value, header_text=texts, **parameters)
+    return RunTrace(rounds, selected, value, **parameters)
 
 
 def summary_dict(trace):

@@ -120,11 +120,13 @@ def test_sweep_writes_contracting_gap_column(tmp_path):
 
 @pytest.mark.parametrize("T", ["5,3", "3,3", "1,4,2"])
 def test_sweep_rejects_a_t_list_out_of_order(tmp_path, capsys, T):
+    # protocol.sweep's rule, checked before any run
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--config", CONFIGS / "tradeoff.json",
                    "--T", T, "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"config error at 'T': T list '{T}' must be strictly ascending" in err
+    values = [int(v) for v in T.split(",")]
+    assert f"config error at 'T': T values {values} must be strictly ascending" in err
     assert not out.exists()
 
 
@@ -509,9 +511,22 @@ def _meta_field(name, text):
     return _meta_fields(**{name: text})
 
 
+def _meta_line(old, new):
+    def tamper(lines):
+        assert old in lines[1]
+        return [lines[0], lines[1].replace(old, new, 1)] + lines[2:]
+    return tamper
+
+
 def _round_0_sets_add_99(lines):
     return [line + "|99" if line.startswith("set,0,") else line
             for line in lines]
+
+
+# the metadata line that `run` writes for configs/tradeoff.json
+TRADEOFF_META = ("# n=3,K=2,T=1,t_prime=4,diameter=2,psi=27.712812921102042,"
+                 "mu=0.66666666666666674,value_cap=6.0,include_self=1,"
+                 "threshold_slack=0.0,seed=11,selected=1|2,value=4.0")
 
 
 @pytest.fixture(scope="module")
@@ -543,7 +558,7 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_x_record("x\0"), "round 1, t=1: missing agent 2 gain row for element 3 "
                        "(trace line 51 is 'x\\x00,1,1,2,3,"),
     (_add_agent_4_row, "trace line 66: row after the last round: 'x,0,0,4,1,1.0,'"),
-    (_drop_meta_field, "malformed trace metadata line: KeyError('n')"),
+    (_drop_meta_field, "config error: trace metadata line '# K=2,T=1,"),
     (_append("x,7,0,1,1,1.0,"), "trace line 66: row after the last round"),
     (_append("set,0,2,9,,,1"), "trace line 66: row after the last round"),
     (_append("chosen,9,3,,4,,"), "trace line 66: row after the last round"),
@@ -560,16 +575,17 @@ def tradeoff_trace_lines(tmp_path_factory):
      "trace header psi=27.712812921102046, but the config gives "
      "27.712812921102042"),
     (_meta_field("mu", "nan"),
-     "malformed trace metadata line: ValueError('mu=nan')"),
+     "trace header mu=nan, but the config gives 0.66666666666666674"),
     (_meta_field("mu", "-0.5"),
-     "malformed trace metadata line: ValueError('mu=-0.5')"),
+     "trace header mu=-0.5, but the config gives 0.66666666666666674"),
     (_meta_field("value_cap", "-6.0"),
-     "malformed trace metadata line: ValueError('value_cap=-6.0')"),
-    (_meta_value("inf"), "malformed trace metadata line: ValueError('value=inf')"),
+     "trace header value_cap=-6.0, but the config gives 6.0"),
+    (_meta_value("inf"), "trace header value=inf, but the config's average "
+                         "function gives 4.0 for selection (1, 2)"),
     (_meta_field("include_self", "0"),
      "trace header include_self=0, but the config gives 1"),
     (_meta_field("include_self", "2"),
-     "malformed trace metadata line: ValueError('include_self=2')"),
+     "trace header include_self=2, but the config gives 1"),
     # header numbers are compared as the text the writer writes
     (_meta_field("K", "02"), "trace header K=02, but the config gives 2"),
     (_meta_field("value_cap", "6"),
@@ -577,16 +593,27 @@ def tradeoff_trace_lines(tmp_path_factory):
     (_meta_field("seed", "1_1"), "trace header seed=1_1, but the config gives 11"),
     (_meta_value("4"), "trace header value=4, but the config's average "
                        "function gives 4.0 for selection (1, 2)"),
-    # no list or array may be sized from these before the rows are read
+    # the first field that is not the config's is named
     (_meta_field("t_prime", "1000000000000"),
-     "trace header sizes n=3, K=2, T=1, diameter=2, t_prime=1000000000000 "
-     "do not fit"),
+     "trace header t_prime=1000000000000, but the config gives 4"),
     (_meta_fields(diameter="999999999997", t_prime="999999999999"),
-     "round 0, t=5: missing agent 1 candidate set (trace line 37 is "
-     "'chosen,0,4,,1,,')"),
-    (_meta_fields(T="2", t_prime="5"),
-     "round 0, t=2: missing agent 1 gain row for element 1 (trace line 28 is "
-     "'set,0,2,1,,,"),
+     "trace header t_prime=999999999999, but the config gives 4"),
+    (_meta_fields(T="2", t_prime="5"), "trace header T=2, but the config gives 1"),
+    # the line must be the writer's, byte for byte
+    (_meta_line(",value=4.0", ",value=4.0,foo=1"),
+     f"config error: trace metadata line {TRADEOFF_META + ',foo=1'!r} is not "
+     f"the config's {TRADEOFF_META!r}\n"),
+    (_meta_line("# n=3,K=2,", "# K=2,n=3,"),
+     "config error: trace metadata line '# K=2,n=3,T=1,"),
+    (_meta_line("# ", "###   "), "config error: trace metadata line '###   n=3,"),
+    (_meta_line("selected=1|2,", "selected=01|2,"),
+     "trace header selected=01|2, but selection (1, 2) is written 1|2"),
+    (_meta_line("selected=1|2,", "selected=1|2|,"),
+     "trace header selected=1|2|, but selection (1, 2) is written 1|2"),
+    (_meta_line("selected=1|2,", "selected=+1|2,"),
+     "trace header selected=+1|2, but selection (1, 2) is written 1|2"),
+    (_meta_line("selected=1|2,", "selected=1||2,"),
+     "trace header selected=1||2, but selection (1, 2) is written 1|2"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "abc_agent_2", "nan_agent_2",
         "inf", "overflow",
         "no_set_row", "record_xx", "record_nul", "extra_agent", "no_n",
@@ -595,7 +622,10 @@ def tradeoff_trace_lines(tmp_path_factory):
         "header_mu_negative", "header_value_cap_negative", "header_value_inf",
         "header_include_self_0", "header_include_self_2", "header_K_text",
         "header_value_cap_text", "header_seed_text", "header_value_text",
-        "header_t_prime", "header_diameter", "header_T"])
+        "header_t_prime", "header_diameter", "header_T", "header_extra_field",
+        "header_n_K_swapped", "header_prefix", "header_selected_zero",
+        "header_selected_trailing", "header_selected_plus",
+        "header_selected_empty"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"
@@ -784,7 +814,7 @@ def test_trace_round_trips_exactly(tmp_path):
     cfg = build_run_config(load_experiment(CONFIGS / "ring_metropolis.json"))
     from distgreedy.protocol import run as run_protocol
     fresh = run_protocol(cfg)
-    loaded = read_trace_csv(tmp_path / "t.csv")
+    loaded = read_trace_csv(tmp_path / "t.csv", cfg)
     assert loaded.selected == fresh.selected
     assert loaded.psi == fresh.psi
     assert loaded.mu == fresh.mu
@@ -799,9 +829,16 @@ def write_reference_trace_csv(trace, path):
     """The v1 layout written row by row with csv.writer and format_float."""
     import numpy as np
 
-    from distgreedy.traceio import TRACE_MAGIC, _meta_line, format_float
+    from distgreedy.protocol import TRACE_PARAMETERS
+    from distgreedy.traceio import TRACE_MAGIC
+    meta = []
+    for name, kind in TRACE_PARAMETERS:
+        v = getattr(trace, name)
+        meta.append(f"{name}={format_float(v) if kind is float else int(v)}")
+    meta += [f"selected={'|'.join(str(v) for v in trace.selected)}",
+             f"value={format_float(trace.value)}"]
     with open(path, "w", newline="") as fh:
-        fh.write(f"{TRACE_MAGIC}\n{_meta_line(trace)}\n")
+        fh.write(f"{TRACE_MAGIC}\n# {','.join(meta)}\n")
         rows = csv.writer(fh)
         rows.writerow(["record", "round", "t", "agent", "element", "x_value",
                        "candidate_set"])
@@ -833,15 +870,14 @@ def test_trace_round_trip_on_random_configs(tmp_path):
                            params={"size": int(rng.integers(3, 7)),
                                    "universe": 5},
                            seed=int(rng.integers(2 ** 31)))
-        trace = run_protocol(RunConfig(G, metropolis_weights(G), fam,
-                                       K=int(rng.integers(1, 4)),
-                                       T=int(rng.integers(1, 6)),
-                                       threshold_slack=1e-12))
+        config = RunConfig(G, metropolis_weights(G), fam, K=int(rng.integers(1, 4)),
+                           T=int(rng.integers(1, 6)), threshold_slack=1e-12)
+        trace = run_protocol(config)
         path = tmp_path / f"rt{i}.csv"
         write_trace_csv(trace, path)
         write_reference_trace_csv(trace, tmp_path / "ref.csv")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        loaded = read_trace_csv(path)
+        loaded = read_trace_csv(path, config)
         assert loaded.selected == trace.selected
         assert loaded.value == trace.value
         for a, b in zip(loaded.rounds, trace.rounds):

@@ -113,16 +113,17 @@ def test_write_read_round_trips_every_bit(tmp_path_factory, values, seed):
     # X_0, and every bit of both comes back.
     pool = np.array(FIXED + values)
     rng = np.random.default_rng(seed)
-    config = bundled_config()
-    base = run_protocol(RunConfig(config.network, config.mixing, config.family,
-                                  K=config.K, T=1))
+    bundled = bundled_config()
+    config = RunConfig(bundled.network, bundled.mixing, bundled.family,
+                       K=bundled.K, T=1)
+    base = run_protocol(config)
     draws = [[pool[rng.integers(pool.size, size=rec.x_final.shape)]
               for _ in range(2)] for rec in base.rounds]
     for order in (1, -1):
         trace = with_steps(base, [steps[::order] for steps in draws])
         path = tmp_path_factory.mktemp("rt") / "t.csv"
         write_trace_csv(trace, path)
-        assert_same_trace(read_trace_csv(path), trace)
+        assert_same_trace(read_trace_csv(path, config), trace)
 
 
 def written_lines(tmp_path, trace):
@@ -154,28 +155,44 @@ def test_reader_rejects_rows_out_of_the_written_order(tmp_path, reorder, offset)
     message = (rf"^round 1, t=2: missing agent 3 gain row .*"
                rf"\(trace line {j + 1 + offset} is 'x,")
     with pytest.raises(ConfigError, match=message):
-        read_trace_csv(tmp_path / "o.csv")
+        read_trace_csv(tmp_path / "o.csv", bundled_config())
 
 
 @pytest.mark.parametrize("name, text", [("mu", "-0.5"), ("value_cap", "-6.0")])
 def test_reader_rejects_a_negative_mu_or_value_cap(tmp_path, name, text):
-    # such a header has no bounds: epsilon(T) would raise a bare ValueError
-    lines = written_lines(tmp_path, bundled_trace())
+    # such a header has no bounds, and it is not the config's
+    config = bundled_config()
+    lines = written_lines(tmp_path, run_protocol(config))
     head, _, rest = lines[1].partition(f",{name}=")
     lines[1] = f"{head},{name}={text}{rest[rest.index(','):]}"
     (tmp_path / "neg.csv").write_text("".join(lines), newline="")
-    with pytest.raises(ConfigError, match=rf"^malformed trace metadata line: "
-                                          rf"ValueError\('{name}={text}'\)$"):
-        read_trace_csv(tmp_path / "neg.csv")
+    given = format_float(getattr(config, name))
+    with pytest.raises(ConfigError, match=rf"^trace header {name}={text}, but the "
+                                          rf"config gives {given}$"):
+        read_trace_csv(tmp_path / "neg.csv", config)
+
+
+def test_a_doctored_header_fails_before_any_row(tmp_path):
+    # The file ends after its column row, so a reader that got to the
+    # rows would name a missing row instead.
+    config = bundled_config()
+    lines = written_lines(tmp_path, run_protocol(config))
+    assert ",value_cap=10.0," in lines[1]
+    lines[1] = lines[1].replace(",value_cap=10.0,", ",value_cap=1000.0,")
+    (tmp_path / "cut.csv").write_text("".join(lines[:3]), newline="")
+    with pytest.raises(ConfigError, match=r"^trace header value_cap=1000\.0, but "
+                                          r"the config gives 10\.0$"):
+        read_trace_csv(tmp_path / "cut.csv", config)
 
 
 def test_reader_accepts_lf_line_ends(tmp_path):
-    trace = bundled_trace()
+    config = bundled_config()
+    trace = run_protocol(config)
     lines = written_lines(tmp_path, trace)
     (tmp_path / "lf.csv").write_text(
         "".join(line.replace("\r\n", "\n") for line in lines), newline="")
     assert b"\r" not in (tmp_path / "lf.csv").read_bytes()
-    assert_same_trace(read_trace_csv(tmp_path / "lf.csv"), trace)
+    assert_same_trace(read_trace_csv(tmp_path / "lf.csv", config), trace)
 
 
 def assert_masks_are_the_record(trace):
@@ -214,7 +231,7 @@ def test_candidate_masks_survive_run_and_round_trip(tmp_path_factory, config):
     assert_masks_are_the_record(trace)
     path = tmp_path_factory.mktemp("masks") / "t.csv"
     write_trace_csv(trace, path)
-    loaded = read_trace_csv(path)
+    loaded = read_trace_csv(path, config)
     assert_masks_are_the_record(loaded)
     for a, b in zip(loaded.rounds, trace.rounds):
         assert np.array_equal(a.candidate_masks, b.candidate_masks)
@@ -282,14 +299,15 @@ def assert_peaks_do_not_grow_with_T(facility_runs, peak_at):
 
 def test_reader_memory_does_not_grow_with_T(facility_runs, facility_traces):
     def peak_at(T):
-        trace, peak = traced_peak(read_trace_csv, facility_traces[T])
-        assert_same_trace(trace, facility_runs[T][1])
+        config, run = facility_runs[T]
+        trace, peak = traced_peak(read_trace_csv, facility_traces[T], config)
+        assert_same_trace(trace, run)
         return peak
     assert_peaks_do_not_grow_with_T(facility_runs, peak_at)
 
 
-def test_reader_holds_one_step_of_rows_besides_the_gains(facility_trace):
-    trace, peak = traced_peak(read_trace_csv, facility_trace)
+def test_reader_holds_one_step_of_rows_besides_the_gains(facility_run, facility_trace):
+    trace, peak = traced_peak(read_trace_csv, facility_trace, facility_run[0])
     assert peak <= 1.3 * gain_bytes(trace)
 
 
@@ -320,33 +338,33 @@ def test_writer_memory_is_a_fraction_of_the_gains(tmp_path, facility_runs):
     assert_peaks_do_not_grow_with_T(facility_runs, peak_at)
 
 
-def test_a_read_trace_cannot_be_written_again(tmp_path, facility_trace):
+def test_a_read_trace_cannot_be_written_again(tmp_path, facility_run, facility_trace):
     with pytest.raises(ValueError, match="round 0 has no step source"):
-        write_trace_csv(read_trace_csv(facility_trace), tmp_path / "t.csv")
+        write_trace_csv(read_trace_csv(facility_trace, facility_run[0]),
+                        tmp_path / "t.csv")
 
 
-def test_a_larger_header_n_fails_within_the_first_step(tmp_path, facility_trace):
-    # The header claims 10**6 agents. Step 0 ends after the 20 recorded
-    # ones, so the reader stops there: it holds about one step of text,
-    # far below the 1.1 MB of gains, and allocates nothing by the header.
+def test_a_larger_header_n_fails_within_the_first_step(tmp_path, facility_run,
+                                                     facility_trace):
+    # The header claims 10**6 agents, not the config's 20, so the reader
+    # stops at the header: it reads no row and allocates nothing by it.
     doctored = tmp_path / "n.csv"
     doctored.write_text(
         facility_trace.read_text().replace("# n=20,", "# n=1000000,", 1))
-    message = (r"^round 0, t=0: missing agent 21 gain row for element 1 "
-               r"\(trace line 1004 is 'x,0,1,1,1,")
+    message = r"^trace header n=1000000, but the config gives 20$"
 
     def read():
         with pytest.raises(ConfigError, match=message):
-            read_trace_csv(doctored)
+            read_trace_csv(doctored, facility_run[0])
 
     _, peak = traced_peak(read)
     assert peak <= 0.3e6
 
 
-def test_a_larger_header_T_fails_at_the_first_missing_step(tmp_path, facility_trace):
-    # The header claims 10**6 steps. The reader sizes a round's gains by
-    # what the file's characters could fill, not by T, and fails where
-    # round 0's recorded steps end and its set rows begin.
+def test_a_larger_header_T_fails_at_the_first_missing_step(tmp_path, facility_run,
+                                                         facility_trace):
+    # The header claims 10**6 steps, not the config's 24, so the reader
+    # stops at the header and sizes nothing by it.
     text = facility_trace.read_text()
     meta = text.splitlines()[1]
     fields = dict(item.split("=", 1) for item in meta[2:].split(","))
@@ -355,12 +373,11 @@ def test_a_larger_header_T_fails_at_the_first_missing_step(tmp_path, facility_tr
     doctored.write_text(text.replace(
         meta, meta.replace(f",T={T},", ",T=1000000,").replace(
             f",t_prime={t_prime},", f",t_prime={1000001 + t_prime - T - 1},"), 1))
-    message = (rf"^round 0, t={T + 1}: missing agent 1 gain row for element 1 "
-               rf"\(trace line {4 + (T + 1) * 20 * 50} is 'set,0,{T + 1},1,,,")
+    message = rf"^trace header T=1000000, but the config gives {T}$"
 
     def read():
         with pytest.raises(ConfigError, match=message):
-            read_trace_csv(doctored)
+            read_trace_csv(doctored, facility_run[0])
 
     _, peak = traced_peak(read)
     assert peak <= doctored.stat().st_size
@@ -383,7 +400,7 @@ def test_mid_scale_memory_does_not_grow_with_T_and_analyze_reproduces_run(tmp_pa
     assert abs(runs[120][1] - runs[30][1]) < trace.rounds[0].x_final.nbytes
     written = tmp_path / "t.csv"
     write_trace_csv(trace, written)
-    read = read_trace_csv(written)
+    read = read_trace_csv(written, configs[30])
     assert_same_trace(read, trace)
     outputs = []
     for t in (trace, read):
