@@ -89,10 +89,10 @@ class AuditReport:
 
 def _agreement_failure(rec, ground):
     """Why round rec's candidate sets broke their guarantee, or ''."""
-    earlier = set(rec.selected_after[:-1])
-    if rec.remaining != tuple(v for v in ground.elements if v not in earlier):
+    earlier = rec.selected_after[:-1]
+    if rec.remaining != tuple(ground.remaining(ground.mask(earlier)).tolist()):
         return (f"round {rec.index}: remaining elements are not the ground "
-                f"set minus the earlier picks {sorted(earlier)}")
+                f"set minus the earlier picks {sorted(set(earlier))}")
     first, final = rec.candidate_masks[0], rec.candidate_masks[-1]
     if (final != final[0]).any():
         return f"round {rec.index}: sets differ"

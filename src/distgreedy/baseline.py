@@ -38,10 +38,9 @@ class GreedyResult:
         return f"GreedyResult(selected={self.selected}, value={self.value:.6g})"
 
 
-def _step_gains(f, selected_mask, m):
+def _step_gains(f, selected_mask):
     """The unselected elements, ascending, and their marginal gains."""
-    free = np.array([v for v in range(1, m + 1) if not selected_mask >> (v - 1) & 1],
-                    dtype=np.intp)
+    free = f.ground.remaining(selected_mask)
     gains = f.extend_values(selected_mask, free[:, None]) - f.value_mask(selected_mask)
     return free, gains
 
@@ -52,7 +51,7 @@ def _greedy(f, K, pick):
     mask = 0
     selected, values, gains, best_gains = [], [], [], []
     for _ in range(K):
-        free, step = _step_gains(f, mask, f.ground.size)
+        free, step = _step_gains(f, mask)
         j = pick(step)
         v = int(free[j])
         selected.append(v)
@@ -130,7 +129,7 @@ def brute_force_optimum(f, K):
 
 def max_marginal(f, selected):
     """Largest available gain given the current selection."""
-    _, gains = _step_gains(f, f.ground.mask(selected), f.ground.size)
+    _, gains = _step_gains(f, f.ground.mask(selected))
     return float(gains.max())
 
 

@@ -1,9 +1,12 @@
 """Experiment configuration: JSON schema, validation, derived seeding.
 
-One master seed drives graph generation, function generation and the
-perturbed-baseline randomness through independent derived streams, so a
-config is reproducible as a whole while each component stays isolated.
-Validation failures carry the offending field path for the CLI's exit-2
+ExperimentConfig is the one reader of the experiment JSON: it checks the
+top-level keys and, against SPECS, every key of the graph and functions
+specs, so the builders take plain Python arguments. One master seed
+drives graph generation, function generation and the perturbed-baseline
+randomness through independent derived streams, so a config is
+reproducible as a whole while each component stays isolated. Validation
+failures carry the offending field path for the CLI's exit-2
 diagnostics.
 """
 
@@ -13,14 +16,14 @@ import math
 import numpy as np
 
 from .errors import ConfigError, GraphGenerationError
-from .graph import graph_from_config
+from .graph import generate
 from .mixing import mixing_from_config
 from .protocol import RunConfig
 from .setfn import family_from_config
 
 TOP_LEVEL_KEYS = {
     "scenario", "graph", "mixing", "functions", "K", "T", "psi", "seed",
-    "tight_value_cap", "threshold_slack", "taus",
+    "threshold_slack", "taus",
 }
 
 
@@ -41,10 +44,8 @@ class ExperimentConfig:
         self.graph = raw["graph"]
         self.mixing = raw["mixing"]
         self.functions = raw["functions"]
-        for name, checks in SPEC_NUMBERS.items():
-            for key, check in checks.items():
-                if isinstance(raw[name], dict) and key in raw[name]:
-                    _require_each(raw[name][key], check, f"{name}.{key}")
+        for name, (required, known) in SPECS.items():
+            _check_spec(name, raw[name], required, known)
         self.K = _require_int(raw["K"], "K")
         self.T = _require_int(raw["T"], "T")
         self.psi = raw.get("psi", "auto")
@@ -55,8 +56,6 @@ class ExperimentConfig:
         self.seed = _require_int(raw.get("seed", 0), "seed")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", field="seed")
-        self.tight_value_cap = _require_bool(
-            raw.get("tight_value_cap", False), "tight_value_cap")
         self.threshold_slack = _require_number(raw.get("threshold_slack", 0.0),
                                                "threshold_slack")
         self.taus = raw.get("taus")
@@ -81,18 +80,32 @@ def _require_number(value, field):
     return float(value)
 
 
-def _require_bool(value, field):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{field} must be a boolean", field=field)
-    return value
+# The graph and functions specs: their required keys, and every known
+# key with the check of its numbers (each list entry checked like a
+# top-level number), or None for a key whose builder checks it
+SPECS = {"graph": (("kind", "n"), {"kind": None, "n": _require_int,
+                                   "p": _require_number, "seed": _require_int}),
+         "functions": (("kind",), {"kind": None, "universe": _require_int,
+                                   "sets": _require_int, "weights": _require_number,
+                                   "size": _require_int, "pair": _require_int,
+                                   "g": _require_number, "seed": _require_int})}
 
 
-# The numbers of the nested specs, each list entry checked like a top-level one
-SPEC_NUMBERS = {"graph": {"n": _require_int, "p": _require_number, "seed": _require_int},
-                "functions": {"universe": _require_int, "size": _require_int,
-                              "sets": _require_int, "pair": _require_int,
-                              "seed": _require_int, "weights": _require_number,
-                              "g": _require_number}}
+def _check_spec(name, spec, required, known):
+    """The `name` spec is an object of known keys, the required ones
+    among them, and its numbers pass their checks."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} spec must be an object", field=name)
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {name} spec",
+                              field=f"{name}.{key}")
+    if not spec.keys() >= set(required):  # one is named by its path
+        raise ConfigError(f"{name} spec needs {' and '.join(map(repr, required))}",
+                          field=f"{name}.{required[0]}" if len(required) == 1 else name)
+    for key, check in known.items():
+        if check is not None and key in spec:
+            _require_each(spec[key], check, f"{name}.{key}")
 
 
 def _require_each(value, check, field):
@@ -122,11 +135,6 @@ def derived_streams(master_seed):
     return np.random.SeedSequence(master_seed).spawn(3)
 
 
-def _seeded(spec, stream):
-    """The graph or functions spec, seeded from `stream` if it has no seed."""
-    return {"seed": stream, **spec} if isinstance(spec, dict) else spec
-
-
 def _from_spec(field, build, *args):
     """build(*args), with a value of the `field` spec that the builder
     cannot use raised as a ConfigError naming the spec, not a traceback."""
@@ -142,15 +150,16 @@ def _from_spec(field, build, *args):
 def build_run_config(cfg):
     """Materialize graph, weights and functions; enforce cross-field rules."""
     graph_ss, fn_ss, _ = derived_streams(cfg.seed)
-    network = _from_spec("graph", graph_from_config, _seeded(cfg.graph, graph_ss))
+    graph = cfg.graph
+    network = _from_spec("graph", generate, graph["kind"], graph["n"],
+                         graph.get("seed", graph_ss), float(graph.get("p", 0.5)))
     mix = mixing_from_config(cfg.mixing, network)
     family = _from_spec("functions", family_from_config,
-                        _seeded(cfg.functions, fn_ss), network.n)
+                        {"seed": fn_ss, **cfg.functions}, network.n)
 
     return RunConfig(
         network, mix, family, cfg.K, cfg.T,
         psi=None if cfg.psi == "auto" else cfg.psi,
-        use_singleton_cap=cfg.tight_value_cap,
         threshold_slack=cfg.threshold_slack,
         seed=cfg.seed)
 

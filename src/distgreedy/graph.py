@@ -3,6 +3,8 @@
 Nodes are the agents 1..n, and a graph is one read-only (n, n) bool
 adjacency array. Connectivity hooks labels along it; the diameter counts
 the hops of bit-row reach sets. Every generated graph is connected.
+`generate` takes the graph spec's values as arguments; config.py reads
+and checks the spec itself.
 """
 
 from functools import cached_property
@@ -155,17 +157,3 @@ def diameter(G):
             "distances undefined: node 1 cannot reach every node")
     return hops
 
-
-def graph_from_config(cfg):
-    """Build a Network from its JSON description: kind, n, p, seed."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("graph spec must be an object", field="graph")
-    known = {"kind", "n", "p", "seed"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in graph spec",
-                              field=f"graph.{key}")
-    if "kind" not in cfg or "n" not in cfg:
-        raise ConfigError("graph spec needs 'kind' and 'n'", field="graph")
-    return generate(cfg["kind"], int(cfg["n"]), seed=cfg.get("seed", 0),
-                    p=float(cfg.get("p", 0.5)))

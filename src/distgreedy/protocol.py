@@ -91,7 +91,7 @@ class RunConfig:
     """
 
     def __init__(self, network, mixing, family, K, T, psi=None,
-                 use_singleton_cap=False, threshold_slack=0.0, seed=0):
+                 threshold_slack=0.0, seed=0):
         if family.n != network.n:
             raise ConfigError(
                 f"{family.n} local functions for {network.n} agents", field="functions")
@@ -104,10 +104,6 @@ class RunConfig:
         if not 0 <= threshold_slack < math.inf:
             raise ConfigError(f"threshold_slack must be finite and >= 0, not "
                               f"{threshold_slack}", field="threshold_slack")
-        if use_singleton_cap and family.kind == "pair_supermodular":
-            raise ConfigError(
-                "the singleton gain cap is only valid for diminishing-returns "
-                "families", field="tight_value_cap")
         m = family.ground.size
         if K > m:
             logger.warning("budget K=%d exceeds the %d available elements; "
@@ -118,17 +114,12 @@ class RunConfig:
         self.K = min(int(K), m)
         self.T = int(T)
         self.psi = None if psi is None else float(psi)
-        self.use_singleton_cap = bool(use_singleton_cap)
+        self.value_cap = family.max_total  # the gain cap of epsilon(T)
         self.threshold_slack = float(threshold_slack)
         self.seed = int(seed)
         self.diameter = diameter(network)
         self.sources = intersection_sources(network)
         self.trace_parameters(self.T, self.psi)  # T, psi and overflowing bounds fail here
-
-    @property
-    def value_cap(self):
-        fam = self.family
-        return fam.max_singleton if self.use_singleton_cap else fam.max_total
 
     @property
     def mu(self):
@@ -267,8 +258,8 @@ def init_round(family, selected):
     """
     ground = family.ground
     base_mask = ground.mask(selected)
-    remaining = tuple(v for v in ground.elements if not base_mask >> (v - 1) & 1)
-    rows = np.array(remaining, dtype=np.intp)[:, None]
+    free = ground.remaining(base_mask)
+    remaining, rows = tuple(free.tolist()), free[:, None]
     X = np.empty((family.n, len(remaining)))
     for i, f in enumerate(family.functions):
         X[i] = f.extend_values(base_mask, rows) - f.value_mask(base_mask)

@@ -19,6 +19,9 @@ also single masks (`value_mask`, a scan of one empty row) and full
 tables (`table`, one scan of padded rows). A custom function given as a
 scalar map from one bitmask to a value enters through
 `SetFunction.from_scalar`.
+
+A LocalFamily holds one function per agent and the gain cap max f_i(V);
+family_from_config builds one from a functions spec that config.py checked.
 """
 
 import operator
@@ -55,6 +58,10 @@ class GroundSet:
     @property
     def elements(self):
         return range(1, self.size + 1)
+
+    def remaining(self, mask):
+        """The elements outside bitmask `mask`, ascending, as an intp array."""
+        return np.array([v for v in self.elements if not mask >> (v - 1) & 1], np.intp)
 
     def mask(self, subset):
         m = 0
@@ -459,11 +466,10 @@ def build_test_function(kind, params=None, seed=0):
 class LocalFamily:
     """One function per agent, all over the same ground set.
 
-    max_total is the largest full-set value across agents; every marginal
-    gain of every member is bounded by it. max_singleton is the largest
-    single-element value, a tighter gain bound valid for functions with
-    diminishing returns. Both caps must be finite, and so must n times
-    max_total, which bounds the sum that the average divides.
+    max_total is the largest full-set value across agents, the gain cap:
+    every marginal gain of every member is bounded by it. It must be
+    finite, and so must n times max_total, which bounds the sum that the
+    average divides.
     """
 
     def __init__(self, ground, functions, kind):
@@ -474,17 +480,13 @@ class LocalFamily:
             raise ConfigError("local functions must share the ground set",
                               field="functions")
         full = (1 << ground.size) - 1
-        singletons = np.arange(1, ground.size + 1)[:, None]
         with np.errstate(over="ignore"):
             self.max_total = max(f.value_mask(full) for f in self.functions)
-            self.max_singleton = max(float(f.extend_values(0, singletons).max())
-                                     for f in self.functions)
         total = self.n * self.max_total
-        if not np.isfinite([self.max_total, self.max_singleton, total]).all():
+        if not np.isfinite([self.max_total, total]).all():
             raise ConfigError(
                 f"function values overflow: max f_i(V) = {self.max_total}, "
-                f"max f_i({{v}}) = {self.max_singleton}, n * max f_i(V) = "
-                f"{total}", field="functions")
+                f"n * max f_i(V) = {total}", field="functions")
 
     @property
     def n(self):
@@ -545,20 +547,8 @@ def local_family(n, kind, seed=0, params=None):
     return LocalFamily(functions[0].ground, functions, kind)
 
 
-def family_from_config(cfg, n):
-    """Build a LocalFamily from its JSON description.
-
-    Recognized keys: kind (required), universe, sets, weights, size,
-    pair, g, seed.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("functions spec must be an object", field="functions")
-    known = {"kind", "universe", "sets", "weights", "size", "pair", "g", "seed"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in functions spec",
-                              field=f"functions.{key}")
-    if "kind" not in cfg:
-        raise ConfigError("functions spec needs 'kind'", field="functions.kind")
-    params = {k: v for k, v in cfg.items() if k not in ("kind", "seed")}
-    return local_family(n, cfg["kind"], seed=cfg.get("seed", 0), params=params)
+def family_from_config(spec, n):
+    """n agents' LocalFamily from a functions spec that config.py checked:
+    kind, seed and the kind's parameters."""
+    params = {k: v for k, v in spec.items() if k not in ("kind", "seed")}
+    return local_family(n, spec["kind"], seed=spec.get("seed", 0), params=params)

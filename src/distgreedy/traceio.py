@@ -3,9 +3,9 @@
 Floats are rendered with 17 significant digits everywhere, which
 round-trips IEEE doubles exactly: a trace read back reproduces the
 original audit bit for bit, and identical runs produce byte-identical
-files. A trace is read against the RunConfig of its run: its metadata
-line must be the one the writer writes for that config, and the rows
-are read with the config's sizes.
+files. A trace is read against the RunConfig of its run, with its
+sizes: each line must be the one that the writer writes for that config,
+but for the text of the x values, which is read as numpy reads a float.
 """
 
 import csv
@@ -22,6 +22,7 @@ from .errors import ConfigError
 from .protocol import TRACE_PARAMETERS, RoundRecord, RunTrace, averaging_record
 
 TRACE_MAGIC = "# distgreedy trace v1"
+TRACE_COLUMNS = "record,round,t,agent,element,x_value,candidate_set"
 
 
 def format_float(x):
@@ -103,8 +104,7 @@ def write_trace_csv(trace, path):
     """
     with _output(path, newline="") as fh:
         meta = _meta_line(vars(trace), trace.selected, trace.value)
-        fh.write(f"{TRACE_MAGIC}\n{meta}\n"
-                 "record,round,t,agent,element,x_value,candidate_set\r\n")
+        fh.write(f"{TRACE_MAGIC}\n{meta}\n{TRACE_COLUMNS}\r\n")
         for rec in trace.rounds:
             k = rec.index
             if rec.steps is None:
@@ -127,18 +127,28 @@ def write_trace_csv(trace, path):
             parts = []
             for step, C in enumerate(rec.candidate_masks.tolist()):
                 t = trace.T + 1 + step
-                for i, row in enumerate(C, 1):
-                    joined = "|".join(compress(labels, row))
-                    parts.append(f"set,{k},{t},{i},,,{joined}\r\n")
-            parts.append(f"chosen,{k},{trace.t_prime},,{rec.chosen},,\r\n")
+                parts.extend(f"{_set_row(k, t, i, labels, row)}\r\n"
+                             for i, row in enumerate(C, 1))
+            parts.append(f"{_chosen_row(k, trace.t_prime, rec.chosen)}\r\n")
             fh.write("".join(parts))
 
 
+def _set_row(k, t, i, labels, row):
+    """Agent i's set row at step t of round k: the `labels` of the
+    elements that the bools of `row` keep, ascending."""
+    return f"set,{k},{t},{i},,,{'|'.join(compress(labels, row))}"
+
+
+def _chosen_row(k, t_prime, chosen):
+    return f"chosen,{k},{t_prime},,{chosen},,"
+
+
+# An x row's seven cells; one character shows that the last is not empty
 X_ROW = np.dtype([("record", "U2")]
                  + [(key, np.int64) for key in ("round", "t", "agent", "element")]
-                 + [("x", np.float64)])
+                 + [("x", np.float64), ("candidate_set", "U1")])
 _parse_x_rows = partial(np.loadtxt, dtype=X_ROW, delimiter=",", comments=None,
-                        usecols=range(6), ndmin=1)
+                        ndmin=1)
 
 
 def _found(number, text):
@@ -166,13 +176,14 @@ def _x_step(lines, number, k, t, remaining, n):
 
     `lines` holds the n * r lines that the step takes, fewer where the
     file ends, the first at trace line `number`. Each row must hold the
-    round, step, agent and element of its place in the writer's order. The
-    lines are parsed as one block, record column included, and each
-    record must read "x"; a numpy string drops trailing NULs, so a NUL
-    in the block counts as a mismatch. Only on a block that does not
-    parse or mismatches are the lines walked one at a time: lines from
-    the first that does not start with "x," are missing rows, not x rows
-    to parse, and a bad x line before them is named.
+    round, step, agent and element of its place in the writer's order,
+    and an empty last cell. The lines are parsed as one block, record
+    column included, and each record must read "x"; a numpy string
+    drops trailing NULs, so a NUL in the block counts as a mismatch.
+    Only on a block that does not parse or mismatches are the lines
+    walked one at a time: lines from the first that does not start with
+    "x," or holds a NUL are missing rows, not x rows to parse, and a bad
+    x line before them is named.
     """
     r = remaining.size
     rows = None
@@ -181,11 +192,11 @@ def _x_step(lines, number, k, t, remaining, n):
             rows = _parse_x_rows(lines)
     # a per-line "x," scan read slower, 6 of 6: 0.202-0.250 s, not 0.194-0.235
     if rows is None or not (rows["record"] == "x").all() or "\0" in "".join(lines):
-        rows = _x_rows(list(takewhile(lambda line: line.startswith("x,"), lines)),
-                       number)
+        rows = _x_rows(list(takewhile(
+            lambda line: line.startswith("x,") and "\0" not in line, lines)), number)
     agent, column = np.divmod(np.arange(rows.size), r)
-    wrong = ((rows["round"] != k) | (rows["t"] != t) | (rows["agent"] != agent + 1)
-             | (rows["element"] != remaining[column]))
+    wrong = ((rows["candidate_set"] != "") | (rows["round"] != k) | (rows["t"] != t)
+             | (rows["agent"] != agent + 1) | (rows["element"] != remaining[column]))
     j = int(wrong.argmax()) if wrong.any() else rows.size
     if j < n * r:
         raise ConfigError(
@@ -214,28 +225,35 @@ def _later_steps(rest, number, k, T, remaining, n):
 
 def _candidate_mask(text, number, k, t, i, columns):
     """Agent i's candidate mask at step t of round k, from the set row
-    `text` at trace line `number`; `columns` maps each of the round's
-    remaining elements, as text, to its column."""
-    fields = text.rstrip("\n").split(",")
-    if fields[:4] != ["set", str(k), str(t), str(i)] or len(fields) != 7:
+    `text` at trace line `number`, which must be the row that the writer
+    writes for it; `columns` maps each of the round's remaining
+    elements, as text and ascending, to its column."""
+    line = text.rstrip("\n")
+    head = f"set,{k},{t},{i},,,"
+    if not line.startswith(head):
         raise ConfigError(f"round {k}, t={t}: missing agent {i} candidate set "
                           f"({_found(number, text)})")
     mask = np.zeros(len(columns), dtype=bool)
     try:
-        mask[[columns[v] for v in fields[6].split("|") if v]] = True
+        mask[[columns[v] for v in line[len(head):].split("|") if v]] = True
     except KeyError as exc:
         raise ConfigError(
             f"trace line {number}: set row names element {exc.args[0]}, not "
             f"one of round {k}'s remaining elements") from None
+    if line != (want := _set_row(k, t, i, columns, mask.tolist())):
+        raise ConfigError(f"trace line {number}: set row {line!r} is not its "
+                          f"elements written ascending, {want!r}")
     return mask
 
 
 def _chosen(text, number, k, t_prime):
-    """The element of round k's chosen row `text`, at trace line `number`."""
-    fields = text.rstrip("\n").split(",")
-    if fields[:3] == ["chosen", str(k), str(t_prime)] and len(fields) == 7:
-        with suppress(ValueError):
-            return int(fields[4])
+    """The element of round k's chosen row `text`, at trace line `number`,
+    which must be the row that the writer writes for it."""
+    line = text.rstrip("\n")
+    with suppress(ValueError, IndexError):
+        chosen = int(line.split(",")[4])
+        if line == _chosen_row(k, t_prime, chosen):
+            return chosen
     raise ConfigError(f"round {k}: missing chosen row ({_found(number, text)})")
 
 
@@ -276,11 +294,13 @@ def read_trace_csv(path, config):
     selection it states: the config's trace_parameters, that selection
     and the value that the config's average function gives it, byte for
     byte. Else the first field that differs, or the line, is named,
-    before any row is read. The rows are read with the config's n, K, T
-    and t_prime, only in the writer's order, with `\\n` or `\\r\\n` line
-    ends: each line is checked against the row that the order puts
-    there. Agent 1's t=0 `x` rows of a round name its remaining
-    elements, and fix how many `x` rows each (t, agent) block holds.
+    before any row is read. The column row must be TRACE_COLUMNS. The
+    rows are read with the config's n, K, T and t_prime, only in the
+    writer's order, with `\\n` or `\\r\\n` line ends: each line is
+    checked against the row that the order puts there, a set or chosen
+    row as the writer spells it. Agent 1's t=0 `x` rows of a round name
+    its remaining elements, and fix how many `x` rows each (t, agent)
+    block holds.
     The `x` lines of one averaging step go through numpy's C parser as
     one block, and the step goes to protocol.averaging_record, which
     keeps the round's x_final, deviations and drifts from the file's
@@ -312,9 +332,9 @@ def read_trace_csv(path, config):
         want = _meta_line(parameters, declared, value)
         if line != want:
             raise ConfigError(_meta_mismatch(line, want, declared))
-        header = next(csv.reader([fh.readline()]), [])
-        if header[:3] != ["record", "round", "t"]:
-            raise ConfigError(f"unexpected trace columns {header}")
+        line = fh.readline().rstrip("\n")
+        if line != TRACE_COLUMNS:
+            raise ConfigError(f"trace columns {line!r} are not {TRACE_COLUMNS!r}")
         number = 4  # the trace line that the next read starts at
         rounds, selected = [], ()
         for k in range(K):

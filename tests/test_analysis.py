@@ -352,7 +352,6 @@ def reference_sweep(config, T_values, psi="auto"):
         point = RunConfig(
             config.network, config.mixing, config.family, config.K, T,
             psi=None if psi == "auto" else float(psi),
-            use_singleton_cap=config.use_singleton_cap,
             threshold_slack=config.threshold_slack, seed=config.seed)
         trace = run(point)
         rows.append(SweepRow(trace, None if optimum is None

@@ -11,8 +11,10 @@ import pytest
 
 from distgreedy import centralized_greedy
 from distgreedy.cli import build_parser, main
-from distgreedy.config import TOP_LEVEL_KEYS, build_run_config, load_experiment
-from distgreedy.traceio import format_float, read_trace_csv
+from distgreedy.config import (SPECS, TOP_LEVEL_KEYS, ExperimentConfig,
+                               build_run_config, load_experiment)
+from distgreedy.errors import ConfigError
+from distgreedy.traceio import TRACE_COLUMNS, format_float, read_trace_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -150,11 +152,35 @@ def test_validate_config_echoes_the_clamped_budget(tmp_path, capsys):
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
-    for key in ("psi_width", "neighbors_only_intersection"):
+    # tight_value_cap is gone: the gain cap is max f_i(V) alone
+    for key in ("psi_width", "neighbors_only_intersection", "tight_value_cap"):
         bad = write_config(tmp_path, "bad.json", **{key: True})
         assert run_cli("validate-config", "--config", bad) == 2
         assert (capsys.readouterr().err
                 == f"config error at {key!r}: unknown config key {key!r}\n")
+
+
+@pytest.mark.parametrize("overrides, field, message", [
+    ({"functions": {"kind": "coverage", "bogus": 1}}, "functions.bogus",
+     "unknown key 'bogus' in functions spec"),
+    ({"functions": {"universe": 3}}, "functions.kind", "functions spec needs 'kind'"),
+    ({"functions": ["coverage"]}, "functions", "functions spec must be an object"),
+    ({"graph": {"kind": "path", "n": 3, "bogus": 1}}, "graph.bogus",
+     "unknown key 'bogus' in graph spec"),
+    ({"graph": {"kind": "path"}}, "graph", "graph spec needs 'kind' and 'n'"),
+    ({"graph": {"n": 3}}, "graph", "graph spec needs 'kind' and 'n'"),
+    ({"graph": "path"}, "graph", "graph spec must be an object"),
+    # the key checks come before the number checks
+    ({"graph": {"kind": "path", "n": 3.5, "bogus": 1}}, "graph.bogus",
+     "unknown key 'bogus' in graph spec"),
+], ids=["functions_unknown", "functions_no_kind", "functions_list", "graph_unknown",
+        "graph_no_n", "graph_no_kind", "graph_string", "graph_unknown_and_float"])
+def test_spec_keys_are_checked_at_parse(overrides, field, message):
+    raw = json.loads((CONFIGS / "exact_consensus.json").read_text())
+    raw.update(overrides)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(raw)
+    assert (info.value.field, str(info.value)) == (field, message)
 
 
 def test_strict_psi_floor_is_enforced(tmp_path, capsys):
@@ -176,6 +202,15 @@ def test_readme_documents_every_optional_key():
     documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
     required = {"graph", "mixing", "functions", "K", "T"}
     assert sorted(documented) == sorted(TOP_LEVEL_KEYS - required)
+
+
+def test_readme_documents_every_spec_key():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    schema = readme.split("## Config schema\n\n```json\n")[1].split("```")[0]
+    for name, (_, known) in SPECS.items():
+        spec = re.search(rf'^  "{name}": *\{{(.*?)\}},$', schema,
+                         flags=re.M | re.S).group(1)
+        assert re.findall(r'"(\w+)":', spec) == list(known), name
 
 
 def test_readme_documents_every_subcommand():
@@ -217,8 +252,7 @@ def test_overflowing_function_values_are_a_config_error(tmp_path, capsys, psi):
     ({"seed": -1}, "seed", "seed must be >= 0"),
     # each agent's f(V) is finite, but the average sums them to inf
     ({"functions": {"kind": "modular", "weights": [1e308, 1]}}, "functions",
-     "function values overflow: max f_i(V) = 1e+308, max f_i({v}) = 1e+308, "
-     "n * max f_i(V) = inf"),
+     "function values overflow: max f_i(V) = 1e+308, n * max f_i(V) = inf"),
     ({"functions": {"kind": "modular", "weights": [2e307, 2e307]}, "T": 1},
      "psi", "bounds overflow at T=1, psi=inf: psi floor 4*epsilon(T) = inf, "
      "additive gap K*(psi + 2*epsilon(T)) = inf"),
@@ -518,6 +552,14 @@ def _meta_line(old, new):
     return tamper
 
 
+def _row(old, new):
+    """The trace with its first line `old` replaced by `new`."""
+    def tamper(lines):
+        j = lines.index(old)
+        return lines[:j] + [new] + lines[j + 1:]
+    return tamper
+
+
 def _round_0_sets_add_99(lines):
     return [line + "|99" if line.startswith("set,0,") else line
             for line in lines]
@@ -614,6 +656,36 @@ def tradeoff_trace_lines(tmp_path_factory):
      "trace header selected=+1|2, but selection (1, 2) is written 1|2"),
     (_meta_line("selected=1|2,", "selected=1||2,"),
      "trace header selected=1||2, but selection (1, 2) is written 1|2"),
+    # every row must be the writer's: the column row whole, an x row's
+    # empty last cell, a set or chosen row as the writer spells it
+    (_row(TRACE_COLUMNS, "record,round,t,whatever"),
+     "config error: trace columns 'record,round,t,whatever' are not "
+     f"{TRACE_COLUMNS!r}\n"),
+    (_row("x,0,0,1,1,3.0,", "x,0,0,1,1,3.0,junk"),
+     "round 0, t=0: missing agent 1 gain row for element 1 (trace line 4 is "
+     "'x,0,0,1,1,3.0,junk')"),
+    (_row("x,0,0,1,1,3.0,", "x,0,0,1,1,3.0,junk,more"),
+     "config error: trace line 4: cannot read x row 'x,0,0,1,1,3.0,junk,more' ("),
+    (_row("x,0,0,1,1,3.0,", "x,0,0,1,1,3.0"),
+     "config error: trace line 4: cannot read x row 'x,0,0,1,1,3.0' ("),
+    (_row("x,0,0,1,1,3.0,", "x,0,0,1,1,3.0,\0"),
+     "round 0, t=0: missing agent 1 gain row for element 1 (trace line 4 is "
+     "'x,0,0,1,1,3.0,\\x00')"),
+    (_row("x,0,1,1,1,3.0,", "x,0,1,1,1,3.0,zz"),
+     "round 0, t=1: missing agent 1 gain row for element 1 (trace line 16 is "
+     "'x,0,1,1,1,3.0,zz')"),
+    (_row("set,0,2,1,,,1|2|3|4", "set,0,2,1,junk,,1|2|3|4"),
+     "round 0, t=2: missing agent 1 candidate set (trace line 28 is "
+     "'set,0,2,1,junk,,1|2|3|4')"),
+    (_row("set,0,2,1,,,1|2|3|4", "set,0,2,1,,,1||2|3|4"),
+     "config error: trace line 28: set row 'set,0,2,1,,,1||2|3|4' is not its "
+     "elements written ascending, 'set,0,2,1,,,1|2|3|4'\n"),
+    (_row("chosen,0,4,,1,,", "chosen,0,4,junk,1,,"),
+     "round 0: missing chosen row (trace line 37 is 'chosen,0,4,junk,1,,')"),
+    (_row("chosen,0,4,,1,,", "chosen,0,4,,1,junk,"),
+     "round 0: missing chosen row (trace line 37 is 'chosen,0,4,,1,junk,')"),
+    (_row("chosen,0,4,,1,,", "chosen,0,4,, 1,,"),
+     "round 0: missing chosen row (trace line 37 is 'chosen,0,4,, 1,,')"),
 ], ids=["abc", "no_agent_1", "truncated", "nan", "abc_agent_2", "nan_agent_2",
         "inf", "overflow",
         "no_set_row", "record_xx", "record_nul", "extra_agent", "no_n",
@@ -625,7 +697,9 @@ def tradeoff_trace_lines(tmp_path_factory):
         "header_t_prime", "header_diameter", "header_T", "header_extra_field",
         "header_n_K_swapped", "header_prefix", "header_selected_zero",
         "header_selected_trailing", "header_selected_plus",
-        "header_selected_empty"])
+        "header_selected_empty", "columns_extra", "x_junk", "x_8_cells",
+        "x_6_cells", "x_nul_cell", "x_t1_zz", "set_junk", "set_empty_element",
+        "chosen_junk_agent", "chosen_junk_last", "chosen_space"])
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys,
                                            tradeoff_trace_lines, tamper, message):
     bad = tmp_path / "bad.csv"

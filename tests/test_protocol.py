@@ -377,14 +377,6 @@ def test_sweep_rejects_a_descending_t_list():
     assert info.value.field == "T"
 
 
-def test_singleton_cap_rejected_for_pair_families():
-    fam = local_family(3, "pair_supermodular", params={"size": 4}, seed=0)
-    G = generate("path", 3)
-    with pytest.raises(ConfigError):
-        RunConfig(G, metropolis_weights(G), fam, K=1, T=1,
-                  use_singleton_cap=True)
-
-
 def test_auto_psi_resolves_to_the_floor():
     fam = c4_family(3)
     G = generate("path", 3)
@@ -394,16 +386,6 @@ def test_auto_psi_resolves_to_the_floor():
     assert cfg.trace_parameters(3, None)["psi"] == expected
     trace = run(cfg)
     assert trace.psi == expected
-
-
-def test_singleton_cap_changes_auto_psi():
-    fam = c4_family(3)
-    G = generate("path", 3)
-    M = metropolis_weights(G)
-    loose = RunConfig(G, M, fam, K=1, T=2).trace_parameters(2, None)["psi"]
-    tight = RunConfig(G, M, fam, K=1, T=2,
-                      use_singleton_cap=True).trace_parameters(2, None)["psi"]
-    assert tight == loose / 2  # singleton cap 3 vs total cap 6
 
 
 @settings(max_examples=500, deadline=None)

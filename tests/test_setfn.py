@@ -352,14 +352,12 @@ def test_memoization_is_invisible():
 def test_family_caps_for_c4():
     fam = local_family(1, "coverage", params=C4_PARAMS)
     assert fam.max_total == 6.0
-    assert fam.max_singleton == 3.0
 
 
 def test_family_caps_for_modular_ones():
     m = 7
     fam = local_family(4, "modular", params={"weights": [1] * m})
     assert fam.max_total == m
-    assert fam.max_singleton == 1.0
 
 
 def test_identical_family_average_is_pointwise_equal():
@@ -384,13 +382,6 @@ def test_family_is_deterministic_in_seed():
                      seed=42)
     for fa, fb in zip(a.functions, b.functions):
         assert np.array_equal(fa.table(), fb.table())
-
-
-def test_singleton_cap_matches_definition():
-    fam = local_family(3, "weighted_coverage", params={"size": 4, "universe": 6},
-                       seed=5)
-    expected = max(f([v]) for f in fam.functions for v in range(1, 5))
-    assert fam.max_singleton == expected
 
 
 def test_average_of_submodular_families_is_submodular():
@@ -425,13 +416,6 @@ def test_monotone_chains_on_random_families():
             keep = int(rng.integers(0, size_b + 1))
             a = b[:keep]
             assert f(a) <= f(b)
-
-
-def test_family_from_config_checks_keys():
-    with pytest.raises(ConfigError, match="unknown key"):
-        family_from_config({"kind": "coverage", "bogus": 1}, n=2)
-    with pytest.raises(ConfigError, match="kind"):
-        family_from_config({"universe": 3}, n=2)
 
 
 def test_family_from_config_builds_identical_copies():
