@@ -9,6 +9,8 @@ centralized baselines, exact structure oracles, and audits of the
 protocol's approximation guarantees.
 """
 
+import importlib
+
 from .setfn import (
     GroundSet,
     SetFunction,
@@ -33,13 +35,15 @@ from .mixing import (
     contraction_bound_check,
 )
 from .protocol import RunConfig, RunTrace, epsilon, psi_min, run
-from .baseline import (
-    GreedyResult,
-    centralized_greedy,
-    perturbed_greedy,
-    brute_force_optimum,
-)
-from .analysis import audit_trace, bounds_report, tradeoff_sweep
+
+# Exports of the baseline and analysis modules, imported on first access
+# (PEP 562), so that a CLI command that calls neither does not load them
+_LAZY = {
+    "GreedyResult": "baseline", "centralized_greedy": "baseline",
+    "perturbed_greedy": "baseline", "brute_force_optimum": "baseline",
+    "audit_trace": "analysis", "bounds_report": "analysis",
+    "tradeoff_sweep": "analysis",
+}
 
 __all__ = [
     "GroundSet", "SetFunction", "StructureReport", "LocalFamily",
@@ -56,3 +60,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

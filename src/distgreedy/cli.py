@@ -3,29 +3,24 @@
 Subcommands: run, sweep, baseline, analyze, validate-config.
 Exit codes: 0 all enabled checks pass, 1 a check failed (margins are
 printed), 2 configuration or dimension problems (the offending field is
-named) or an unwritable output file (the path is named). Set
-DG_LOG=DEBUG|INFO|WARNING for verbosity.
+named) or an unwritable output file (the path, or <stdout>, is named).
+Set DG_LOG=DEBUG|INFO|WARNING for verbosity.
+
+Each command imports the analysis, baseline and traceio functions it
+calls, so that a process loads only what its command uses: validate-config
+loads none of the three. The program leaves through entry(), which skips
+the interpreter's teardown once every output is flushed and closed.
 """
 
 import argparse
 import logging
 import os
 import sys
+from functools import partial
 
-from .analysis import bounds_report, exact_optimum, tradeoff_sweep
-from .baseline import brute_force_optimum, centralized_greedy, perturbed_greedy
 from .config import adversary_stream, build_run_config, load_experiment
 from .errors import CapExceededError, ConfigError, ProtocolError
 from .protocol import run as run_protocol
-from .traceio import (
-    canonical_json,
-    read_trace_csv,
-    write_bounds_json,
-    write_json,
-    write_summary_json,
-    write_sweep_csv,
-    write_trace_csv,
-)
 
 logger = logging.getLogger("distgreedy")
 
@@ -44,22 +39,29 @@ def _print_report(report):
         print(f"  [{state}] {check.name}{margin}{detail}")
 
 
-def _full_report(trace, family):
-    """The audit, plus the guarantee checks when the optimum is enumerable."""
+def _audited_trace(args, trace_of):
+    """The trace that trace_of(run config of --config) gives, and its
+    report: the audit, plus the guarantee checks when the optimum is
+    enumerable. analysis is loaded before the instance is built, since
+    compiling it on top of a built trace raises the process's peak RSS."""
+    from .analysis import bounds_report, exact_optimum
+
+    run_config = build_run_config(load_experiment(args.config))
+    trace = trace_of(run_config)
+    family = run_config.family
     optimum = exact_optimum(family, trace.K)
     if optimum is None:
         logger.info("instance too large for the exact optimum; "
                     "guarantee checks disabled")
     gammas = [f.submodularity_ratio for f in family.functions]
-    return bounds_report(trace, family, optimum=optimum,
-                         gammas=None if None in gammas else gammas)
+    return trace, bounds_report(trace, family, optimum=optimum,
+                                gammas=None if None in gammas else gammas)
 
 
 def cmd_run(args):
-    cfg = load_experiment(args.config)
-    run_config = build_run_config(cfg)
-    trace = run_protocol(run_config)
-    report = _full_report(trace, run_config.family)
+    from .traceio import write_bounds_json, write_summary_json, write_trace_csv
+
+    trace, report = _audited_trace(args, run_protocol)
 
     write_trace_csv(trace, args.trace_out)
     write_summary_json(trace, args.summary_out)
@@ -92,6 +94,9 @@ def _parse_t_range(text):
 
 
 def cmd_sweep(args):
+    from .analysis import tradeoff_sweep
+    from .traceio import write_sweep_csv
+
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
     T_values = _parse_t_range(args.T)
@@ -102,6 +107,9 @@ def cmd_sweep(args):
 
 
 def cmd_baseline(args):
+    from .baseline import brute_force_optimum, centralized_greedy, perturbed_greedy
+    from .traceio import canonical_json, write_json
+
     cfg = load_experiment(args.config)
     run_config = build_run_config(cfg)
     avg = run_config.family.average()
@@ -134,10 +142,9 @@ def cmd_baseline(args):
 
 
 def cmd_analyze(args):
-    cfg = load_experiment(args.config)
-    run_config = build_run_config(cfg)
-    trace = read_trace_csv(args.trace, run_config)
-    report = _full_report(trace, run_config.family)
+    from .traceio import read_trace_csv, write_bounds_json
+
+    _, report = _audited_trace(args, partial(read_trace_csv, args.trace))
     write_bounds_json(report, args.out)
     _print_report(report)
     return 0 if report.passed else 1
@@ -195,7 +202,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the shell closed it
+            sys.stdout.flush()  # a stdout that cannot take the text fails here
+        return code
     except ConfigError as exc:
         field = f" at {exc.field!r}" if getattr(exc, "field", None) else ""
         print(f"config error{field}: {exc}", file=sys.stderr)
@@ -207,9 +217,26 @@ def main(argv=None):
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # reads raise ConfigError; each writer names its path
-        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        path = "<stdout>" if exc.filename is None else exc.filename
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 2
 
 
+def entry():
+    """The program: `python -m distgreedy.cli` and the `distgreedy` script.
+
+    When main returns, stdout is flushed and every artifact closed, so the
+    process leaves through os._exit, skipping the interpreter's teardown
+    (its last garbage collections and module cleanup). An exception that
+    escapes main, such as argparse's exit for --help or a usage error,
+    leaves the normal way.
+    """
+    code = main()
+    logging.shutdown()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

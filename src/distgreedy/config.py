@@ -137,10 +137,13 @@ def derived_streams(master_seed):
 
 def _from_spec(field, build, *args):
     """build(*args), with a value of the `field` spec that the builder
-    cannot use raised as a ConfigError naming the spec, not a traceback."""
+    cannot use raised as a ConfigError naming the spec, not a traceback.
+    A builder's own ConfigError names a key of the spec, so its path gets
+    the spec's prefix: `kind` becomes `graph.kind`."""
     try:
         return build(*args)
-    except ConfigError:
+    except ConfigError as exc:
+        exc.field = field if exc.field in (None, "", field) else f"{field}.{exc.field}"
         raise
     except (TypeError, ValueError, GraphGenerationError) as exc:
         raise ConfigError(f"cannot build the {field} spec: {exc}",

@@ -183,6 +183,42 @@ def test_spec_keys_are_checked_at_parse(overrides, field, message):
     assert (info.value.field, str(info.value)) == (field, message)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"graph": {"kind": "star", "n": 3}},
+     "config error at 'graph.kind': unknown graph kind 'star'; expected one of "
+     "path, cycle, complete, grid, erdos_renyi"),
+    ({"graph": {"kind": "path", "n": 0}},
+     "config error at 'graph.n': graph needs at least one node"),
+    ({"graph": {"kind": "erdos_renyi", "n": 4, "p": 2}},
+     "config error at 'graph.p': edge probability 2.0 outside (0, 1]"),
+    ({"functions": {"kind": "star"}},
+     "config error at 'functions.kind': unknown function kind 'star'; expected one "
+     "of coverage, weighted_coverage, facility_location, pair_supermodular, modular"),
+    ({"functions": {"kind": "pair_supermodular", "size": 1}},
+     "config error at 'functions.size': pair_supermodular needs at least two elements"),
+    ({"functions": {"kind": "modular", "weights": [1, -1]}},
+     "config error at 'functions.weights': modular weights must be finite and "
+     "nonnegative: weights[1] = -1.0"),
+    ({"functions": {"kind": "pair_supermodular", "size": 3, "pair": [1, 1]}},
+     "config error at 'functions.pair': invalid designated pair (1, 1)"),
+    ({"functions": {"kind": "pair_supermodular", "size": 3, "g": [0, 2, 1]}},
+     "config error at 'functions.g': 'g' must be three nondecreasing values "
+     "starting at 0"),
+    ({"functions": {"kind": "coverage", "universe": 2, "sets": [[1], [3]]}},
+     "config error at 'functions.sets[1]': covered item 3 outside universe 1..2"),
+    # a builder error about the spec as a whole names the spec once
+    ({"functions": {"kind": "coverage", "universe": 2}},
+     "config error at 'functions': random coverage needs 'size' and 'universe'"),
+], ids=["graph_kind", "graph_n", "graph_p", "functions_kind", "functions_size",
+        "functions_weights", "functions_pair", "functions_g", "functions_sets",
+        "functions_whole"])
+def test_a_builder_error_names_its_spec_path(tmp_path, capsys, overrides, message):
+    # each used to name the key alone: at 'kind', at 'n', at 'weights'
+    path = write_config(tmp_path, **overrides)
+    assert run_cli("validate-config", "--config", path) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_strict_psi_floor_is_enforced(tmp_path, capsys):
     # the strict_psi key is gone: a config naming it is refused as an
     # unknown key whether or not psi clears the feasible floor
@@ -265,13 +301,14 @@ def test_overflowing_function_values_are_a_config_error(tmp_path, capsys, psi):
      "bounds overflow at T=1, psi=1e+300: psi floor 4*epsilon(T) = inf, "
      "additive gap K*(psi + 2*epsilon(T)) = 1.1547005483792517e+308"),
     # non-finite weights used to pass as an overflow of the function values
-    ({"functions": {"kind": "modular", "weights": [1, math.nan, 2]}}, "weights",
+    ({"functions": {"kind": "modular", "weights": [1, math.nan, 2]}}, "functions.weights",
      "modular weights must be finite and nonnegative: weights[1] = nan"),
     ({"functions": {"kind": "weighted_coverage", "universe": 2,
-                    "sets": [[1], [1, 2]], "weights": [math.nan, 1]}}, "weights",
-     "item weights must be finite and nonnegative: weights[0] = nan"),
+                    "sets": [[1], [1, 2]], "weights": [math.nan, 1]}},
+     "functions.weights", "item weights must be finite and nonnegative: weights[0] = nan"),
     ({"functions": {"kind": "facility_location",
-                    "weights": [[math.nan, 1], [2, math.inf]]}}, "weights",
+                    "weights": [[math.nan, 1], [2, math.inf]]}},
+     "functions.weights",
      "facility weights must be finite and nonnegative: weights[0][0] = nan"),
 ], ids=["psi_nan", "psi_inf", "slack_nan", "slack_inf", "taus_nan", "seed",
         "average_sum", "auto_psi", "additive_gap", "psi_floor", "modular_nan",
