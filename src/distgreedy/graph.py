@@ -1,10 +1,13 @@
 """Undirected connected communication graphs.
 
 Nodes are the agents 1..n, and a graph is one read-only (n, n) bool
-adjacency array. Connectivity hooks labels along it; the diameter counts
-the hops of bit-row reach sets. Every generated graph is connected.
-`generate` takes the graph spec's values as arguments; config.py reads
-and checks the spec itself.
+adjacency array. The one structure derived from it is the padded
+closed-neighbourhood index of `intersection_sources`, along which the
+protocol intersects candidate sets. Connectivity and the diameter run
+that same recurrence with OR for AND, growing reach sets one hop at a
+time until none grows. Every generated graph is connected. `generate`
+takes the graph spec's values as arguments; config.py reads and checks
+the spec itself.
 """
 
 from functools import cached_property
@@ -24,13 +27,13 @@ class Network:
 
     def __init__(self, n, edges):
         self.n = int(n)
-        edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        try:
-            e = np.asarray(edges, dtype=np.intp)
-        except OverflowError:  # a node id beyond intp: outside 1..n below
-            e = np.asarray(edges, dtype=object)
+        e = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
         if e.size and (e.ndim != 2 or e.shape[1] != 2):
             raise ConfigError("edges must be (i, j) pairs of node ids")
+        if e.dtype.kind not in "iu":  # an id of any size, but an int
+            for v in e.ravel().tolist():
+                if not isinstance(v, (int, np.integer)):
+                    raise ConfigError(f"node id {v!r} is not an integer")
         i, j = e.reshape(-1, 2).T
         bad = (i == j) | (i < 1) | (j < 1) | (i > self.n) | (j > self.n)
         if bad.any():
@@ -38,6 +41,7 @@ class Network:
             if i == j:
                 raise ConfigError(f"self-loop on node {i}")
             raise ConfigError(f"edge ({i},{j}) outside nodes 1..{self.n}")
+        i, j = i.astype(np.intp), j.astype(np.intp)
         self.adjacency = np.zeros((self.n, self.n), dtype=bool)
         self.adjacency[i - 1, j - 1] = self.adjacency[j - 1, i - 1] = True
         self.adjacency.flags.writeable = False
@@ -45,9 +49,8 @@ class Network:
     @cached_property
     def edges(self):
         """frozenset of the (i, j) edges with i < j."""
-        i, j = _arcs(self.adjacency)
-        up = i < j
-        return frozenset(zip((i[up] + 1).tolist(), (j[up] + 1).tolist()))
+        i, j = np.nonzero(np.triu(self.adjacency))
+        return frozenset(zip((i + 1).tolist(), (j + 1).tolist()))
 
     def neighbors(self, i):
         if not 1 <= i <= self.n:
@@ -58,26 +61,12 @@ class Network:
         return len(self.neighbors(i))
 
     def is_connected(self):
-        """Whether all nodes join node 1's tree: each round hooks every root
-        onto the least label next to its tree, then points nodes at roots."""
-        i, j = _arcs(self.adjacency)
-        label = np.arange(self.n)
-        while True:
-            low = label.copy()
-            np.minimum.at(low, label[i], label[j])
-            while (low[low] != low).any():
-                low = low[low]
-            if (low == label).all():
-                return self.n > 0 and not label.any()
-            label = low
+        """Whether node 1 reaches every node."""
+        reached, _ = _spread(np.arange(self.n) == 0, intersection_sources(self))
+        return self.n > 0 and bool(reached.all())
 
     def __repr__(self):
         return f"Network(n={self.n}, edges={len(self.edges)})"
-
-
-def _arcs(adjacency):
-    """The (i, j) entries set in a square bool array, ordered by i, j."""
-    return np.divmod(np.flatnonzero(adjacency), max(len(adjacency), 1))
 
 
 def make_network(n, edges):
@@ -128,32 +117,40 @@ def generate(kind, n, seed=0, p=0.5):
                       f"{', '.join(GRAPH_KINDS)}", field="kind")
 
 
+def intersection_sources(network):
+    """(n, w) index whose row i lists agent i+1's closed neighbourhood,
+    0-based: the agent itself, then its neighbours in ascending order,
+    then the agent again up to the widest row, which leaves an
+    intersection, or a union, unchanged."""
+    adjacency = network.adjacency
+    n = len(adjacency)
+    degree = adjacency.sum(axis=1)
+    width = degree.max(initial=0)
+    sources = np.tile(np.arange(n)[:, None], 1 + width)
+    # the neighbours fill each row's first degree slots, row by row
+    sources[:, 1:][np.arange(width) < degree[:, None]] = np.flatnonzero(adjacency) % n
+    return sources
+
+
+def _spread(reach, sources):
+    """Grow reach, one row per node, a hop at a time until no row grows:
+    a hop ORs the rows of each closed neighbourhood. Returns the fixed
+    point and the number of hops that grew it."""
+    hops, sources = 0, sources.T  # OR w whole arrays, not n rows of w
+    while True:
+        grown = np.bitwise_or.reduce(reach[sources], axis=0)
+        if np.array_equal(grown, reach):
+            return reach, hops
+        reach, hops = grown, hops + 1
+
+
 def diameter(G):
     """Longest shortest-path distance: the hops after which no node's
-    reach set, a bit row, grows. A hop ORs the rows of each closed
-    neighbourhood, for all nodes of one degree at once (the nodes sorted
-    by degree), so it reads every edge once in a few calls per degree."""
-    closed = G.adjacency | np.eye(G.n, dtype=bool)
-    size = closed.sum(axis=1)
-    order = np.argsort(size)
-    closed = closed[np.ix_(order, order)]
-    nbrs, classes, row, arc = _arcs(closed)[1], [], 0, 0
-    counts = np.bincount(size)
-    for d in np.flatnonzero(counts):
-        rows, arcs = slice(row, row + counts[d]), slice(arc, arc + d * counts[d])
-        classes.append((rows, nbrs[arcs].reshape(-1, d)))
-        row, arc = rows.stop, arcs.stop
-    reach = np.packbits(closed, axis=1)
-    grown, hops = np.empty_like(reach), int(G.n > 1)
-    while True:
-        for rows, table in classes:
-            np.bitwise_or.reduce(reach[table], axis=1, out=grown[rows])
-        if (grown == reach).all():
-            break
-        reach, grown, hops = grown, reach, hops + 1
+    reach set, a packed bit row started from the node alone, grows."""
+    reach, hops = _spread(np.packbits(np.eye(G.n, dtype=bool), axis=1),
+                          intersection_sources(G))
     if not (reach == np.packbits(np.ones(G.n, dtype=bool))).all():
         # no node of a disconnected graph reaches every node
         raise DisconnectedGraphError(
             "distances undefined: node 1 cannot reach every node")
     return hops
-

@@ -175,7 +175,7 @@ def uniform_complete_weights(n):
     analytically rather than through the eigensolver.
     """
     if n < 2:
-        raise ConfigError("uniform weights need at least two nodes", field="n")
+        raise ConfigError("uniform weights need at least two nodes", field="mixing")
     W = np.full((n, n), 1.0 / n)
     return MixingMatrix(W, 0.0, "uniform_complete")
 

@@ -15,7 +15,10 @@ A round's state is two arrays with one row per agent and one column per
 remaining element: the gain estimates X and the candidate mask C. Each
 time step is a global barrier, so a step is one matrix operation on the
 whole network: averaging is X <- W X, and intersection keeps column j
-for agent i unless some agent in i's closed neighbourhood lacks it.
+for agent i unless some agent in i's closed neighbourhood lacks it. The
+closed neighbourhoods are graph.intersection_sources, the index along
+which graph.py also finds the diameter by the same recurrence with OR
+for AND, so diameter-many steps reach the network-wide fixed point.
 
 The closed-form consensus error after T averaging steps is
 
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import (ConfigError, DesyncError, InfeasiblePsiError,
                      MonotonicityError, ProtocolError)
-from .graph import diameter
+from .graph import diameter, intersection_sources
 
 logger = logging.getLogger(__name__)
 
@@ -303,21 +306,6 @@ def threshold_candidates(X, psi, slack=0.0):
     instances are not split by last-ulp ties.
     """
     return X >= X.max(axis=1, keepdims=True) - psi - slack
-
-
-def intersection_sources(network):
-    """(n, w) index whose row i lists the agents (0-based) that agent i+1
-    intersects with: itself, then its neighbors.
-
-    Rows shorter than the widest repeat their first entry, which leaves
-    an intersection unchanged. The agent keeps its own set in the
-    intersection, which is what makes the network-wide fixed point
-    reachable in diameter-many steps.
-    """
-    nbrs = [np.flatnonzero(row).tolist() for row in network.adjacency]
-    width = 1 + max(map(len, nbrs))
-    return np.array([[i, *row] + [i] * (width - 1 - len(row))
-                     for i, row in enumerate(nbrs)], dtype=np.intp)
 
 
 def intersection_step(C, sources):

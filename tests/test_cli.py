@@ -209,9 +209,12 @@ def test_spec_keys_are_checked_at_parse(overrides, field, message):
     # a builder error about the spec as a whole names the spec once
     ({"functions": {"kind": "coverage", "universe": 2}},
      "config error at 'functions': random coverage needs 'size' and 'universe'"),
+    # the mixing builder names its spec, not the graph key it read
+    ({"graph": {"kind": "path", "n": 1}, "mixing": "uniform"},
+     "config error at 'mixing': uniform weights need at least two nodes"),
 ], ids=["graph_kind", "graph_n", "graph_p", "functions_kind", "functions_size",
         "functions_weights", "functions_pair", "functions_g", "functions_sets",
-        "functions_whole"])
+        "functions_whole", "mixing_uniform_one_node"])
 def test_a_builder_error_names_its_spec_path(tmp_path, capsys, overrides, message):
     # each used to name the key alone: at 'kind', at 'n', at 'weights'
     path = write_config(tmp_path, **overrides)

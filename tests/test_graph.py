@@ -5,7 +5,7 @@ import pytest
 
 from distgreedy import Network, diameter, generate
 from distgreedy.errors import ConfigError, DisconnectedGraphError, GraphGenerationError
-from distgreedy.graph import make_network
+from distgreedy.graph import intersection_sources, make_network
 
 
 def test_complete_graph_edge_count():
@@ -39,6 +39,19 @@ def test_diameter_cycle_six():
 
 def test_diameter_single_node():
     assert diameter(generate("path", 1)) == 0
+
+
+def test_no_nodes_is_not_connected_and_has_diameter_zero():
+    G = Network(0, [])
+    assert G.is_connected() is False
+    assert diameter(G) == 0
+
+
+def test_one_node_is_connected_and_is_its_own_source():
+    G = Network(1, [])
+    assert G.is_connected() is True
+    assert diameter(G) == 0
+    assert intersection_sources(G).tolist() == [[0]]
 
 
 def test_diameter_invariant_under_relabeling():

@@ -7,6 +7,8 @@ diameter, the Erdős–Rényi draw, the intersection sources and the
 metropolis and lazy max-degree matrices must equal it exactly.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,32 @@ def test_erdos_renyi_draws_the_reference_edges():
             ref_erdos_renyi(n, seed, p).edges
 
 
+@pytest.mark.parametrize("n, seed, p", [(50, 1, 0.08), (200, 0, 0.03)])
+def test_sparse_erdos_renyi_graphs_match_the_reference(n, seed, p):
+    # many nodes of uneven degree, from 1 up to 14
+    assert_matches(generate("erdos_renyi", n, seed=seed, p=p), ref_erdos_renyi(n, seed, p))
+
+
+def test_a_resampled_erdos_renyi_draw_is_the_reference_draw():
+    n, seed, p = 50, 1, 0.08
+    rng = np.random.default_rng(seed)
+    first = RefGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                         if rng.random() < p])
+    assert not first.is_connected()  # so generate draws at least twice
+    assert generate("erdos_renyi", n, seed=seed, p=p).edges == \
+        ref_erdos_renyi(n, seed, p).edges
+
+
+@pytest.mark.parametrize("joined", [True, False], ids=["connected", "disconnected"])
+def test_a_hub_beside_a_path_matches_the_reference(joined):
+    # the widest closed neighbourhood (node 8, degree 14) and the
+    # narrowest (the path's ends) in one graph
+    hub = [(8, j) for j in range(1, 16) if j != 8]
+    path = [(j, j + 1) for j in range(16, 30)]
+    pairs = hub + path + ([(15, 16)] if joined else [])
+    assert_matches(Network(30, pairs), RefGraph(30, pairs))
+
+
 @pytest.mark.parametrize("edge", [(0, 2), (2, 4), (-1, 1), (4, 1), (1, 10**30),
                                   (-10**30, 2)])
 def test_edge_outside_the_nodes_is_a_config_error(edge):
@@ -177,7 +205,17 @@ def test_edge_outside_the_nodes_is_a_config_error(edge):
         Network(3, [(1, 2), edge])
 
 
-@pytest.mark.parametrize("edges", [[(1, 2, 3), (4, 1, 2)], [1, 2], np.array([[1, 2, 3]])])
+@pytest.mark.parametrize("edges, node", [
+    ([(1.5, 2), (2, 3.9)], "1.5"), ([("1", 2)], "'1'"), ([(1, 2), (2, None)], "None"),
+    (np.array([[1.0, 2.0]]), "1.0")])
+def test_a_node_id_that_is_not_an_integer_is_a_config_error(edges, node):
+    # a cast to intp once built edge (1,2) from (1.5, 2) and from ("1", 2)
+    with pytest.raises(ConfigError, match=rf"^node id {re.escape(node)} is not an integer$"):
+        Network(3, edges)
+
+
+@pytest.mark.parametrize("edges", [[(1, 2, 3), (4, 1, 2)], [1, 2], np.array([[1, 2, 3]]),
+                                   [(1, 2), (3,)]])
 def test_edges_that_are_not_pairs_are_a_config_error(edges):
     with pytest.raises(ConfigError, match="edges must be"):
         Network(4, edges)
