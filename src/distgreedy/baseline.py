@@ -3,7 +3,8 @@
 The perturbed variant deliberately randomizes among all elements whose
 gain is within tau of the best, rather than always taking the best;
 always taking the maximum would make its additive guarantee trivially
-tight and the associated tests vacuous.
+tight and the associated tests vacuous. Every greedy step and
+max_marginal read their gains from SetFunction.gains.
 """
 
 import math
@@ -38,22 +39,15 @@ class GreedyResult:
         return f"GreedyResult(selected={self.selected}, value={self.value:.6g})"
 
 
-def _step_gains(f, selected_mask):
-    """The unselected elements, ascending, and their marginal gains."""
-    free = f.ground.remaining(selected_mask)
-    gains = f.extend_values(selected_mask, free[:, None]) - f.value_mask(selected_mask)
-    return free, gains
-
-
 def _greedy(f, K, pick):
     """K greedy steps; at each, pick(gains) returns the index of the chosen
-    element among the gains of the unselected elements, ascending."""
+    element among f.gains, the gains of the unselected elements."""
     mask = 0
     selected, values, gains, best_gains = [], [], [], []
     for _ in range(K):
-        free, step = _step_gains(f, mask)
+        step = f.gains(mask)
         j = pick(step)
-        v = int(free[j])
+        v = int(f.ground.remaining(mask)[j])
         selected.append(v)
         gains.append(float(step[j]))
         best_gains.append(float(step.max()))
@@ -129,8 +123,7 @@ def brute_force_optimum(f, K):
 
 def max_marginal(f, selected):
     """Largest available gain given the current selection."""
-    _, gains = _step_gains(f, f.ground.mask(selected))
-    return float(gains.max())
+    return float(f.gains(f.ground.mask(selected)).max())
 
 
 def gap_recurrence_margins(result, optimum_value, gamma):

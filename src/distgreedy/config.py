@@ -40,7 +40,10 @@ class ExperimentConfig:
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r}", field=key)
 
-        self.scenario = str(raw.get("scenario", ""))
+        self.scenario = raw.get("scenario", "")
+        if not isinstance(self.scenario, str):
+            raise ConfigError(f"scenario must be a string, not {self.scenario!r}",
+                              field="scenario")
         self.graph = raw["graph"]
         self.mixing = raw["mixing"]
         self.functions = raw["functions"]

@@ -14,18 +14,18 @@ read off one table of single-element gains.
 Each SetFunction has one evaluator, `batch(base, rows)`: f(base | row)
 for every row of a (C, j) array of elements, one numpy pass per block of
 rows for the corpus kinds. Every value goes through it, by way of
-`extend_values`: round gains, greedy scans and brute-force chunks, but
-also single masks (`value_mask`, a scan of one empty row) and full
-tables (`table`, one scan of padded rows). A custom function given as a
-scalar map from one bitmask to a value enters through
-`SetFunction.from_scalar`.
+`extend_values`: the gains of a selection's remaining elements (`gains`,
+which rounds, greedy baselines and the audit read), brute-force chunks,
+single masks (`value_mask`, a scan of one empty row) and full tables
+(`table`, one scan of padded rows). A custom function given as a scalar
+map from one bitmask to a value enters through `SetFunction.from_scalar`.
 
 A LocalFamily holds one function per agent and the gain cap max f_i(V);
 family_from_config builds one from a functions spec that config.py checked.
 """
 
 import operator
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,13 +55,20 @@ class GroundSet:
             raise ConfigError("ground set needs at least one element", field="size")
         self.size = int(size)
 
-    @property
-    def elements(self):
-        return range(1, self.size + 1)
+    def _members(self, mask):
+        """(size,) bool: whether bitmask `mask` holds each element."""
+        mask = operator.index(mask)
+        raw = mask.to_bytes((max(mask.bit_length(), self.size) + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(raw, np.uint8), count=self.size,
+                             bitorder="little").view(bool)
 
+    @lru_cache(maxsize=1)  # every agent's function asks once a round
     def remaining(self, mask):
-        """The elements outside bitmask `mask`, ascending, as an intp array."""
-        return np.array([v for v in self.elements if not mask >> (v - 1) & 1], np.intp)
+        """The elements outside bitmask `mask`, ascending, as a read-only
+        intp array; equal ground sets share the last one decoded."""
+        free = np.flatnonzero(~self._members(mask)) + 1
+        free.flags.writeable = False
+        return free
 
     def mask(self, subset):
         m = 0
@@ -72,7 +79,7 @@ class GroundSet:
         return m
 
     def unmask(self, mask):
-        return frozenset(v for v in self.elements if mask >> (v - 1) & 1)
+        return frozenset((np.flatnonzero(self._members(mask)) + 1).tolist())
 
     def __eq__(self, other):
         return isinstance(other, GroundSet) and other.size == self.size
@@ -124,6 +131,14 @@ class SetFunction:
 
     def value_mask(self, mask):
         return float(self.extend_values(mask, _EMPTY_ROW)[0])
+
+    def gains(self, mask):
+        """f(mask | v) - f(mask) for each element v outside bitmask `mask`,
+        ascending, read-only; the scan cache answers a repeated mask."""
+        free = self.ground.remaining(mask)
+        gains = self.extend_values(mask, free[:, None]) - self.value_mask(mask)
+        gains.flags.writeable = False
+        return gains
 
     def extend_values(self, base, rows):
         """f(base | row) for each row of a (C, j) int array of elements.
@@ -464,7 +479,7 @@ def build_test_function(kind, params=None, seed=0):
 
 
 class LocalFamily:
-    """One function per agent, all over the same ground set.
+    """One function per agent, all over the ground set of the first.
 
     max_total is the largest full-set value across agents, the gain cap:
     every marginal gain of every member is bounded by it. It must be
@@ -472,14 +487,15 @@ class LocalFamily:
     average divides.
     """
 
-    def __init__(self, ground, functions, kind):
-        self.ground = ground
+    def __init__(self, functions):
         self.functions = list(functions)
-        self.kind = kind
-        if any(f.ground != ground for f in self.functions):
+        if not self.functions:
+            raise ConfigError("family needs at least one function", field="functions")
+        self.ground = self.functions[0].ground
+        if any(f.ground != self.ground for f in self.functions):
             raise ConfigError("local functions must share the ground set",
                               field="functions")
-        full = (1 << ground.size) - 1
+        full = (1 << self.ground.size) - 1
         with np.errstate(over="ignore"):
             self.max_total = max(f.value_mask(full) for f in self.functions)
         total = self.n * self.max_total
@@ -515,13 +531,6 @@ def average_function(functions):
     return SetFunction(ground, batch, label="average", row_bytes=24)
 
 
-def family_from_functions(functions, kind="custom"):
-    """Wrap explicit per-agent functions, which must share one ground set."""
-    if not functions:
-        raise ConfigError("family needs at least one function", field="functions")
-    return LocalFamily(functions[0].ground, functions, kind)
-
-
 def local_family(n, kind, seed=0, params=None):
     """Build n local functions sharing one ground set.
 
@@ -534,7 +543,7 @@ def local_family(n, kind, seed=0, params=None):
     params = dict(params or {})
     if any(k in params for k in ("sets", "weights", "pair")):
         proto = build_test_function(kind, params, seed)
-        return LocalFamily(proto.ground, [proto] * n, kind)
+        return LocalFamily([proto] * n)
 
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -544,7 +553,7 @@ def local_family(n, kind, seed=0, params=None):
         f = build_test_function(kind, params, stream)
         f.label = f"{f.label}#{i + 1}"
         functions.append(f)
-    return LocalFamily(functions[0].ground, functions, kind)
+    return LocalFamily(functions)
 
 
 def family_from_config(spec, n):

@@ -37,7 +37,7 @@ from distgreedy.analysis import (
 from distgreedy.config import ExperimentConfig, build_run_config
 from distgreedy.errors import CapExceededError, MonotonicityError
 from distgreedy.graph import make_network
-from distgreedy.setfn import FUNCTION_KINDS, family_from_functions
+from distgreedy.setfn import FUNCTION_KINDS, LocalFamily
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
@@ -412,7 +412,7 @@ def test_sweep_raises_the_error_of_the_smallest_failing_t(penalty_13, message):
         return float(e1 + 5 * e2 + e3 - 2 * (e2 & e3) - penalty_13 * (e1 & e3))
     f = SetFunction.from_scalar(GroundSet(3), value, label="pair_penalty")
     G = generate("path", 3)
-    config = RunConfig(G, metropolis_weights(G), family_from_functions([f] * 3),
+    config = RunConfig(G, metropolis_weights(G), LocalFamily([f] * 3),
                        K=2, T=1)
     if not penalty_13:
         assert [row.achieved for row in tradeoff_sweep(config, range(1, 6))] == \

@@ -903,14 +903,19 @@ def test_header_cannot_widen_the_bounds_of_a_doctored_trace(tmp_path, capsys):
      None, "functions.seed"),
     ({"functions": {"kind": "modular", "weights": [True, False, 2]}}, None,
      "functions.weights[0]"),
+    # each used to validate, echoed as scenario={'a': 1} and scenario=None
+    ({"scenario": {"a": 1}}, None,
+     ("scenario", "scenario must be a string, not {'a': 1}")),
+    ({"scenario": None}, None, ("scenario", "scenario must be a string, not None")),
 ], ids=["graph_n", "graph_p", "graph_unconnectable", "size", "sets", "weights", "ragged_weights",
         "identical", "csv_missing", "csv_cell", "csv_ragged", "csv_inf", "csv_nan",
         "csv_null",
         "graph_n_float", "graph_n_bool", "graph_p_bool", "graph_seed_bool",
         "size_float", "universe_float", "sets_float", "pair_float", "g_bool",
-        "functions_seed_bool", "weights_bool"])
+        "functions_seed_bool", "weights_bool", "scenario_object", "scenario_null"])
 def test_malformed_spec_value_is_a_config_error(tmp_path, capsys, overrides,
                                                 matrix, field):
+    field, message = field if isinstance(field, tuple) else (field, None)
     if matrix is not None:
         csv_path = tmp_path / "W.csv"
         if matrix != "missing":
@@ -918,7 +923,9 @@ def test_malformed_spec_value_is_a_config_error(tmp_path, capsys, overrides,
         overrides = dict(overrides, mixing={"custom_csv": str(csv_path)})
     path = write_config(tmp_path, **overrides)
     assert run_cli("validate-config", "--config", path) == 2
-    assert f"config error at {field!r}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error at {field!r}: " in err
+    assert message is None or err == f"config error at {field!r}: {message}\n"
 
 
 def test_trace_round_trips_exactly(tmp_path):

@@ -49,10 +49,9 @@ def c4_family(n):
 
 def modular_family(weight_rows):
     from distgreedy import build_test_function
-    from distgreedy.setfn import family_from_functions
-    return family_from_functions(
-        [build_test_function("modular", {"weights": w}) for w in weight_rows],
-        kind="modular")
+    from distgreedy.setfn import LocalFamily
+    return LocalFamily(
+        [build_test_function("modular", {"weights": w}) for w in weight_rows])
 
 
 # --- round initialization ---------------------------------------------------
@@ -79,11 +78,11 @@ def test_initial_gains_modular_all_ones():
 
 
 def test_non_monotone_input_is_rejected():
-    from distgreedy.setfn import family_from_functions
+    from distgreedy.setfn import LocalFamily
     bad = SetFunction.from_scalar(GroundSet(3), lambda mask: -float(mask.bit_count()),
                                   label="bad")
     with pytest.raises(MonotonicityError, match="agent 1: .* element 1;"):
-        init_round(family_from_functions([bad]), ())
+        init_round(LocalFamily([bad]), ())
 
 
 # --- averaging phase --------------------------------------------------------

@@ -438,8 +438,28 @@ def test_local_family_requires_shared_ground(size):
     f3 = build_test_function("modular", {"weights": [1, 2, 3]})
     f4 = build_test_function("modular", {"weights": [1, 2, 3, 4]})
     with pytest.raises(ConfigError, match="share the ground set") as info:
-        LocalFamily(GroundSet(size), [f3, f4], "modular")
+        LocalFamily([f3, f4] if size == 3 else [f4, f3])
     assert info.value.field == "functions"
+
+
+def test_an_empty_family_is_a_config_error():
+    with pytest.raises(ConfigError, match="family needs at least one function") as info:
+        LocalFamily([])
+    assert info.value.field == "functions"
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 2000])
+def test_remaining_and_unmask_decode_like_the_element_loop(m):
+    ground = GroundSet(m)
+    rng = np.random.default_rng(m)
+    masks = [0, (1 << m) - 1] + [ground.mask((np.flatnonzero(rng.random(m) < p) + 1).tolist())
+                                 for p in (0.05, 0.5, 0.95)]
+    for mask in masks:
+        outside = [v for v in range(1, m + 1) if not mask >> (v - 1) & 1]
+        remaining = ground.remaining(mask)
+        assert remaining.dtype == np.intp and not remaining.flags.writeable
+        assert remaining.tolist() == outside
+        assert ground.unmask(mask) == frozenset(range(1, m + 1)).difference(outside)
 
 
 # --- batched oracle ------------------------------------------------------------
@@ -575,6 +595,40 @@ def test_extend_values_is_exact_across_row_blocks():
     assert np.array_equal(f.extend_values(0b1001, rows), reference_values(
         f, 0b1001, rows,
         lambda mask: literal_value("facility_location", params, f.ground.unmask(mask))))
+
+
+@pytest.mark.parametrize("kind", FUNCTION_KINDS + ("average", "custom"))
+def test_gains_are_cached_marginal_values(kind):
+    m = 12
+    evals = []
+
+    def raw(mask):
+        evals.append(mask)
+        return custom_raw(mask)
+
+    custom = SetFunction.from_scalar(GroundSet(m), raw, label="custom")
+    if kind == "custom":
+        f = custom
+    elif kind == "average":
+        f = average_function([build_test_function(k, {"size": m, "universe": 50}, seed=i)
+                              for i, k in enumerate(FUNCTION_KINDS)] + [custom])
+    else:
+        f = build_test_function(kind, {"size": m, "universe": 50}, seed=3)
+    batch = f._batch  # counted too: a cached average calls no member either
+    f._batch = lambda base, rows: evals.append(base) or batch(base, rows)
+    rng = np.random.default_rng(4)
+    masks = [0, (1 << m) - 1] + rng.integers(0, 1 << m, size=20).tolist()
+    for mask in masks:
+        gains = f.gains(mask)
+        assert not gains.flags.writeable
+        count = len(evals)
+        assert f.gains(mask).tobytes() == gains.tobytes()
+        assert len(evals) == count  # the second call evaluates nothing
+        outside = [v for v in range(1, m + 1) if not mask >> (v - 1) & 1]
+        expected = [f.value_mask(mask | 1 << (v - 1)) - f.value_mask(mask)
+                    for v in outside]
+        assert gains.tobytes() == np.array(expected, dtype=float).tobytes()
+    assert evals
 
 
 def facility_weights(top):
