@@ -5,8 +5,9 @@ trace, its checks in order, and the optimum that the guarantee checks
 used. Each CheckResult carries its own numbers, and the bounds file
 reads them and the trace directly. The closed-form bounds (epsilon(T),
 the psi floor and the additive gap) come from protocol.bounds, held by
-each RunTrace; only the per-step envelope calls epsilon(t). Every audit
-is computed from trace data alone, never from re-simulation.
+each RunTrace; only the per-step envelope calls epsilon(t). No audit
+re-simulates, but round_gain evaluates the family's average function and
+candidate_agreement rederives each round's remaining elements.
 """
 
 import math

@@ -24,8 +24,8 @@ The closed-form consensus error after T averaging steps is
 
     epsilon(T) = sqrt(n) * mu^T * value_cap,
 
-and the smallest threshold width that provably keeps every agent's
-argmax alive through thresholding and intersection is 4 * epsilon(T).
+and in exact arithmetic 4 * epsilon(T) keeps every agent's argmax
+through thresholding and intersection; below round-off it may not.
 A run that uses a feasible psi earns the additive guarantee
 
     achieved >= (1 - 1/e) * optimum - additive_gap,
@@ -65,7 +65,7 @@ def epsilon(n, mu, T, value_cap):
 
 
 def psi_min(n, mu, T, value_cap):
-    """Smallest threshold width that keeps every agent's argmax alive."""
+    """Smallest width keeping every argmax in exact arithmetic, not below round-off."""
     return 4.0 * epsilon(n, mu, T, value_cap)
 
 
@@ -329,8 +329,7 @@ def select_and_append(C, remaining, selected):
     kept = np.flatnonzero(C[0])
     if not kept.size:
         raise InfeasiblePsiError(
-            "candidate sets intersected to nothing; the threshold width psi "
-            "is below the feasible floor for this mixing rate and T")
+            f"round {len(selected)}: candidate sets intersected to nothing")
     chosen = remaining[kept[0]]
     return chosen, selected + (chosen,)
 
@@ -342,7 +341,16 @@ def finish_round(X_T, psi, slack, sources, d, remaining, selected):
     masks = [threshold_candidates(X_T, psi, slack)]
     for _ in range(d):
         masks.append(intersection_step(masks[-1], sources))
-    chosen, selected = select_and_append(masks[-1], remaining, selected)
+    try:
+        chosen, selected = select_and_append(masks[-1], remaining, selected)
+    except InfeasiblePsiError as exc:
+        # every agent keeps its own argmax, so some agent drops another's
+        short = X_T.max(axis=1, keepdims=True) - psi - slack - X_T[:, X_T.argmax(axis=1)]
+        i, j = np.unravel_index(short.argmax(), short.shape)
+        raise InfeasiblePsiError(
+            f"{exc}; agent {i + 1} drops element {remaining[X_T[j].argmax()]}, "
+            f"agent {j + 1}'s argmax: its estimate falls {short[i, j]:.6g} short of "
+            f"its maximum minus psi + slack ({psi + slack:.6g})") from None
     return masks, chosen, selected
 
 

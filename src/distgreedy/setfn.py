@@ -104,12 +104,11 @@ class SetFunction:
     to the (C,) values f(base | row). `row_bytes` is its working memory
     per row in the dtype of its tables, temporaries and the value
     included but not the rows, which are the caller's; extend_values
-    runs it on blocks of BATCH_BYTES // row_bytes rows, and caches small
-    scans. It is the only evaluator: value_mask and table are scans.
-    Evaluation is pure; the cache is a plain dict, whose item writes are
-    atomic, so concurrent readers at worst recompute a value. It costs
-    about 16 B per (agent, round, remaining element) of a run: 3.1 MB at
-    n=50, m=200, K=20, and 320 MB at n=200, m=2000, K=50 (see README).
+    runs it on blocks of BATCH_BYTES // row_bytes rows, and caches the
+    two scans that repeat. It is the only evaluator: value_mask and table
+    are scans. Evaluation is pure; the cache is a plain dict, whose item
+    writes are atomic, so concurrent readers at worst recompute a value.
+    It costs about 8 B per (agent, round, remaining element) of a run.
     """
 
     def __init__(self, ground, batch, label="", row_bytes=8):
@@ -150,20 +149,20 @@ class SetFunction:
         """f(base | row) for each row of a (C, j) int array of elements.
 
         `base` is a bitmask; a row may repeat elements or hold members of
-        base. Returns a read-only (C,) float64 array. A scan of at most m
-        elements (a round's gains, or one mask's value) is cached per
-        (base, rows); larger requests are evaluated afresh each time.
+        base. Returns a read-only (C,) float64 array. Two scans are cached
+        per (base, width): value_mask's one empty row and gains' column of
+        base's remaining elements; any other request is evaluated afresh.
         """
         base = operator.index(base)
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 2:
             raise ValueError(f"rows must be a (C, j) array, got shape {rows.shape}")
-        key = None
-        if rows.size <= self.ground.size:
-            key = (base, len(rows), rows.tobytes())  # the bytes fix the width
-            values = self._scans.get(key)
-            if values is not None:
-                return values
+        key = (base, rows.shape[1]) if rows.shape == (1, 0) or (
+            rows.shape == (self.ground.size - base.bit_count(), 1)
+            and rows.tobytes() == self.ground.remaining(base).tobytes()) else None
+        values = self._scans.get(key)  # value_mask's empty row or gains' column
+        if values is not None:
+            return values
         if rows.size and (rows.min() < 1 or rows.max() > self.ground.size):
             raise ValueError(f"row element outside ground set 1..{self.ground.size}")
         values = np.empty(len(rows))
@@ -233,7 +232,7 @@ def marginal_gain(f, v, subset):
     return f.value_mask(mask | bit) - f.value_mask(mask)
 
 
-def check_structure(f, cap=STRUCTURE_CAP):
+def check_structure(f):
     """Exhaustively classify a set function.
 
     Everything is read off one (m, 2^m) table of single-element gains,
@@ -257,9 +256,9 @@ def check_structure(f, cap=STRUCTURE_CAP):
     (B, D) order, has D and B disjoint. Memory is about 26 MB at m = 10.
     """
     m = f.ground.size
-    if m > cap:
+    if m > STRUCTURE_CAP:
         raise CapExceededError(
-            f"structure check is exhaustive; |V|={m} exceeds cap {cap}")
+            f"structure check is exhaustive; |V|={m} exceeds cap {STRUCTURE_CAP}")
     vals = f.table()
     masks = np.arange(1 << m)
     steps = masks | (1 << np.arange(m))[:, None]  # steps[v, S] = S + v

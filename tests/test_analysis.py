@@ -256,6 +256,14 @@ def test_audit_reuses_the_scans_of_the_run(raw):
     assert calls == []
 
 
+def test_scan_cache_keys_hold_no_rows():
+    config = build_run_config(ExperimentConfig(RECORD_REPLAY_SEED_1))
+    bounds_report(run(config), config.family)
+    keys = [key for f in set(config.family.functions) for key in f._scans]
+    assert keys and all(isinstance(base, int) and width in (0, 1)
+                        for base, width in keys)
+
+
 # --- tradeoff sweeps ------------------------------------------------------------
 
 def sweep_config(mixing, fam, n, K=2):

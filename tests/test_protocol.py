@@ -11,6 +11,7 @@ from distgreedy import (
     GroundSet,
     RunConfig,
     SetFunction,
+    bounds_report,
     centralized_greedy,
     generate,
     local_family,
@@ -18,6 +19,7 @@ from distgreedy import (
     run,
     uniform_complete_weights,
 )
+from distgreedy.config import ExperimentConfig, build_run_config
 from distgreedy.errors import (
     ConfigError,
     DesyncError,
@@ -326,6 +328,38 @@ def test_tight_threshold_splits_candidates_and_fails():
     fam = modular_family([[9, 0, 0], [0, 5, 0], [0, 0, 30]])
     with pytest.raises(InfeasiblePsiError):
         run(RunConfig(G, M, fam, K=1, T=1, psi=0.0))
+
+
+def test_infeasible_psi_names_the_round_the_agents_and_the_shortfall():
+    # X_T rows [6, 1.67, 0], [3, 1.67, 10] and [0, 1.67, 20]: agent 3 cuts
+    # at 20 and holds 0 for element 1, agent 1's argmax
+    G = generate("path", 3)
+    fam = modular_family([[9, 0, 0], [0, 5, 0], [0, 0, 30]])
+    with pytest.raises(InfeasiblePsiError) as err:
+        run(RunConfig(G, metropolis_weights(G), fam, K=1, T=1, psi=0.0))
+    assert str(err.value) == (
+        "round 0: candidate sets intersected to nothing; agent 3 drops element 1, "
+        "agent 1's argmax: its estimate falls 20 short of its maximum minus "
+        "psi + slack (0)")
+
+
+def near_tie_config(T):
+    # agents 1 and 3 hold near-tied gains for elements 19 and 20; from
+    # T=99 on, the auto psi (2.2e-14 there) is below one ulp of the gain
+    # cap 540, and their argmaxes split by 5.7e-14
+    return build_run_config(ExperimentConfig({
+        "graph": {"kind": "erdos_renyi", "n": 12, "p": 0.5}, "mixing": "metropolis",
+        "functions": {"kind": "facility_location", "size": 36, "universe": 60},
+        "K": 6, "T": T, "psi": "auto", "seed": 14}))
+
+
+@pytest.mark.parametrize("T", [80] + [pytest.param(T, marks=pytest.mark.xfail(
+    strict=True, raises=InfeasiblePsiError,
+    reason="the auto psi falls below round-off (ROADMAP item 2)"))
+    for T in (99, 150, 299)])
+def test_auto_psi_runs_and_passes_its_audit_on_a_near_tie(T):
+    config = near_tie_config(T)
+    assert bounds_report(run(config), config.family).passed
 
 
 def test_own_set_in_the_intersection_keeps_a_path_in_sync():

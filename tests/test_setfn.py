@@ -754,13 +754,22 @@ def test_weights_must_have_the_kinds_shape(kind, params):
 
 
 def test_small_scans_are_cached_read_only():
+    # the two scans that repeat: base's remaining column and the one empty row
     f = c4()
+    column = f.ground.remaining(0b10)[:, None]
+    gains = f.extend_values(0b10, column)
+    assert f.extend_values(0b10, column.copy()) is gains
+    empty = f.extend_values(0b10, np.empty((1, 0), dtype=int))
+    assert f.extend_values(0b10, np.empty((1, 0), dtype=int)) is empty
+    assert not gains.flags.writeable and not empty.flags.writeable
+    assert list(gains) == [4.0, 3.0, 4.0] and list(empty) == [2.0]
+    assert f.extend_values(0b10, column.T) is not gains  # another shape
+    # small, but not base's column: element 2 is in base
     singletons = np.arange(1, 5)[:, None]
     first = f.extend_values(0b10, singletons)
-    assert f.extend_values(0b10, singletons.copy()) is first
-    assert not first.flags.writeable
     assert list(first) == [4.0, 2.0, 3.0, 4.0]
-    assert f.extend_values(0b10, singletons.T) is not first  # another shape
+    assert f.extend_values(0b10, singletons) is not first
+    assert sorted(f._scans) == [(0b10, 0), (0b10, 1)]
 
 
 def test_extend_values_rejects_foreign_elements_and_flat_rows():
