@@ -30,7 +30,7 @@ class DesyncError(ProtocolError):
 
 
 class InfeasiblePsiError(ProtocolError):
-    """Candidate sets intersected to nothing: threshold width too small."""
+    """The candidate sets of a round intersected to nothing."""
 
 
 class MonotonicityError(ValueError):

@@ -160,7 +160,7 @@ class RunConfig:
 class RoundRecord:
     """One selection round. Of its T+1 averaging steps it keeps only the
     last and per-step statistics; `steps`, None on a record read from a
-    file, is a callable that yields the steps again for the writer."""
+    file, is a callable that yields them again from the family's gains."""
 
     __slots__ = ("index", "remaining", "x_final", "deviations", "drifts",
                  "candidate_masks", "chosen", "selected_after", "steps")
@@ -282,8 +282,8 @@ def consensus_step(X, mixing):
 def averaging(X0, mixing, T):
     """The averaging phase of a round: X_0, then each of T consensus
     steps, one (n, r) array at a time. The steps are a function of X_0,
-    the read-only mixing matrix and T alone, so a second pass yields the
-    same arrays bit for bit."""
+    the read-only mixing matrix and T alone, so a pass from an equal X_0
+    yields the same arrays bit for bit."""
     X = X0
     yield X
     for _ in range(T):
@@ -356,8 +356,8 @@ def finish_round(X_T, psi, slack, sources, d, remaining, selected):
 
 def run(config):
     """Execute all K rounds and record each one. A record's step source
-    replays the round's averaging from its X_0, so no round holds its
-    T+1 steps."""
+    replays the round's averaging from the family's scan cache, so no
+    round holds its T+1 steps, nor even X_0."""
     mixing = config.mixing
     family = config.family
     parameters = config.trace_parameters(config.T, config.psi)
@@ -365,13 +365,15 @@ def run(config):
     slack = config.threshold_slack
     d = config.diameter
 
+    def replay(selected):  # each gains call is two scan-cache hits
+        return averaging(init_round(family, selected)[1], mixing, T)
     selected = ()
     rounds = []
     for k in range(config.K):
         remaining, X0 = init_round(family, selected)
-        X0.flags.writeable = False
-        steps = partial(averaging, X0, mixing, T)
-        x_final, deviations, drifts = averaging_record(steps())
+        x_final, deviations, drifts = averaging_record(averaging(X0, mixing, T))
+        del X0  # the step source reads it again
+        steps = partial(replay, selected)
         masks, chosen, selected = finish_round(
             x_final, psi, slack, config.sources, d, remaining, selected)
         masks = np.stack(masks)

@@ -27,7 +27,8 @@ them, a value is a sum of per-byte table entries, exact in any order;
 any other weight is summed item by item, in ascending order from 0.0.
 
 A LocalFamily holds one function per agent and the gain cap max f_i(V);
-family_from_config builds one from a functions spec that config.py checked.
+family_from_config builds one from a functions spec that config.py checked,
+holding each kind to the keys that KIND_KEYS says it reads.
 """
 
 import operator
@@ -44,13 +45,17 @@ STRUCTURE_CAP = 10
 BATCH_BYTES = 1 << 18
 _EMPTY_ROW = np.empty((1, 0), dtype=np.intp)  # value_mask's one row
 
-FUNCTION_KINDS = (
-    "coverage",
-    "weighted_coverage",
-    "facility_location",
-    "pair_supermodular",
-    "modular",
-)
+# Each kind's keys of a functions spec, besides kind and seed: those it
+# reads, and those of them that are explicit data, any of which gives
+# every agent the one function that the data defines.
+KIND_KEYS = {
+    "coverage": (("sets", "size", "universe"), ("sets",)),
+    "weighted_coverage": (("sets", "size", "universe", "weights"), ("sets", "weights")),
+    "facility_location": (("weights", "size", "universe"), ("weights",)),
+    "pair_supermodular": (("size", "g", "pair"), ("pair",)),
+    "modular": (("weights", "size"), ("weights",)),
+}
+FUNCTION_KINDS = tuple(KIND_KEYS)
 
 
 class GroundSet:
@@ -587,14 +592,14 @@ def average_function(functions):
 def local_family(n, kind, seed=0, params=None):
     """Build n local functions sharing one ground set.
 
-    With explicit data in `params` (sets / weights / pair) every agent
-    holds the same function. Otherwise each agent draws its own from an
-    independent stream derived from `seed`.
+    With explicit data of the kind in `params` (KIND_KEYS) every
+    agent holds the same function. Otherwise each agent draws its own
+    from an independent stream derived from `seed`.
     """
     if n < 1:
         raise ConfigError("need at least one agent", field="n")
     params = dict(params or {})
-    if any(k in params for k in ("sets", "weights", "pair")):
+    if any(k in params for k in KIND_KEYS.get(kind, ((), ()))[1]):
         proto = build_test_function(kind, params, seed)
         return LocalFamily([proto] * n)
 
@@ -611,6 +616,12 @@ def local_family(n, kind, seed=0, params=None):
 
 def family_from_config(spec, n):
     """n agents' LocalFamily from a functions spec that config.py checked:
-    kind, seed and the kind's parameters."""
+    kind, seed and the keys that the kind reads, and no other."""
+    kind = spec["kind"]
     params = {k: v for k, v in spec.items() if k not in ("kind", "seed")}
-    return local_family(n, spec["kind"], seed=spec.get("seed", 0), params=params)
+    reads = KIND_KEYS[kind][0] if kind in KIND_KEYS else params  # else the builder fails
+    for key in params:
+        if key not in reads:
+            raise ConfigError(f"{kind} does not read {key!r}; it reads "
+                              f"{', '.join(reads)}", field=key)
+    return local_family(n, kind, seed=spec.get("seed", 0), params=params)

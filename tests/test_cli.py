@@ -14,6 +14,7 @@ from distgreedy.cli import build_parser, main
 from distgreedy.config import (SPECS, TOP_LEVEL_KEYS, ExperimentConfig,
                                build_run_config, load_experiment)
 from distgreedy.errors import ConfigError
+from distgreedy.setfn import KIND_KEYS
 from distgreedy.traceio import TRACE_COLUMNS, format_float, read_trace_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -206,6 +207,17 @@ def test_spec_keys_are_checked_at_parse(overrides, field, message):
      "starting at 0"),
     ({"functions": {"kind": "coverage", "universe": 2, "sets": [[1], [3]]}},
      "config error at 'functions.sets[1]': covered item 3 outside universe 1..2"),
+    # a key of another kind used to pass, and to share one function or none
+    ({"functions": {"kind": "facility_location", "size": 8, "universe": 10,
+                    "pair": [1, 2]}},
+     "config error at 'functions.pair': facility_location does not read 'pair'; "
+     "it reads weights, size, universe"),
+    ({"functions": {"kind": "coverage", "size": 8, "universe": 10, "weights": [1] * 10}},
+     "config error at 'functions.weights': coverage does not read 'weights'; "
+     "it reads sets, size, universe"),
+    ({"functions": {"kind": "coverage", "size": 8, "universe": 10, "g": [0, 1, 3]}},
+     "config error at 'functions.g': coverage does not read 'g'; "
+     "it reads sets, size, universe"),
     # a builder error about the spec as a whole names the spec once
     ({"functions": {"kind": "coverage", "universe": 2}},
      "config error at 'functions': random coverage needs 'size' and 'universe'"),
@@ -214,6 +226,7 @@ def test_spec_keys_are_checked_at_parse(overrides, field, message):
      "config error at 'mixing': uniform weights need at least two nodes"),
 ], ids=["graph_kind", "graph_n", "graph_p", "functions_kind", "functions_size",
         "functions_weights", "functions_pair", "functions_g", "functions_sets",
+        "facility_pair", "coverage_weights", "coverage_g",
         "functions_whole", "mixing_uniform_one_node"])
 def test_a_builder_error_names_its_spec_path(tmp_path, capsys, overrides, message):
     # each used to name the key alone: at 'kind', at 'n', at 'weights'
@@ -241,6 +254,14 @@ def test_readme_documents_every_optional_key():
     documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
     required = {"graph", "mixing", "functions", "K", "T"}
     assert sorted(documented) == sorted(TOP_LEVEL_KEYS - required)
+
+
+def test_the_functions_schema_is_the_keys_that_some_kind_reads():
+    reads = set()
+    for keys, data in KIND_KEYS.values():
+        assert set(data) <= set(keys)
+        reads.update(keys)
+    assert sorted(SPECS["functions"][1]) == sorted(reads | {"kind", "seed"})
 
 
 def test_readme_documents_every_spec_key():

@@ -424,6 +424,18 @@ def test_family_from_config_builds_identical_copies():
     assert fam.max_total == 6.0
 
 
+@pytest.mark.parametrize("kind, other", [("facility_location", {"pair": [1, 2]}),
+                                         ("coverage", {"weights": [1] * 10})])
+def test_only_the_kinds_own_data_is_shared(kind, other):
+    # another kind's data key used to give every agent one shared function
+    params = {"size": 8, "universe": 10}
+    drawn = local_family(6, kind, seed=3, params=params)
+    lenient = local_family(6, kind, seed=3, params={**params, **other})
+    assert len({id(f) for f in lenient.functions}) == 6
+    assert ([f.table().tolist() for f in lenient.functions]
+            == [f.table().tolist() for f in drawn.functions])
+
+
 def test_average_function_requires_shared_ground():
     f = build_test_function("modular", {"weights": [1, 2]})
     g = build_test_function("modular", {"weights": [1, 2, 3]})

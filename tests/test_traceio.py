@@ -322,6 +322,27 @@ def test_run_memory_does_not_grow_with_T(facility_runs):
     assert_peaks_do_not_grow_with_T(facility_runs, peak_at)
 
 
+def test_a_run_keeps_no_copy_of_its_gains(facility_run):
+    # The fixture's run filled the scan cache, which holds every round's
+    # gains, so a record's step source replays X_0 from it: beyond its
+    # records' arrays the trace keeps 0.21 x their x_final bytes in
+    # tuples and objects, not an (n, r) X_0 a round (1.22 x).
+    config, _ = facility_run
+    tracemalloc.start()
+    try:
+        trace = run_protocol(config)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(rec.x_final.nbytes + rec.deviations.nbytes + rec.drifts.nbytes
+                 + rec.candidate_masks.nbytes for rec in trace.rounds)
+    assert kept - arrays < 0.5 * sum(rec.x_final.nbytes for rec in trace.rounds)
+    for rec in trace.rounds:
+        for replayed, recorded in zip(averaging_record(rec.steps()),
+                                      (rec.x_final, rec.deviations, rec.drifts)):
+            assert_same_bits(replayed, recorded)
+
+
 def test_step_deviations_hold_one_step(facility_run):
     # The round's step source makes each step as it is read.
     rec = facility_run[1].rounds[0]
