@@ -3,7 +3,8 @@
 Subcommands: run, sweep, baseline, analyze, validate-config.
 Exit codes: 0 all enabled checks pass, 1 a check failed (margins are
 printed), 2 configuration or dimension problems (the offending field is
-named) or an unwritable output file (the path, or <stdout>, is named).
+named), an instance too large for a cap or for memory, or an unwritable
+output file (the path, or <stdout>, is named).
 Set DG_LOG=DEBUG|INFO|WARNING for verbosity.
 
 Each command imports the analysis, baseline and traceio functions it
@@ -210,8 +211,8 @@ def main(argv=None):
         field = f" at {exc.field!r}" if getattr(exc, "field", None) else ""
         print(f"config error{field}: {exc}", file=sys.stderr)
         return 2
-    except CapExceededError as exc:
-        print(f"instance too large: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        print(f"instance too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)

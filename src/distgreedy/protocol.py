@@ -116,9 +116,9 @@ class RunConfig:
         self.family = family
         self.K = min(int(K), m)
         self.T = int(T)
-        self.psi = None if psi is None else float(psi)
+        self.psi = None if psi is None else float(psi) + 0.0  # -0.0 is read as 0.0
         self.value_cap = family.max_total  # the gain cap of epsilon(T)
-        self.threshold_slack = float(threshold_slack)
+        self.threshold_slack = float(threshold_slack) + 0.0
         self.seed = int(seed)
         self.diameter = diameter(network)
         self.sources = intersection_sources(network)
@@ -139,12 +139,13 @@ class RunConfig:
         if psi is not None and not 0 <= psi < math.inf:
             raise ConfigError(f"threshold width psi must be finite and >= 0, not {psi}",
                               field="psi")
+        psi = None if psi is None else float(psi) + 0.0  # -0.0 is read as 0.0
         n, mu, cap = self.network.n, self.mu, self.value_cap
         _, floor, gap = bounds(n, self.K, T, mu, cap, psi)
         if floor is None and psi is None:
             raise ConfigError(f"psi 'auto' needs a contracting mixing matrix, "
                               f"but mu={mu}", field="psi")
-        psi = floor if psi is None else float(psi)
+        psi = floor if psi is None else psi
         if floor is not None and not math.isfinite(max(floor, gap)):
             raise ConfigError(
                 f"bounds overflow at T={T}, psi={psi}: psi floor "

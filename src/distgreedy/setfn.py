@@ -4,7 +4,9 @@ Everything downstream (greedy baselines, the distributed protocol, the
 bound audits) evaluates functions built here. Elements are the integers
 1..m and are labeled identically everywhere, so index j always refers to
 the same element no matter which agent holds the function. Subsets are
-passed around as iterables of indices and handled internally as bitmasks.
+passed around as iterables of indices and handled internally as bitmasks,
+which one decoder, _members, reads: a mask holding an element outside
+1..m, as a negative one does, is a ValueError wherever a mask is read.
 
 The module also houses the exact structure checker: monotonicity,
 diminishing returns and the diminishing-returns ratio (1 for every
@@ -58,6 +60,19 @@ KIND_KEYS = {
 FUNCTION_KINDS = tuple(KIND_KEYS)
 
 
+def _members(mask, size):
+    """(size,) bool: whether bitmask `mask` holds each element 1..size;
+    the one decoder of a mask. A mask holding any other element, as a
+    negative one does, is a ValueError."""
+    mask = operator.index(mask)
+    if mask < 0 or mask.bit_length() > size:
+        held = "negative mask" if mask < 0 else f"element {mask.bit_length()} of mask"
+        raise ValueError(f"{held} outside ground set 1..{size}")
+    raw = mask.to_bytes((size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=size,
+                         bitorder="little").view(bool)
+
+
 class GroundSet:
     """The shared element universe: indices 1..size, order is global."""
 
@@ -66,18 +81,11 @@ class GroundSet:
             raise ConfigError("ground set needs at least one element", field="size")
         self.size = int(size)
 
-    def _members(self, mask):
-        """(size,) bool: whether bitmask `mask` holds each element."""
-        mask = operator.index(mask)
-        raw = mask.to_bytes((max(mask.bit_length(), self.size) + 7) // 8, "little")
-        return np.unpackbits(np.frombuffer(raw, np.uint8), count=self.size,
-                             bitorder="little").view(bool)
-
     @lru_cache(maxsize=1)  # every agent's function asks once a round
     def remaining(self, mask):
         """The elements outside bitmask `mask`, ascending, as a read-only
         intp array; equal ground sets share the last one decoded."""
-        free = np.flatnonzero(~self._members(mask)) + 1
+        free = np.flatnonzero(~_members(mask, self.size)) + 1
         free.flags.writeable = False
         return free
 
@@ -90,7 +98,7 @@ class GroundSet:
         return m
 
     def unmask(self, mask):
-        return frozenset((np.flatnonzero(self._members(mask)) + 1).tolist())
+        return frozenset((np.flatnonzero(_members(mask, self.size)) + 1).tolist())
 
     def __eq__(self, other):
         return isinstance(other, GroundSet) and other.size == self.size
@@ -107,13 +115,14 @@ class SetFunction:
 
     `batch(base, rows)` maps a bitmask and a (C, j) int array of elements
     to the (C,) values f(base | row). `row_bytes` is its working memory
-    per row in the dtype of its tables, temporaries and the value
+    per row in the dtype of its tables, every temporary and the value
     included but not the rows, which are the caller's; extend_values
-    runs it on blocks of BATCH_BYTES // row_bytes rows, and caches the
-    two scans that repeat. It is the only evaluator: value_mask and table
-    are scans. Evaluation is pure; the cache is a plain dict, whose item
-    writes are atomic, so concurrent readers at worst recompute a value.
-    It costs about 8 B per (agent, round, remaining element) of a run.
+    runs it on blocks of BATCH_BYTES // row_bytes rows, the only bound
+    on its memory, and caches the two scans that repeat. It is the only
+    evaluator: value_mask and table are scans. Evaluation is pure; the
+    cache is a plain dict, whose item writes are atomic, so concurrent
+    readers at worst recompute a value. It costs about 8 B per (agent,
+    round, remaining element) of a run.
     """
 
     def __init__(self, ground, batch, label="", row_bytes=8):
@@ -159,12 +168,12 @@ class SetFunction:
         base's remaining elements; any other request is evaluated afresh.
         """
         base = operator.index(base)
+        free = self.ground.remaining(base)  # a base outside the ground set fails here
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 2:
             raise ValueError(f"rows must be a (C, j) array, got shape {rows.shape}")
         key = (base, rows.shape[1]) if rows.shape == (1, 0) or (
-            rows.shape == (self.ground.size - base.bit_count(), 1)
-            and rows.tobytes() == self.ground.remaining(base).tobytes()) else None
+            rows.shape == free.shape + (1,) and rows.tobytes() == free.tobytes()) else None
         values = self._scans.get(key)  # value_mask's empty row or gains' column
         if values is not None:
             return values
@@ -290,28 +299,18 @@ def check_structure(f):
 # Test-function corpus
 
 
-def _bits(mask):
-    """Indices of the set bits of `mask`, ascending, one step per set bit."""
-    bits = []
-    while mask:
-        bits.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1  # clears the lowest set bit
-    return bits
-
-
 def _fold(table, op, base, rows):
     """op-reduction of the table rows of the elements of base | rows[c],
     one result row per c.
 
-    `table` has one row per element and nonnegative entries, so a zero
-    start is neutral for np.bitwise_or and np.maximum. The rows are
-    folded in one column of `rows` at a time, so the working set stays
-    two (C, ...) arrays whatever the row width.
+    `table` has one row per element and nonnegative entries, so 0 is
+    neutral for np.bitwise_or and np.maximum: the fold starts from the
+    reduction of base's rows, which _members selects, from 0. The rows
+    are folded in one column of `rows` at a time, so the working set
+    stays two (C, ...) arrays whatever the row width.
     """
-    acc = np.zeros((len(rows),) + table.shape[1:], dtype=table.dtype)
-    bits = _bits(base)
-    if bits:
-        acc[:] = op.reduce(table[bits], axis=0)
+    start = op.reduce(table[_members(base, len(table))], axis=0, initial=0)
+    acc = np.repeat(start[None], len(rows), axis=0)
     for col in rows.T:
         op(acc, table[col - 1], out=acc)
     return acc
@@ -365,7 +364,9 @@ def _coverage_function(packed, universe, label, weights=None, levels=None):
         return SetFunction(
             ground,
             lambda base, rows: _masked_sum(weights, _covered(words, universe, base, rows)),
-            label=label, row_bytes=universe + 2 * nbytes + 16)
+            # the folded words and a table gather, the covered items, and
+            # _masked_sum's two float64 temporaries, then the value
+            label=label, row_bytes=17 * universe + 2 * nbytes + 16)
     table, offsets = _POPCOUNT, 0  # one table serves every byte of a count
     if weights is not None:
         table = _byte_table(weights, nbytes).ravel()
@@ -385,14 +386,9 @@ def _masked_sum(weights, mask):
     """Sum of the weights where the (C, U) bool `mask` holds, lowest index
     first in each row, as a loop from 0.0 adds them (adding 0.0 leaves a
     float unchanged): the coverage value for weights the byte tables
-    cannot sum exactly. The rows go in slices whose two (rows, U) float
-    temporaries fit in BATCH_BYTES // 2, a fixed cost outside row_bytes."""
-    step = max(1, BATCH_BYTES // (32 * mask.shape[1]))
-    total = np.empty(len(mask))
-    for s in range(0, len(mask), step):
-        part = np.where(mask[s:s + step], weights, 0.0)
-        total[s:s + step] = part.cumsum(axis=1)[:, -1]
-    return total
+    cannot sum exactly. Its two (C, U) float64 temporaries are counted in
+    the row_bytes of _coverage_function's item-by-item path."""
+    return np.where(mask, weights, 0.0).cumsum(axis=1)[:, -1]
 
 
 def _checked_weights(weights, what, shape):

@@ -353,6 +353,49 @@ def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "t.csv").exists()
 
 
+NUMPY_MEMORY_ERROR = ("Unable to allocate 931. GiB for an array with shape "
+                      "(1000000, 1000000) and data type bool")
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(NUMPY_MEMORY_ERROR), NUMPY_MEMORY_ERROR),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("builder", ["generate", "family_from_config"])
+def test_an_instance_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch,
+                                                  builder, error, message):
+    # a path of 10^6 nodes or a coverage universe of 10^11 items used to
+    # end in a MemoryError traceback and exit 1, the code of a failed check
+    def build(*args):
+        raise error
+    monkeypatch.setattr(f"distgreedy.config.{builder}", build)
+    path = write_config(tmp_path)
+    for argv in (["validate-config"], ["baseline", "--which", "greedy"],
+                 ["run", "--trace-out", tmp_path / "t.csv",
+                  "--summary-out", tmp_path / "s.json"]):
+        assert run_cli(*argv, "--config", path) == 2
+        assert capsys.readouterr().err == f"instance too large: {message}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_a_negative_zero_psi_or_slack_is_written_as_zero(tmp_path):
+    # -0.0 used to reach the trace header, the summary, the bounds file
+    # and every sweep row
+    outputs = {}
+    for tag, zero in (("positive", 0.0), ("negative", -0.0)):
+        path = write_config(tmp_path, name=f"{tag}-config.json", psi=zero, threshold_slack=zero)
+        files = [tmp_path / f"{tag}.{name}" for name in
+                 ("csv", "json", "bounds.json", "analyzed.json", "sweep.csv")]
+        assert run_cli("run", "--config", path, "--trace-out", files[0],
+                       "--summary-out", files[1]) == 0
+        assert run_cli("analyze", "--config", path, "--trace", files[0],
+                       "--out", files[3]) == 0
+        assert run_cli("sweep", "--config", path, "--T", "1:3", "--out", files[4]) == 0
+        outputs[tag] = [f.read_bytes() for f in files]
+    assert outputs["negative"] == outputs["positive"]
+    assert b"-0.0" not in b"".join(outputs["negative"])
+
+
 def _non_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"scenario": "caf\xe9"}')

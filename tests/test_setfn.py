@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,10 @@ from distgreedy import (
     marginal_gain,
 )
 from distgreedy.errors import CapExceededError, ConfigError
-from distgreedy.setfn import (BATCH_BYTES, FUNCTION_KINDS, _bits, _coverage_table,
+from distgreedy.setfn import (BATCH_BYTES, FUNCTION_KINDS, _coverage_table, _members,
                               family_from_config)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 C4_PARAMS = {"universe": 6, "sets": [[1, 2, 3], [3, 4], [5], [4, 5, 6]]}
 
@@ -229,13 +235,17 @@ def test_pair_ratio_in_closed_form_is_the_oracles_bit_for_bit():
         assert f.submodularity_ratio == check_structure(f).submodularity_ratio, g
 
 
-def test_bits_lists_the_set_bits_ascending():
+def test_members_decodes_the_set_bits_ascending():
     rng = np.random.default_rng(4)
     wide = [int.from_bytes(rng.bytes(250), "little") for _ in range(20)]
     sparse = [sum(1 << i for i in rng.choice(2000, size=50, replace=False).tolist())
               for _ in range(20)]
+    ground = GroundSet(2000)
     for mask in [0, 1, 1 << 1999, *wide, *sparse]:
-        assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert np.flatnonzero(_members(mask, 2000)).tolist() == bits
+        assert ground.remaining(mask).tolist() == sorted(
+            set(range(1, 2001)).difference(i + 1 for i in bits))
 
 
 # --- builders --------------------------------------------------------------
@@ -705,7 +715,7 @@ def test_coverage_byte_tables_are_exact_at_their_boundary(kind, case, exact):
     f = build_test_function(kind, params)
     nbytes = 8  # 16 or 10 items fold into one 64-bit word
     assert f._rows_per_block == BATCH_BYTES // (
-        18 * nbytes + 8 if exact else size + 2 * nbytes + 16)
+        18 * nbytes + 8 if exact else 17 * size + 2 * nbytes + 16)
     m = f.ground.size
     literal = [literal_value(kind, params, s) for s in all_subsets(m)]
     assert f.table().tobytes() == np.array(literal).tobytes()
@@ -715,11 +725,16 @@ def test_coverage_byte_tables_are_exact_at_their_boundary(kind, case, exact):
         lambda mask: literal_value(kind, params, f.ground.unmask(mask))).tobytes()
 
 
-@pytest.mark.parametrize("kind", FUNCTION_KINDS)
+@pytest.mark.parametrize("kind", FUNCTION_KINDS + ("item_by_item",))
 def test_extend_values_keeps_the_memory_budget(kind):
     # each kind's row_bytes is its true working set per row: a request
-    # several blocks long peaks within two budgets plus its (C,) output
-    f = build_test_function(kind, {"size": 30, "universe": 400}, seed=2)
+    # several blocks long peaks within two budgets plus its (C,) output;
+    # item_by_item is weighted coverage with weights that the byte tables
+    # cannot sum, so its float temporaries count too
+    params = {"size": 30, "universe": 400}
+    if kind == "item_by_item":
+        kind, params["weights"] = "weighted_coverage", (np.arange(400) + 0.5).tolist()
+    f = build_test_function(kind, params, seed=2)
     rows = np.random.default_rng(0).integers(1, 31, size=(4 * f._rows_per_block, 3))
     tracemalloc.start()
     try:
@@ -792,3 +807,43 @@ def test_extend_values_rejects_foreign_elements_and_flat_rows():
         f.extend_values(0, [[0]])
     with pytest.raises(ValueError, match="shape"):
         f.extend_values(0, [1, 2])
+
+
+@pytest.mark.parametrize("kind", FUNCTION_KINDS + ("custom", "average"))
+def test_masks_outside_the_ground_set_are_a_value_error(kind):
+    # a mask holding an element past m, or a negative one, is refused
+    # by every reader of a mask, naming the ground set
+    m = 12
+    custom = SetFunction.from_scalar(GroundSet(m), custom_raw, label="custom")
+    corpus = [build_test_function(k, {"size": m, "universe": 50}, seed=3)
+              for k in FUNCTION_KINDS]
+    f = {"custom": custom, "average": average_function(corpus + [custom]),
+         **dict(zip(FUNCTION_KINDS, corpus))}[kind]
+    column = np.arange(1, m + 1)[:, None]
+    for mask in (1 << m, 1 << m | 1, 1 << 3 * m, -1, -(1 << m), -(1 << 3 * m) | 1):
+        for call in (f.gains, f.value_mask, f.ground.remaining, f.ground.unmask,
+                     lambda mask: f.extend_values(mask, column),
+                     lambda mask: f.extend_values(mask, column[:0])):
+            with pytest.raises(ValueError, match=r"outside ground set 1\.\.12$"):
+                call(mask)
+
+
+NEGATIVE_BASE = """
+import numpy as np
+from distgreedy import build_test_function
+f = build_test_function("coverage", {"size": 12, "universe": 50})
+try:
+    f.extend_values(-1, np.ones((3, 1), dtype=int))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_a_negative_base_fails_at_once():
+    # a decoder that clears the lowest set bit until none is left never
+    # returns on a negative mask, so the call runs in a child with a timeout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NEGATIVE_BASE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "negative mask outside ground set 1..12\n", proc.stderr[-2000:]
