@@ -122,9 +122,7 @@ def audit_trace(trace, family):
     containing every agent's argmax, and whose lowest element is the one
     chosen; and each round's realized gain in the average objective is
     within psi + 2*epsilon(T) of the best available gain. The bound
-    checks allow AUDIT_SLACK of round-off. With a non-contracting
-    mu >= 1 there is no epsilon, and the three checks built on it are
-    skipped.
+    checks allow AUDIT_SLACK of round-off.
     """
     drift = max(float(rec.drifts.max()) for rec in trace.rounds)
     conservation = CheckResult("mean_conservation", drift <= CONSERVATION_TOL,
@@ -136,18 +134,9 @@ def audit_trace(trace, family):
     candidate_agreement = CheckResult(
         "candidate_agreement", not agreement_detail, detail=agreement_detail)
 
-    consensus_error, argmax_gap, round_gain = (
-        _epsilon_checks(trace, family) if trace.epsilon_T is not None
-        else [_skip_non_contracting(name, trace)
-              for name in ("consensus_error", "argmax_gap", "round_gain")])
+    consensus_error, argmax_gap, round_gain = _epsilon_checks(trace, family)
     return AuditReport(trace, [conservation, consensus_error, argmax_gap,
                                candidate_agreement, round_gain])
-
-
-def _skip_non_contracting(name, trace):
-    return CheckResult(name, True, skipped=True,
-                       detail=f"mu={trace.mu} >= 1: averaging does not contract, "
-                              "so epsilon(T) is undefined")
 
 
 def _slack_check(name, margin, detail):
@@ -190,8 +179,6 @@ def _epsilon_checks(trace, family):
 
 def _guarantee_check(name, trace, factor, optimum_value, gamma_min=None):
     """achieved >= factor * optimum - additive_gap, up to AUDIT_SLACK."""
-    if trace.additive_gap is None:
-        return _skip_non_contracting(name, trace)
     rhs = factor * optimum_value - trace.additive_gap
     ratio = "" if gamma_min is None else f"gamma_min={gamma_min:.6g}, "
     return CheckResult(name, trace.value >= rhs - AUDIT_SLACK,

@@ -2,8 +2,9 @@
 
 ExperimentConfig is the one reader of the experiment JSON: it checks the
 top-level keys and, against SPECS, every key of the graph and functions
-specs, so the builders take plain Python arguments. One master seed
-drives graph generation, function generation and the perturbed-baseline
+specs, each one that its kind reads (graph.GRAPH_KEYS, setfn.KIND_KEYS),
+so the builders take plain Python arguments. One master seed drives
+graph generation, function generation and the perturbed-baseline
 randomness through independent derived streams, so a config is
 reproducible as a whole while each component stays isolated. Validation
 failures carry the offending field path for the CLI's exit-2
@@ -12,14 +13,15 @@ diagnostics.
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, GraphGenerationError
-from .graph import generate
+from .graph import GRAPH_KEYS, generate
 from .mixing import mixing_from_config
 from .protocol import RunConfig
-from .setfn import family_from_config
+from .setfn import KIND_KEYS, family_from_config
 
 TOP_LEVEL_KEYS = {
     "scenario", "graph", "mixing", "functions", "K", "T", "psi", "seed",
@@ -55,7 +57,7 @@ class ExperimentConfig:
         if self.psi != "auto":
             if not isinstance(self.psi, (int, float)) or isinstance(self.psi, bool):
                 raise ConfigError("psi must be 'auto' or a number", field="psi")
-            self.psi = float(self.psi)
+            self.psi = float(self.psi) + 0.0  # -0.0 is read as 0.0
         self.seed = _require_int(raw.get("seed", 0), "seed")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", field="seed")
@@ -68,7 +70,7 @@ class ExperimentConfig:
                            or not 0 <= t < math.inf for t in self.taus)):
                 raise ConfigError("taus must be a list of finite nonnegative numbers",
                                   field="taus")
-            self.taus = [float(t) for t in self.taus]
+            self.taus = [float(t) + 0.0 for t in self.taus]
 
 
 def _require_int(value, field):
@@ -80,23 +82,29 @@ def _require_int(value, field):
 def _require_number(value, field):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{field} must be a number, not {value!r}", field=field)
-    return float(value)
+    return float(value) + 0.0  # -0.0 is read as 0.0
 
 
-# The graph and functions specs: their required keys, and every known
-# key with the check of its numbers (each list entry checked like a
-# top-level number), or None for a key whose builder checks it
-SPECS = {"graph": (("kind", "n"), {"kind": None, "n": _require_int,
-                                   "p": _require_number, "seed": _require_int}),
-         "functions": (("kind",), {"kind": None, "universe": _require_int,
-                                   "sets": _require_int, "weights": _require_number,
-                                   "size": _require_int, "pair": _require_int,
-                                   "g": _require_number, "seed": _require_int})}
+# The keys of a graph or functions spec that each kind reads, besides
+# kind; a key that no kind lists, as a functions spec's seed, all read
+_KIND_READS = {"graph": GRAPH_KEYS,
+               "functions": {kind: reads for kind, (reads, _) in KIND_KEYS.items()}}
+# Each spec key's check of its numbers, each list entry checked like a
+# top-level number; the builders check kind
+_NUMBERS = {"n": _require_int, "p": _require_number, "seed": _require_int,
+            "universe": _require_int, "sets": _require_int, "weights": _require_number,
+            "size": _require_int, "pair": _require_int, "g": _require_number}
+# The graph and functions specs: their required keys, and their known
+# keys with the checks of their numbers
+SPECS = {name: (required, {key: _NUMBERS.get(key) for key in chain(
+             ["kind"], *_KIND_READS[name].values(), shared)})
+         for name, required, shared in (("graph", ("kind", "n"), ()),
+                                        ("functions", ("kind",), ["seed"]))}
 
 
 def _check_spec(name, spec, required, known):
     """The `name` spec is an object of known keys, the required ones
-    among them, and its numbers pass their checks."""
+    among them, each read by its kind, and its numbers pass their checks."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{name} spec must be an object", field=name)
     for key in spec:
@@ -106,6 +114,13 @@ def _check_spec(name, spec, required, known):
     if not spec.keys() >= set(required):  # one is named by its path
         raise ConfigError(f"{name} spec needs {' and '.join(map(repr, required))}",
                           field=f"{name}.{required[0]}" if len(required) == 1 else name)
+    kind, kinds = spec["kind"], _KIND_READS[name]
+    # an unknown kind reads every known key, and its builder names it
+    reads = kinds.get(kind, known) if isinstance(kind, str) else known
+    for key in spec:
+        if key not in reads and any(key in keys for keys in kinds.values()):
+            raise ConfigError(f"{kind} does not read {key!r}; it reads "
+                              f"{', '.join(reads)}", field=f"{name}.{key}")
     for key, check in known.items():
         if check is not None and key in spec:
             _require_each(spec[key], check, f"{name}.{key}")

@@ -16,7 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, DisconnectedGraphError, GraphGenerationError
 
-GRAPH_KINDS = ("path", "cycle", "complete", "grid", "erdos_renyi")
+# Each kind's keys of a graph spec, besides kind: those it reads
+GRAPH_KEYS = {"path": ("n",), "cycle": ("n",), "complete": ("n",), "grid": ("n",),
+              "erdos_renyi": ("n", "p", "seed")}
+GRAPH_KINDS = tuple(GRAPH_KEYS)
 
 ER_MAX_TRIES = 1000
 

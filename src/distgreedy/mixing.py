@@ -248,7 +248,8 @@ def mixing_from_config(spec, G):
     graphs only), or {"custom_csv": path}. Custom matrices must satisfy
     the structural conditions; contraction is reported but not enforced,
     so deliberately slow or periodic chains can be loaded for
-    experiments.
+    experiments. epsilon(T) holds for them too: at mu = 1 it is
+    sqrt(n) * value_cap, vacuous, and psi 'auto' is refused.
     """
     if spec == "metropolis":
         return metropolis_weights(G)

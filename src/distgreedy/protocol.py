@@ -24,9 +24,11 @@ The closed-form consensus error after T averaging steps is
 
     epsilon(T) = sqrt(n) * mu^T * value_cap,
 
-and in exact arithmetic 4 * epsilon(T) keeps every agent's argmax
-through thresholding and intersection; below round-off it may not.
-A run that uses a feasible psi earns the additive guarantee
+by the spectral contraction of every symmetric doubly stochastic W
+(Xiao and Boyd, 2004); at mu = 1 it is vacuous, but true, as every gain
+lies in [0, value_cap]. In exact arithmetic 4 * epsilon(T) keeps every
+agent's argmax through thresholding and intersection; below round-off
+it may not. A run that uses a feasible psi earns the additive guarantee
 
     achieved >= (1 - 1/e) * optimum - additive_gap,
 
@@ -54,14 +56,16 @@ def epsilon(n, mu, T, value_cap):
     """Worst-case distance to the true average after T averaging steps."""
     if n < 1:
         raise ValueError("need at least one agent")
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"contraction rate mu={mu} outside [0, 1); "
-                         "averaging would not converge")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"contraction rate mu must be finite and >= 0, not {mu}")
     if T < 1:
         raise ValueError("T must be >= 1")
     if value_cap < 0:
         raise ValueError("value cap must be nonnegative")
-    return math.sqrt(n) * mu ** T * value_cap
+    try:
+        return math.sqrt(n) * mu ** T * value_cap
+    except OverflowError:  # mu > 1 at a large T; trace_parameters refuses it
+        return math.inf
 
 
 def psi_min(n, mu, T, value_cap):
@@ -72,10 +76,7 @@ def psi_min(n, mu, T, value_cap):
 def bounds(n, K, T, mu, value_cap, psi):
     """(epsilon_T, psi_floor, additive_gap) of a run: epsilon(T), the psi
     floor 4 * epsilon(T) and the additive gap K * (psi + 2 * epsilon(T)),
-    where psi=None is the floor. With mu >= 1 averaging carries no error
-    bound, and all three are None."""
-    if not mu < 1.0:
-        return None, None, None
+    where psi=None is the floor."""
     eps = epsilon(n, mu, T, value_cap)
     floor = 4.0 * eps
     return eps, floor, K * ((floor if psi is None else psi) + 2.0 * eps)
@@ -142,11 +143,11 @@ class RunConfig:
         psi = None if psi is None else float(psi) + 0.0  # -0.0 is read as 0.0
         n, mu, cap = self.network.n, self.mu, self.value_cap
         _, floor, gap = bounds(n, self.K, T, mu, cap, psi)
-        if floor is None and psi is None:
+        if psi is None and not mu < 1.0:
             raise ConfigError(f"psi 'auto' needs a contracting mixing matrix, "
                               f"but mu={mu}", field="psi")
         psi = floor if psi is None else psi
-        if floor is not None and not math.isfinite(max(floor, gap)):
+        if not math.isfinite(max(floor, gap)):
             raise ConfigError(
                 f"bounds overflow at T={T}, psi={psi}: psi floor "
                 f"4*epsilon(T) = {floor}, additive gap "
@@ -231,10 +232,7 @@ class RunTrace:
 
     The run parameters come by keyword, one per TRACE_PARAMETERS name,
     as RunConfig.trace_parameters gives them; epsilon_T, psi_floor and
-    additive_gap are their `bounds`. A trace may be recorded with a
-    non-contracting mu >= 1 (an explicit psi on a periodic chain).
-    Averaging then carries no error bound, so the three bounds are None
-    and the audits that need them are skipped.
+    additive_gap are their `bounds`.
     """
 
     def __init__(self, rounds, selected, value, **parameters):

@@ -213,12 +213,12 @@ def _x_step(lines, number, k, t, remaining, n):
     return x
 
 
-def _later_steps(rest, number, k, T, remaining, n):
-    """Round k's gains at steps 1..T, each an (n, r) array parsed from the
-    next n * r lines of `rest`, the first at trace line `number`."""
+def _steps(lines, number, k, T, remaining, n):
+    """Round k's gains at steps 0..T, each an (n, r) array parsed from the
+    next n * r `lines`, the first at trace line `number`."""
     size = n * remaining.size
-    for t in range(1, T + 1):
-        yield _x_step(list(islice(rest, size)), number, k, t, remaining,
+    for t in range(T + 1):
+        yield _x_step(list(islice(lines, size)), number, k, t, remaining,
                       n).reshape(n, -1)
         number += size
 
@@ -352,14 +352,11 @@ def read_trace_csv(path, config):
                     f"round {k}, t=0: agent 1's elements do not ascend from 1 "
                     f"({_found(number + j, lines[j])})")
             r = remaining.size
-            rest = chain([text] if text else [], fh)
-            lines += islice(rest, (n - 1) * r)  # agents 2..n
-            X0 = _x_step(lines, number, k, 0, remaining, n).reshape(n, r)
-            del lines  # one step of rows at a time
-            number += n * r
+            # step 0 from agent 1's rows on; the list goes once they are read
+            lines = chain(lines, [text] if text else [], fh)
             x_final, deviations, drifts = averaging_record(
-                chain([X0], _later_steps(rest, number, k, T, remaining, n)))
-            number += T * n * r
+                _steps(lines, number, k, T, remaining, n))
+            number += (T + 1) * n * r
             columns = {str(v): j for j, v in enumerate(remaining.tolist())}
             masks = []
             for t in range(T + 1, t_prime + 1):
@@ -429,7 +426,7 @@ def write_sweep_csv(rows, path):
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([
-                row.T, format_float(row.psi), _optional_float(row.epsilon),
-                _optional_float(row.additive_gap), format_float(row.achieved),
+                row.T, format_float(row.psi), format_float(row.epsilon),
+                format_float(row.additive_gap), format_float(row.achieved),
                 _optional_float(row.rhs),
                 "" if row.vacuous is None else int(row.vacuous)])

@@ -37,6 +37,7 @@ from distgreedy.analysis import (
 from distgreedy.config import ExperimentConfig, build_run_config
 from distgreedy.errors import CapExceededError, MonotonicityError
 from distgreedy.graph import make_network
+from distgreedy.mixing import MixingMatrix, spectral_mu
 from distgreedy.setfn import FUNCTION_KINDS, LocalFamily
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -69,11 +70,15 @@ def test_epsilon_contracts_by_mu_per_step():
                 mu * epsilon(5, mu, T, 7.0), rel=1e-14)
 
 
-def test_epsilon_rejects_non_contracting_mu():
-    with pytest.raises(ValueError):
-        epsilon(3, 1.0, 2, 5.0)
-    with pytest.raises(ValueError):
-        epsilon(3, -0.1, 2, 5.0)
+def test_epsilon_rejects_only_a_negative_or_non_finite_mu():
+    # mu >= 1 used to raise; the bound holds there, vacuous at mu = 1
+    assert epsilon(3, 1.0, 2, 5.0) == 5 * math.sqrt(3)
+    assert psi_min(3, 1.0, 2, 5.0) == 20 * math.sqrt(3)
+    assert epsilon(3, 1.0 + 1e-12, 2, 5.0) > 5 * math.sqrt(3)
+    assert epsilon(3, 2.0, 2000, 5.0) == math.inf  # 2.0 ** 2000 overflows
+    for mu in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            epsilon(3, mu, 2, 5.0)
     with pytest.raises(ValueError):
         epsilon(3, 0.5, 0, 5.0)
 
@@ -162,20 +167,50 @@ def test_failing_approx_bound_is_skipped_below_ratio_1(gammas, state):
     assert holds.detail == check_approx_bound(trace, 6.0).detail
 
 
-def test_non_contracting_trace_skips_every_epsilon_check():
-    from distgreedy.mixing import MixingMatrix
+def test_non_contracting_trace_audits_every_epsilon_check():
+    # mu >= 1 used to give None bounds and skip these five checks
     fam = c4_family(2)
     periodic = MixingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
     trace = run(RunConfig(generate("path", 2), periodic, fam, 2, 3, psi=3.0))
-    assert trace.epsilon_T is trace.psi_floor is trace.additive_gap is None
+    eps = math.sqrt(2) * 6.0
+    assert (trace.epsilon_T, trace.psi_floor, trace.additive_gap) == (
+        eps, 4 * eps, 2 * (3.0 + 2 * eps))
     report = bounds_report(trace, fam, optimum=6.0, gammas=[1.0, 1.0])
-    skipped = {c.name for c in report.checks if c.skipped}
-    assert skipped == {"consensus_error", "argmax_gap", "round_gain",
-                       "approx_bound", "ratio_bound"}
-    assert all("mu=1.0" in report[name].detail for name in skipped)
+    assert not any(c.skipped for c in report.checks)
     assert report.passed
     payload = report.to_jsonable()
-    assert payload["approx_rhs"] is payload["vacuous"] is payload["ratio_rhs"] is None
+    assert payload["vacuous"] is True
+    assert payload["approx_rhs"] == (1 - 1 / math.e) * 6.0 - trace.additive_gap
+    assert payload["ratio_rhs"] == pytest.approx(payload["approx_rhs"])  # gamma_min = 1
+
+
+def periodic_weights(G):
+    """Each edge weighted 1/degree on a regular bipartite graph: the
+    2-node swap or an even cycle, whose mu is 1."""
+    W = G.adjacency / G.adjacency.sum(axis=1)[:, None]
+    return MixingMatrix(W, spectral_mu(W))
+
+
+@pytest.mark.parametrize("n", [2, 4])  # the 2-node swap and the 4-cycle
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("T", [1, 2, 7])
+def test_a_periodic_chain_stays_within_the_total_bound(n, seed, T):
+    G = generate("cycle", n)
+    mixing = periodic_weights(G)
+    assert mixing.mu == 1.0
+    fam = local_family(n, "facility_location", seed=seed,
+                       params={"size": 6, "universe": 5})
+    cap = fam.max_total
+    # a width of the whole gain range keeps every element, so every run ends
+    trace = run(RunConfig(G, mixing, fam, K=3, T=T, psi=cap))
+    assert trace.epsilon_T == math.sqrt(n) * cap
+    assert max(float(rec.deviations.max()) for rec in trace.rounds) > 0.0
+    for rec in trace.rounds:
+        assert (rec.deviations <= math.sqrt(n) * cap).all()
+    report = audit_trace(trace, fam)
+    for name in ("consensus_error", "argmax_gap", "round_gain"):
+        assert report[name].passed and not report[name].skipped, name
+        assert report[name].margin >= 0.0, name
 
 
 # --- trace audits --------------------------------------------------------------

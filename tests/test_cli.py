@@ -174,8 +174,18 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     # the key checks come before the number checks
     ({"graph": {"kind": "path", "n": 3.5, "bogus": 1}}, "graph.bogus",
      "unknown key 'bogus' in graph spec"),
+    # a key of another kind used to pass and be ignored
+    ({"graph": {"kind": "path", "n": 4, "p": 0.3, "seed": 9}}, "graph.p",
+     "path does not read 'p'; it reads n"),
+    ({"graph": {"kind": "complete", "n": 4, "seed": 9}}, "graph.seed",
+     "complete does not read 'seed'; it reads n"),
+    ({"graph": {"kind": "grid", "n": 3.5, "p": True}}, "graph.p",
+     "grid does not read 'p'; it reads n"),
+    ({"functions": {"kind": "modular", "size": 4, "sets": [[1.5]]}}, "functions.sets",
+     "modular does not read 'sets'; it reads weights, size"),
 ], ids=["functions_unknown", "functions_no_kind", "functions_list", "graph_unknown",
-        "graph_no_n", "graph_no_kind", "graph_string", "graph_unknown_and_float"])
+        "graph_no_n", "graph_no_kind", "graph_string", "graph_unknown_and_float",
+        "path_p", "complete_seed", "grid_p_and_float", "modular_sets_and_float"])
 def test_spec_keys_are_checked_at_parse(overrides, field, message):
     raw = json.loads((CONFIGS / "exact_consensus.json").read_text())
     raw.update(overrides)
@@ -224,10 +234,15 @@ def test_spec_keys_are_checked_at_parse(overrides, field, message):
     # the mixing builder names its spec, not the graph key it read
     ({"graph": {"kind": "path", "n": 1}, "mixing": "uniform"},
      "config error at 'mixing': uniform weights need at least two nodes"),
+    ({"graph": {"kind": "path", "n": 4, "p": 0.3, "seed": 9}},
+     "config error at 'graph.p': path does not read 'p'; it reads n"),
+    ({"graph": {"kind": "star", "n": 3, "p": 0.3}},
+     "config error at 'graph.kind': unknown graph kind 'star'; expected one of "
+     "path, cycle, complete, grid, erdos_renyi"),
 ], ids=["graph_kind", "graph_n", "graph_p", "functions_kind", "functions_size",
         "functions_weights", "functions_pair", "functions_g", "functions_sets",
         "facility_pair", "coverage_weights", "coverage_g",
-        "functions_whole", "mixing_uniform_one_node"])
+        "functions_whole", "mixing_uniform_one_node", "path_p", "unknown_kind_p"])
 def test_a_builder_error_names_its_spec_path(tmp_path, capsys, overrides, message):
     # each used to name the key alone: at 'kind', at 'n', at 'weights'
     path = write_config(tmp_path, **overrides)
@@ -257,11 +272,9 @@ def test_readme_documents_every_optional_key():
 
 
 def test_the_functions_schema_is_the_keys_that_some_kind_reads():
-    reads = set()
+    # SPECS is derived from KIND_KEYS: only the explicit data is checked
     for keys, data in KIND_KEYS.values():
         assert set(data) <= set(keys)
-        reads.update(keys)
-    assert sorted(SPECS["functions"][1]) == sorted(reads | {"kind", "seed"})
 
 
 def test_readme_documents_every_spec_key():
@@ -378,12 +391,14 @@ def test_an_instance_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_a_negative_zero_psi_or_slack_is_written_as_zero(tmp_path):
+def test_a_negative_zero_psi_or_slack_is_written_as_zero(tmp_path, capsys):
     # -0.0 used to reach the trace header, the summary, the bounds file
-    # and every sweep row
+    # and every sweep row, and the output of validate-config (psi) and
+    # of the perturbed baseline (taus)
     outputs = {}
     for tag, zero in (("positive", 0.0), ("negative", -0.0)):
-        path = write_config(tmp_path, name=f"{tag}-config.json", psi=zero, threshold_slack=zero)
+        path = write_config(tmp_path, name=f"{tag}-config.json", psi=zero,
+                            threshold_slack=zero, taus=[zero, 0.0])
         files = [tmp_path / f"{tag}.{name}" for name in
                  ("csv", "json", "bounds.json", "analyzed.json", "sweep.csv")]
         assert run_cli("run", "--config", path, "--trace-out", files[0],
@@ -391,9 +406,14 @@ def test_a_negative_zero_psi_or_slack_is_written_as_zero(tmp_path):
         assert run_cli("analyze", "--config", path, "--trace", files[0],
                        "--out", files[3]) == 0
         assert run_cli("sweep", "--config", path, "--T", "1:3", "--out", files[4]) == 0
-        outputs[tag] = [f.read_bytes() for f in files]
+        capsys.readouterr()
+        assert run_cli("validate-config", "--config", path) == 0
+        assert run_cli("baseline", "--config", path, "--which", "perturbed") == 0
+        printed = capsys.readouterr().out.encode()
+        outputs[tag] = [f.read_bytes() for f in files] + [printed]
     assert outputs["negative"] == outputs["positive"]
     assert b"-0.0" not in b"".join(outputs["negative"])
+    assert b" psi=0.0 " in outputs["negative"][-1]
 
 
 def _non_utf8(tmp_path):
@@ -432,38 +452,48 @@ def test_auto_psi_needs_a_contracting_matrix(tmp_path):
     assert run_cli("validate-config", "--config", path) == 0
 
 
-def test_non_contracting_run_skips_the_epsilon_checks(tmp_path):
-    import numpy as np
-
+@pytest.mark.parametrize("matrix", [
+    "0,1\n1,0\n",
+    # valid within STRUCT_TOL, with mu a hair above 1
+    "-5e-13,1.0000000000005\n1.0000000000005,-5e-13\n",
+], ids=["swap", "swap_within_tolerance"])
+def test_non_contracting_run_passes_the_epsilon_checks(tmp_path, matrix):
+    # the bounds used to be null and these four checks skipped
     wpath = tmp_path / "w.csv"
-    np.savetxt(wpath, [[0.0, 1.0], [1.0, 0.0]], fmt="%.17g", delimiter=",")
+    wpath.write_text(matrix)
     cfg = {"graph": {"kind": "path", "n": 2},
            "mixing": {"custom_csv": str(wpath)},
-           "functions": {"kind": "modular", "weights": [1, 2]},
-           "K": 1, "T": 1, "psi": 3.0}
+           "functions": {"kind": "coverage", "size": 4, "universe": 6},
+           "K": 2, "T": 1, "psi": 3.0}
     path = tmp_path / "periodic.json"
     path.write_text(json.dumps(cfg))
-    summary, bounds = tmp_path / "s.json", tmp_path / "b.json"
-    assert run_cli("run", "--config", path, "--trace-out", tmp_path / "t.csv",
+    mu = build_run_config(load_experiment(path)).mu
+    assert mu >= 1.0
+    summary, bounds, trace = tmp_path / "s.json", tmp_path / "b.json", tmp_path / "t.csv"
+    assert run_cli("run", "--config", path, "--trace-out", trace,
                    "--summary-out", summary, "--bounds-out", bounds) == 0
-    assert (tmp_path / "t.csv").exists()
-    for key in ("psi_floor", "epsilon_T", "additive_gap"):
-        assert json.loads(summary.read_text())["bounds"][key] is None
+    stated = json.loads(summary.read_text())["bounds"]
+    eps = math.sqrt(2) * mu * stated["value_cap"]
+    assert (stated["epsilon_T"], stated["psi_floor"], stated["additive_gap"]) == (
+        eps, 4 * eps, 2 * (3.0 + 2 * eps))
     report = json.loads(bounds.read_text())
-    assert report["epsilon_T"] is None and report["approx_rhs"] is None
-    skipped = {"consensus_error", "argmax_gap", "round_gain", "approx_bound"}
+    assert report["epsilon_T"] == eps and report["vacuous"] is True
     for name, check in report["checks"].items():
-        assert check["skipped"] == (name in skipped), name
-        if check["skipped"]:
-            assert "mu=1.0" in check["detail"]
+        assert check["passed"] and not check["skipped"], name
+    for name in ("consensus_error", "argmax_gap", "round_gain"):
+        assert report["checks"][name]["margin"] >= 0.0, name
+    analyzed = tmp_path / "a.json"
+    assert run_cli("analyze", "--config", path, "--trace", trace, "--out", analyzed) == 0
+    assert analyzed.read_bytes() == bounds.read_bytes()
 
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--config", path, "--T", "1:3", "--out", out) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert all(r["epsilon"] == r["E_r"] == r["rhs"] == r["vacuous"] == ""
-               for r in rows)
+    assert [r["epsilon"] for r in rows] == [
+        format_float(math.sqrt(2) * mu ** T * stated["value_cap"]) for T in (1, 2, 3)]
+    assert all(float(r["E_r"]) == 2 * (3.0 + 2 * float(r["epsilon"])) for r in rows)
+    assert all(r["vacuous"] == "1" for r in rows)
 
 
 def test_baseline_subcommands(tmp_path, capsys):

@@ -395,6 +395,21 @@ def test_auto_psi_rejects_a_periodic_matrix_at_construction():
     assert info.value.field == "psi"
 
 
+def test_a_mu_above_1_runs_until_its_bounds_overflow():
+    # within STRUCT_TOL of the 2-node swap, mu is a hair above 1
+    W = np.array([[-5e-13, 1 + 5e-13], [1 + 5e-13, -5e-13]])
+    mixing = MixingMatrix(W, spectral_mu(W))
+    assert mixing.mu > 1.0
+    fam = local_family(2, "modular", params={"weights": [1, 2]})
+    G = generate("path", 2)
+    trace = run(RunConfig(G, mixing, fam, K=1, T=3, psi=3.0))
+    assert trace.epsilon_T == epsilon(2, mixing.mu, 3, 3.0) > 3.0 * np.sqrt(2)
+    # mu ** T overflows a double here
+    with pytest.raises(ConfigError, match="bounds overflow at T=10000000000000000") as info:
+        RunConfig(G, mixing, fam, K=1, T=10 ** 16, psi=3.0)
+    assert info.value.field == "psi"
+
+
 def test_sweep_rejects_a_descending_t_list():
     # Run alone, T=1 picks (2, 6, 3); fed after T=12, it used to reuse
     # T=12's averaged gains and pick (2, 1, 3).
@@ -431,7 +446,10 @@ def test_bounds_are_the_closed_forms_bit_for_bit(n, K, T, mu, cap, psi, mu_hi):
         eps.hex(), floor.hex(), (K * (psi + 2.0 * eps)).hex()]
     # psi=None is the floor, as RunConfig resolves psi 'auto'
     assert bounds(n, K, T, mu, cap, None)[2].hex() == (K * (floor + 2.0 * eps)).hex()
-    assert bounds(n, K, T, mu_hi, cap, psi) == (None, None, None)
+    # mu >= 1 has the same closed forms; its bounds used to be None
+    eps_hi = epsilon(n, mu_hi, T, cap)
+    assert [b.hex() for b in bounds(n, K, T, mu_hi, cap, psi)] == [
+        eps_hi.hex(), (4.0 * eps_hi).hex(), (K * (psi + 2.0 * eps_hi)).hex()]
 
 
 @settings(max_examples=100, deadline=None)
